@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="cross-validate all criteria over all subgroup pairs")
     p.add_argument("group")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="worker processes (at least 1; capped at the CPU count)")
     p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("verify", help="re-check a stored certificate")
@@ -142,13 +143,13 @@ def _cmd_verify(args, limits: Limits) -> int:
 
 def _cmd_show(args, limits: Limits) -> int:
     G = group_from_arg(args.group, limits=limits)
+    subs = all_subgroups(G, limits=limits)  # checks the cap before any output
     print(f"{G.label}: order {G.order}")
     orders: dict[int, int] = {}
     for a in range(G.order):
         k = G.element_order(a)
         orders[k] = orders.get(k, 0) + 1
     print("element orders: " + ", ".join(f"{k}:{v}" for k, v in sorted(orders.items())))
-    subs = all_subgroups(G, limits=limits)
     print(f"{len(subs)} subgroups:")
     full = G.full_subgroup()
     for H in subs:

@@ -16,9 +16,6 @@ class Limits:
 
     closure_cap: int = 5000
     enumeration_cap: int = 48
-    # full O(n^3) associativity check up to this order, random triples above it
-    assoc_exhaustive_max: int = 512
-    assoc_sample_triples: int = 100_000
     search_node_budget: int = 5_000_000
     # below this vertex count adjacency lists are materialized
     adjacency_vertex_cap: int = 4096

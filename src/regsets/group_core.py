@@ -8,7 +8,7 @@ minimum element id, so all outputs are deterministic.
 
 from __future__ import annotations
 
-import random
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -26,8 +26,6 @@ from .errors import (
 )
 
 Perm = tuple[int, ...]
-
-_ASSOC_SEED = 0x5EED
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -56,10 +54,10 @@ def _members_of(mask: int) -> tuple[int, ...]:
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    The constructor validates all group axioms: rows/columns must be
-    permutations, index 0 must act as identity, inverses must exist, and
-    associativity is checked exhaustively up to
-    ``limits.assoc_exhaustive_max`` (sampled above that).
+    The constructor validates all group axioms exactly, at every order:
+    rows/columns must be permutations, index 0 must act as identity,
+    inverses must exist, and associativity is proved by Light's test on a
+    generating set in O(n^2 log n).
     """
 
     identity = 0
@@ -69,19 +67,17 @@ class GroupTable:
         mult: Sequence[Sequence[int]],
         label: str = "G",
         spec: Optional[dict] = None,
-        limits: Optional[Limits] = None,
     ):
-        limits = limits if limits is not None else DEFAULT_LIMITS
-        rows = tuple(tuple(int(x) for x in row) for row in mult)
+        rows = tuple(tuple(map(int, row)) for row in mult)
         n = len(rows)
         if n == 0:
             raise ValueError("multiplication table is empty")
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            for x in row:
-                if not 0 <= x < n:
-                    raise ValueError(f"entry {x} out of range 0..{n - 1}")
+            if min(row) < 0 or max(row) >= n:
+                x = next(x for x in row if not 0 <= x < n)
+                raise ValueError(f"entry {x} out of range 0..{n - 1}")
         self.order = n
         self.mult = rows
         self.label = label
@@ -90,7 +86,7 @@ class GroupTable:
         self._check_latin()
         self._check_identity()
         self.inv = self._build_inverses()
-        self._check_associative(limits)
+        self._check_associative()
 
     # -- validation -----------------------------------------------------
 
@@ -100,8 +96,8 @@ class GroupTable:
         for i, row in enumerate(self.mult):
             if frozenset(row) != full:
                 raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-        for j in range(n):
-            if frozenset(row[j] for row in self.mult) != full:
+        for j, column in enumerate(zip(*self.mult)):
+            if frozenset(column) != full:
                 raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
 
     def _check_identity(self) -> None:
@@ -118,26 +114,56 @@ class GroupTable:
             inv.append(b)
         return tuple(inv)
 
-    def _check_associative(self, limits: Limits) -> None:
+    def _check_associative(self) -> None:
+        """Light's associativity test on a greedily chosen generating set.
+
+        Let B be the set of b with (x*b)*y = x*(b*y) for all x, y.  B holds
+        the identity 0, and it is closed under products: for b, c in B,
+        (x*(b*c))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((b*c)*y),
+        using b in B, c in B (with x*b for x), b in B (with c*y for y) and c
+        in B (with b for x) in turn.  So once every generator passes, B
+        contains every element reachable from 0 by right multiplication by
+        generators, and the generators are picked until that is the whole
+        table.  Each generator b costs one row comparison per a, row
+        (a*b) against a*(b*y) over all y.
+
+        A generator is tested before the next is picked.  While all tested
+        generators pass, the reached set R is a subgroup (its elements lie
+        in B, and a finite cancellative associative set with identity is a
+        group), and the next generator g lies outside R, so g*R is disjoint
+        from R and is reached too: R at least doubles.  Hence at most
+        ceil(log2 n) generators are ever tested, and the whole check costs
+        O(n^2 log n) for any table, group or not.
+        """
         n = self.order
         mult = self.mult
-        if n <= limits.assoc_exhaustive_max:
+        seen = bytearray(n)
+        seen[0] = 1
+        reached = [0]
+        gens: list[int] = []
+        candidate = 1
+        while len(reached) < n:
+            while seen[candidate]:
+                candidate += 1
+            b = candidate
+            rowb = mult[b]
+            times_b = itemgetter(*rowb)  # n >= 2 here, so this yields tuples
             for a in range(n):
                 rowa = mult[a]
-                for b in range(n):
-                    rowab = mult[rowa[b]]
-                    rowb = mult[b]
-                    if rowab != tuple(rowa[x] for x in rowb):
-                        c = next(c for c in range(n) if rowab[c] != rowa[rowb[c]])
-                        raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-            return
-        rng = random.Random(_ASSOC_SEED)
-        for _ in range(limits.assoc_sample_triples):
-            a = rng.randrange(n)
-            b = rng.randrange(n)
-            c = rng.randrange(n)
-            if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
-                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+                rowab = mult[rowa[b]]
+                if rowab != times_b(rowa):
+                    c = next(c for c in range(n) if rowab[c] != rowa[rowb[c]])
+                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+            gens.append(b)
+            stack = list(reached)
+            while stack:
+                row = mult[stack.pop()]
+                for g in gens:
+                    y = row[g]
+                    if not seen[y]:
+                        seen[y] = 1
+                        reached.append(y)
+                        stack.append(y)
 
     # -- basic arithmetic -----------------------------------------------
 
@@ -302,26 +328,33 @@ def from_generators(
     identity = tuple(range(degree))
     index = {identity: 0}
     perms = [identity]
-    queue = [identity]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
+    # right[k][i] = index of perms[i]*gens[k]; spanning tree y = parent[y]*gens[via[y]]
+    right: list[list[int]] = [[] for _ in gens]
+    parent = [0]
+    via = [0]
+    for i, x in enumerate(perms):  # grows while iterating: a BFS queue
+        for k, g in enumerate(gens):
             y = _compose(x, g)
-            if y not in index:
+            j = index.get(y)
+            if j is None:
                 if len(perms) >= limits.closure_cap:
                     raise ClosureExceedsCap(
                         f"closure exceeded cap {limits.closure_cap}"
                     )
-                index[y] = len(perms)
+                j = index[y] = len(perms)
                 perms.append(y)
-                queue.append(y)
+                parent.append(i)
+                via.append(k)
+            right[k].append(j)
 
+    # Column y of the table is the map i -> perms[i]*perms[y].  With
+    # perms[y] = perms[x]*g this is column x followed by right[g], so each
+    # column after the first costs one composition of index maps.
     n = len(perms)
-    mult = [[0] * n for _ in range(n)]
-    for i, p in enumerate(perms):
-        for j, q in enumerate(perms):
-            mult[i][j] = index[_compose(p, q)]
-    table = GroupTable(mult, label=label or f"perm{degree}<{n}>", limits=limits)
+    columns = [tuple(range(n))]
+    for y in range(1, n):
+        columns.append(tuple(map(right[via[y]].__getitem__, columns[parent[y]])))
+    table = GroupTable(tuple(zip(*columns)), label=label or f"perm{degree}<{n}>")
     table.perms = tuple(perms)
     return table
 
@@ -333,6 +366,11 @@ def from_table(
 ) -> GroupTable:
     """Validate an explicit multiplication table, relabelling so the
     identity sits at index 0."""
+    limits = limits if limits is not None else DEFAULT_LIMITS
+    if len(matrix) > limits.closure_cap:
+        raise OrderExceedsCap(
+            f"table order {len(matrix)} exceeds cap {limits.closure_cap}"
+        )
     rows = [list(int(x) for x in row) for row in matrix]
     n = len(rows)
     if n == 0:
@@ -361,7 +399,7 @@ def from_table(
         sigma = list(range(n))
         sigma[0], sigma[e] = e, 0
         rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
-    return GroupTable(rows, label=label or f"table<{n}>", limits=limits)
+    return GroupTable(rows, label=label or f"table<{n}>")
 
 
 # -- subgroup operations --------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
@@ -288,8 +289,11 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"
     agreements["cayley_normal"] = ("ok" if cayley_ok else "fail") if cayley else "n/a"
 
-    pc, _ = perfect_code_pair(pair, limits=limits)
     present01 = [0, 1] in achievable
+    # For normal A, perfect_code_pair decides through the normalizer
+    # reduction, an independent criterion; otherwise it would only repeat the
+    # search of (0,1) the loop above has already made.
+    pc = perfect_code_pair(pair, limits=limits)[0] if a_norm else present01
     if pc != present01:
         anomalies.append("perfect-code decision disagrees with search at (0,1)")
     agreements["perfect_code"] = "ok" if pc == present01 else "fail"
@@ -372,9 +376,12 @@ def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
         raise OrderExceedsCap(
             f"group order {G.order} exceeds enumeration cap {limits.enumeration_cap}"
         )
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     subs = all_subgroups(G, limits=limits)
     pairs = [(H, A) for A in subs for H in subs if H.is_subset_of(A)]
-    if workers > 1 and len(pairs) > 1:
+    workers = min(workers, os.cpu_count() or 1, len(pairs))
+    if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(G, strict, limits)
         ) as pool:

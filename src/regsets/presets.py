@@ -5,19 +5,15 @@ from __future__ import annotations
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import ClosureExceedsCap, ParseError
+from .errors import ClosureExceedsCap, OrderExceedsCap, ParseError
 from .group_core import GroupTable, from_generators, generate_subgroup, quotient
-
-
-def _table_group(mult, label: str, spec: dict, limits: Optional[Limits]) -> GroupTable:
-    return GroupTable(mult, label=label, spec=spec, limits=limits)
 
 
 def cyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic order must be positive")
     mult = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _table_group(mult, f"cyclic({n})", {"kind": "preset", "name": "cyclic", "n": n}, limits)
+    return GroupTable(mult, f"cyclic({n})", {"kind": "preset", "name": "cyclic", "n": n})
 
 
 def dihedral(n: int, limits: Optional[Limits] = None) -> GroupTable:
@@ -36,8 +32,7 @@ def dihedral(n: int, limits: Optional[Limits] = None) -> GroupTable:
                 for j2 in range(2):
                     i = (i1 + (i2 if j1 == 0 else -i2)) % n
                     mult[enc(i1, j1)][enc(i2, j2)] = enc(i, j1 ^ j2)
-    return _table_group(mult, f"dihedral({n})",
-                        {"kind": "preset", "name": "dihedral", "n": n}, limits)
+    return GroupTable(mult, f"dihedral({n})", {"kind": "preset", "name": "dihedral", "n": n})
 
 
 def dicyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
@@ -63,8 +58,7 @@ def dicyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
                     else:
                         i, j = (i1 - i2 + n) % m, 0
                     mult[enc(i1, j1)][enc(i2, j2)] = enc(i, j)
-    return _table_group(mult, f"dicyclic({n})",
-                        {"kind": "preset", "name": "dicyclic", "n": n}, limits)
+    return GroupTable(mult, f"dicyclic({n})", {"kind": "preset", "name": "dicyclic", "n": n})
 
 
 def quaternion8(limits: Optional[Limits] = None) -> GroupTable:
@@ -105,7 +99,7 @@ def alternating(n: int, limits: Optional[Limits] = None) -> GroupTable:
 
 def klein4(limits: Optional[Limits] = None) -> GroupTable:
     mult = [[i ^ j for j in range(4)] for i in range(4)]
-    return _table_group(mult, "klein4", {"kind": "preset", "name": "klein4"}, limits)
+    return GroupTable(mult, "klein4", {"kind": "preset", "name": "klein4"})
 
 
 def semidihedral16(limits: Optional[Limits] = None) -> GroupTable:
@@ -139,8 +133,7 @@ def c4_semi_c4(limits: Optional[Limits] = None) -> GroupTable:
                 for j2 in range(4):
                     i = (i1 + (i2 if j1 % 2 == 0 else -i2)) % 4
                     mult[enc(i1, j1)][enc(i2, j2)] = enc(i, (j1 + j2) % 4)
-    return _table_group(mult, "c4_semi_c4",
-                        {"kind": "preset", "name": "c4_semi_c4"}, limits)
+    return GroupTable(mult, "c4_semi_c4", {"kind": "preset", "name": "c4_semi_c4"})
 
 
 def c22_semi_c4(limits: Optional[Limits] = None) -> GroupTable:
@@ -159,8 +152,7 @@ def c22_semi_c4(limits: Optional[Limits] = None) -> GroupTable:
                 for j2 in range(4):
                     w = v2 if j1 % 2 == 0 else swap(v2)
                     mult[enc(v1, j1)][enc(v2, j2)] = enc(v1 ^ w, (j1 + j2) % 4)
-    return _table_group(mult, "c22_semi_c4",
-                        {"kind": "preset", "name": "c22_semi_c4"}, limits)
+    return GroupTable(mult, "c22_semi_c4", {"kind": "preset", "name": "c22_semi_c4"})
 
 
 def pauli16(limits: Optional[Limits] = None) -> GroupTable:
@@ -172,7 +164,7 @@ def pauli16(limits: Optional[Limits] = None) -> GroupTable:
     k = generate_subgroup(base, [2 * 4 + 2])
     quo = quotient(base.full_subgroup(), k)
     g = GroupTable(quo.table.mult, label="pauli16",
-                   spec={"kind": "preset", "name": "pauli16"}, limits=limits)
+                   spec={"kind": "preset", "name": "pauli16"})
     return g
 
 
@@ -208,8 +200,7 @@ def sl23(limits: Optional[Limits] = None) -> GroupTable:
                 queue.append(y)
     n = len(mats)
     mult = [[index[mat_mul(p, q)] for q in mats] for p in mats]
-    g = GroupTable(mult, label="sl23", spec={"kind": "preset", "name": "sl23"},
-                   limits=limits)
+    g = GroupTable(mult, label="sl23", spec={"kind": "preset", "name": "sl23"})
     g.mats = tuple(mats)
     return g
 
@@ -235,7 +226,7 @@ def direct_product(G1: GroupTable, G2: GroupTable,
     spec = None
     if G1.spec is not None and G2.spec is not None:
         spec = {"kind": "preset", "name": "product", "factors": [G1.spec, G2.spec]}
-    return GroupTable(mult, label=f"{G1.label}x{G2.label}", spec=spec, limits=limits)
+    return GroupTable(mult, label=f"{G1.label}x{G2.label}", spec=spec)
 
 
 _NO_ARG_PRESETS = {
@@ -258,13 +249,82 @@ _N_ARG_PRESETS = {
 }
 
 
+# Orders of the presets, known before anything is built.
+_NO_ARG_ORDERS = {
+    "klein4": 4,
+    "quaternion8": 8,
+    "sl23": 24,
+    "semidihedral16": 16,
+    "modular16": 16,
+    "pauli16": 16,
+    "c4_semi_c4": 16,
+    "c22_semi_c4": 16,
+}
+
+
+def _preset_order(name, n, factors, cap: int) -> int:
+    """The order of the group ``preset`` would build, or 0 when the
+    arguments are malformed (the builders report those).  Above ``cap`` the
+    result is only a lower bound, so no huge product is ever formed."""
+    if name == "product":
+        if not isinstance(factors, (list, tuple)):
+            return 0
+        order = 1
+        for f in factors:
+            if isinstance(f, GroupTable):
+                order *= f.order
+            elif isinstance(f, dict):
+                order *= _preset_order(f.get("name"), f.get("n"), f.get("factors"), cap)
+            else:
+                return 0
+            if order > cap:
+                break
+        return order
+    if name in _NO_ARG_ORDERS:
+        return _NO_ARG_ORDERS[name]
+    if name not in _N_ARG_PRESETS or n is None:
+        return 0
+    try:
+        n = int(n)
+    except (TypeError, ValueError):
+        return 0
+    if name == "cyclic":
+        return n
+    if name == "dihedral":
+        return 2 * n
+    if name == "dicyclic":
+        return 4 * n
+    order = 1  # symmetric: n!, alternating: n!/2
+    for k in range(2, n + 1):
+        order *= k
+        if order > 2 * cap:
+            break
+    return order // 2 if name == "alternating" and n >= 2 else order
+
+
 def preset(name: str, n: Optional[int] = None, factors: Optional[list] = None,
            limits: Optional[Limits] = None) -> GroupTable:
     """Build a preset group by name.  ``product`` takes ``factors``, the
-    parametric families take ``n``, the rest take no arguments."""
+    parametric families take ``n``, the rest take no arguments.  The order
+    is checked against ``limits.closure_cap`` before any table is built."""
+    limits = limits if limits is not None else DEFAULT_LIMITS
     if name == "product":
         if not factors or len(factors) < 2:
             raise ParseError("product preset needs at least two factors")
+    elif name in _NO_ARG_PRESETS:
+        if n is not None:
+            raise ParseError(f"preset {name!r} takes no parameter")
+    elif name in _N_ARG_PRESETS:
+        if n is None:
+            raise ParseError(f"preset {name!r} needs a parameter n")
+    else:
+        raise ParseError(f"unknown preset {name!r}")
+    order = _preset_order(name, n, factors, limits.closure_cap)
+    if order > limits.closure_cap:
+        raise OrderExceedsCap(
+            f"preset {name!r} has order at least {order}, above the cap {limits.closure_cap}"
+        )
+    if name == "product":
         built = [
             f if isinstance(f, GroupTable) else _factor_from_spec(f, limits)
             for f in factors
@@ -274,14 +334,8 @@ def preset(name: str, n: Optional[int] = None, factors: Optional[list] = None,
             g = direct_product(g, other, limits=limits)
         return g
     if name in _NO_ARG_PRESETS:
-        if n is not None:
-            raise ParseError(f"preset {name!r} takes no parameter")
         return _NO_ARG_PRESETS[name](limits=limits)
-    if name in _N_ARG_PRESETS:
-        if n is None:
-            raise ParseError(f"preset {name!r} needs a parameter n")
-        return _N_ARG_PRESETS[name](int(n), limits=limits)
-    raise ParseError(f"unknown preset {name!r}")
+    return _N_ARG_PRESETS[name](int(n), limits=limits)
 
 
 def _factor_from_spec(spec: dict, limits: Optional[Limits]) -> GroupTable:

@@ -38,6 +38,62 @@ def perm_closure(degree, gens):
     return els
 
 
+def perm_table_all_pairs(degree, gens):
+    """Permutations and multiplication table the way the library first
+    built them: BFS from the identity over the generators in input order,
+    then one composition per ordered pair of elements."""
+    identity = tuple(range(degree))
+    index = {identity: 0}
+    perms = [identity]
+    queue = [identity]
+    while queue:
+        x = queue.pop(0)
+        for g in gens:
+            y = perm_compose(x, tuple(g))
+            if y not in index:
+                index[y] = len(perms)
+                perms.append(y)
+                queue.append(y)
+    mult = tuple(tuple(index[perm_compose(p, q)] for q in perms) for p in perms)
+    return tuple(perms), mult
+
+
+def associativity_failure(mult):
+    """The first triple (a, b, c) with (a*b)*c != a*(b*c), or None."""
+    n = len(mult)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mult[mult[a][b]][c] != mult[a][mult[b][c]]:
+                    return (a, b, c)
+    return None
+
+
+def reduced_latin_squares(n):
+    """Every n x n Latin square whose first row and column are 0..n-1."""
+    rows = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    in_row = [{i} for i in range(n)]
+    in_col = [{j} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield tuple(tuple(row) for row in rows)
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v in in_row[i] or v in in_col[j]:
+                continue
+            rows[i][j] = v
+            in_row[i].add(v)
+            in_col[j].add(v)
+            yield from fill(k + 1)
+            in_row[i].discard(v)
+            in_col[j].discard(v)
+
+    yield from fill(0)
+
+
 def is_subgroup_set(G, subset) -> bool:
     ss = frozenset(subset)
     if 0 not in ss:

@@ -1,6 +1,8 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regsets as rs
 from regsets.config import Limits
@@ -114,6 +116,57 @@ def test_from_table_no_inverse():
 def test_from_table_not_associative():
     with pytest.raises(NotAssociative):
         rs.from_table(NONASSOC_TABLE)
+
+
+def test_from_table_order_cap():
+    with pytest.raises(OrderExceedsCap):
+        rs.from_table([[0, 1], [1, 0]], limits=Limits(closure_cap=1))
+
+
+# -- associativity (Light's test on a generating set) ------------------------
+
+
+def _reported_triple(exc):
+    return tuple(map(int, re.match(r"\((\d+)\*(\d+)\)\*(\d+)", str(exc)).groups()))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_associativity_check_is_exact_on_reduced_latin_squares(n):
+    """9471 tables in all; the check itself runs on each, and so does the
+    constructor, which may stop earlier at a missing two-sided inverse."""
+    for table in oracles.reduced_latin_squares(n):
+        failure = oracles.associativity_failure(table)
+        bare = object.__new__(rs.GroupTable)
+        bare.order, bare.mult = n, table
+        try:
+            bare._check_associative()
+        except NotAssociative as exc:
+            assert failure is not None
+            a, b, c = _reported_triple(exc)
+            assert table[table[a][b]][c] != table[a][table[b][c]]
+        else:
+            assert failure is None, table
+        try:
+            rs.GroupTable(table)
+        except (NotAssociative, NoInverse):
+            assert failure is not None
+        else:
+            assert failure is None
+
+
+@st.composite
+def permutation_generators(draw):
+    degree = draw(st.integers(1, 6))
+    gens = draw(st.lists(st.permutations(range(degree)), max_size=3))
+    return degree, [tuple(g) for g in gens]
+
+
+@settings(max_examples=40, deadline=None)
+@given(permutation_generators())
+def test_from_generators_table_is_the_composition_table(case):
+    degree, gens = case
+    g = rs.from_generators(degree, gens)
+    assert (g.perms, g.mult) == oracles.perm_table_all_pairs(degree, gens)
 
 
 # -- generate_subgroup --------------------------------------------------------

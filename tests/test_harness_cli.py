@@ -3,6 +3,7 @@ import json
 import pytest
 
 import regsets as rs
+from regsets import harness, regular_sets
 from regsets.cli import main
 from regsets.config import Limits, limits_from_env
 from regsets.errors import OrderExceedsCap, ParseError
@@ -169,6 +170,65 @@ def test_survey_workers_match_sequential():
     assert seq.rows == par.rows
 
 
+def test_survey_decides_each_query_once(monkeypatch):
+    calls = []
+    real = regular_sets.decide_regular_set
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "decide_regular_set", counting)
+    monkeypatch.setattr(regular_sets, "decide_regular_set", counting)
+    rs.survey(rs.symmetric(4))
+    # 4380 (r,s) queries over 150 pairs, plus one quotient-level search in
+    # normalizer_reduction for each of the 46 pairs with A normal in S4
+    assert len(calls) == 4426
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor and runs the rows in-process."""
+
+    made: list = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (1000, 4, [4]),     # capped at the CPU count
+    (1000, 64, [6]),    # capped at the 6 subgroup pairs of C4
+    (3, 64, [3]),
+    (1000, None, []),   # unknown CPU count: run sequentially
+    (1, 64, []),
+])
+def test_survey_clamps_workers(monkeypatch, workers, cpus, expected):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    report = rs.survey(rs.cyclic(4), workers=workers)
+    assert _RecordingPool.made == expected
+    assert report.rows == rs.survey(rs.cyclic(4)).rows
+
+
+def test_survey_rejects_fewer_than_one_worker(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    with pytest.raises(ValueError):
+        rs.survey(rs.cyclic(4), workers=0)
+    assert main(["survey", "preset:cyclic:4", "--workers", "0"]) == 2
+    assert main(["survey", "preset:cyclic:4", "--workers", "-3"]) == 2
+
+
 def test_survey_cap():
     with pytest.raises(OrderExceedsCap):
         rs.survey(rs.cyclic(8), limits=Limits(enumeration_cap=4))
@@ -253,6 +313,14 @@ def test_cli_show(capsys):
     assert main(["show", "preset:quaternion8"]) == 0
     out = capsys.readouterr().out
     assert "6 subgroups" in out
+
+
+def test_cli_show_checks_the_cap_before_printing(monkeypatch, capsys):
+    monkeypatch.setenv("REGSET_MAX_ORDER", "1")
+    assert main(["show", "preset:cyclic:300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exceeds enumeration cap 1" in captured.err
 
 
 def test_cli_usage_error_exits_2():

@@ -3,7 +3,11 @@ from collections import Counter
 import pytest
 
 import regsets as rs
-from regsets.errors import ParseError
+from regsets import presets
+from regsets.config import Limits
+from regsets.errors import OrderExceedsCap, ParseError
+
+import oracles
 
 
 def order_profile(G):
@@ -147,6 +151,60 @@ def test_preset_errors():
         rs.preset("klein4", 3)
     with pytest.raises(ParseError):
         rs.preset("product", factors=[{"kind": "preset", "name": "cyclic", "n": 2}])
+
+
+def _every_preset():
+    """(name, n) for every preset, with the parametric ones at n = 1..5."""
+    out = [(name, None) for name in presets._NO_ARG_PRESETS]
+    out += [(name, n) for name in presets._N_ARG_PRESETS for n in range(1, 6)]
+    return out
+
+
+def test_preset_order_is_known_before_building():
+    for name, n in _every_preset():
+        assert presets._preset_order(name, n, None, 5000) == rs.preset(name, n).order, name
+    assert set(presets._NO_ARG_ORDERS) == set(presets._NO_ARG_PRESETS)
+
+
+def test_permutation_presets_match_the_all_pairs_tables(monkeypatch):
+    built = []
+    from_generators = presets.from_generators
+
+    def recording(degree, gens, **kwargs):
+        g = from_generators(degree, gens, **kwargs)
+        built.append((degree, gens, g))
+        return g
+
+    monkeypatch.setattr(presets, "from_generators", recording)
+    for name, n in _every_preset():
+        rs.preset(name, n)
+    labels = {g.label for _, _, g in built}
+    assert {"symmetric(5)", "alternating(5)", "semidihedral16", "modular16"} <= labels
+    for degree, gens, g in built:
+        assert (g.perms, g.mult) == oracles.perm_table_all_pairs(degree, gens), g.label
+
+
+def test_preset_cap_applies_before_any_table_is_built(monkeypatch):
+    small = Limits(closure_cap=100)
+    assert rs.preset("cyclic", 100, limits=small).order == 100
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(rs.GroupTable, "__init__", no_table)
+    c10 = {"kind": "preset", "name": "cyclic", "n": 10}
+    c11 = {"kind": "preset", "name": "cyclic", "n": 11}
+    for name, n, factors in [
+        ("cyclic", 101, None),
+        ("dihedral", 51, None),
+        ("dicyclic", 26, None),
+        ("symmetric", 5, None),
+        ("alternating", 6, None),
+        ("product", None, [c11, c10]),
+        ("product", None, [c10, {"kind": "preset", "name": "sl23"}]),
+    ]:
+        with pytest.raises(OrderExceedsCap):
+            rs.preset(name, n, factors, limits=small)
 
 
 # -- catalog ------------------------------------------------------------------------
