@@ -107,7 +107,7 @@ def _cmd_construct(args, limits: Limits) -> int:
         print(f"condition {cid}: {'pass' if ok else 'FAIL'}{extra}")
     if not report.verdict:
         return 1
-    cert = construct_normal_chain(pair, args.r, args.s, limits=limits)
+    cert = construct_normal_chain(pair, args.r, args.s)
     print(f"constructed U with {len(cert.connection)} elements, degree {cert.degree}")
     _emit(cert, args.emit)
     return 0
@@ -169,10 +169,12 @@ _COMMANDS = {
 }
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     limits = limits_from_env()

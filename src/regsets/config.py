@@ -12,13 +12,13 @@ ENV_MAX_ORDER = "REGSET_MAX_ORDER"
 
 @dataclass(frozen=True)
 class Limits:
-    """Resource caps; all sizes are in group elements unless noted."""
+    """Resource caps: ``closure_cap`` on the order of any group built,
+    ``enumeration_cap`` (``REGSET_MAX_ORDER``) on the order of a group whose
+    subgroups are enumerated, ``search_node_budget`` on one search's nodes."""
 
     closure_cap: int = 5000
     enumeration_cap: int = 48
     search_node_budget: int = 5_000_000
-    # below this vertex count adjacency lists are materialized
-    adjacency_vertex_cap: int = 4096
 
 
 DEFAULT_LIMITS = Limits()

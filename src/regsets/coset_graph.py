@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_LIMITS, Limits
 from .cosets import CosetSpace, left_cosets
 from .errors import IntersectsSubgroup, NotDoubleCosetUnion, NotEquitable, NotInverseClosed
 from .group_core import GroupTable, Subgroup
@@ -65,7 +64,7 @@ class CosetGraph:
     in the connection set.  Simple, undirected, |U|/|H|-regular."""
 
     def __init__(self, space: CosetSpace, connection: ConnectionSet,
-                 adjacency: Optional[tuple[tuple[int, ...], ...]] = None):
+                 adjacency: tuple[tuple[int, ...], ...]):
         self.space = space
         self.connection = connection
         self._adj = adjacency
@@ -80,15 +79,7 @@ class CosetGraph:
         return self.connection.degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        if self._adj is not None:
-            return self._adj[v]
-        return self._compute_neighbors(v)
-
-    def _compute_neighbors(self, v: int) -> tuple[int, ...]:
-        space = self.space
-        row = space.group.mult[space.reps[v]]
-        coset_of = space.coset_of
-        return tuple(sorted({coset_of[row[u]] for u in self.connection.members}))
+        return self._adj[v]
 
     def neighbor_masks(self) -> list[int]:
         if self._adj_masks is None:
@@ -123,16 +114,12 @@ class CosetGraph:
         return f"CosetGraph({self.vertex_count} vertices, degree {self.degree})"
 
 
-def build(G: GroupTable, H: Subgroup, connection: ConnectionSet,
-          limits: Optional[Limits] = None) -> CosetGraph:
+def build(G: GroupTable, H: Subgroup, connection: ConnectionSet) -> CosetGraph:
     """Build the coset graph for a validated connection set."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
     if connection.subgroup is not H and connection.subgroup.mask != H.mask:
         raise ValueError("connection set was validated over a different subgroup")
     space = left_cosets(G, H)
     assert 0 not in connection.members  # loops are impossible by U cap H = {}
-    if space.size > limits.adjacency_vertex_cap:
-        return CosetGraph(space, connection, None)
     k = connection.degree
     coset_of = space.coset_of
     mult = G.mult

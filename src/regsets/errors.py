@@ -70,7 +70,12 @@ class SearchBudgetExceeded(RegsetError):
 
 
 class ConstructionFailed(RegsetError):
-    """Internal consistency failure: preconditions guaranteed a witness but none was built."""
+    """A candidate failed its certificate checks (``checks`` holds all of
+    them), or preconditions guaranteed a witness but none was built."""
+
+    def __init__(self, message: str, checks: tuple = ()):
+        super().__init__(message)
+        self.checks = checks
 
 
 class PreconditionViolated(RegsetError):

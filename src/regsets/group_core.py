@@ -284,10 +284,6 @@ class QuotientGroup:
     def project(self, e: int) -> int:
         return self.projection[e]
 
-    def fiber(self, coset: int) -> tuple[int, ...]:
-        """All elements of ``domain`` projecting to ``coset``."""
-        return tuple(m for m in self.domain.members if self.projection[m] == coset)
-
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.table.order} of {self.base.label})"
 

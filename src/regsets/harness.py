@@ -11,7 +11,6 @@ from pathlib import Path
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .coset_graph import build, profile_subset, validate_connection_set
 from .cosets import double_coset
 from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
@@ -30,6 +29,7 @@ from .regular_sets import (
     PairSpec,
     RegSetCertificate,
     cayley_normal_criterion,
+    certify,
     check_normal_chain,
     decide_regular_set,
     necessary_conjugate_intersection,
@@ -38,10 +38,27 @@ from .regular_sets import (
     perfect_code_odd_order_criterion,
     perfect_code_pair,
     perfect_code_quotient_criterion,
-    verify_witness,
 )
 
 # -- group specs -------------------------------------------------------------
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_preset_fields(spec: dict) -> None:
+    """Type-check a preset spec and, recursively, its product factors."""
+    n, factors = spec.get("n"), spec.get("factors")
+    if not isinstance(spec.get("name"), str):
+        raise ParseError("preset spec needs a string 'name'")
+    if n is not None and not _is_int(n):
+        raise ParseError(f"preset parameter 'n' must be an integer, got {n!r}")
+    if factors is not None and not isinstance(factors, list):
+        raise ParseError("preset 'factors' must be a list of preset specs")
+    for f in factors or ():
+        if isinstance(f, dict):  # preset() rejects any other factor
+            _check_preset_fields(f)
 
 
 def _cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
@@ -52,15 +69,16 @@ def _cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
     for cycle in cycles:
         if not isinstance(cycle, list) or not cycle:
             raise ParseError("each cycle must be a nonempty list of points")
-        pts = [int(p) for p in cycle]
-        for p in pts:
+        if not all(_is_int(p) for p in cycle):
+            raise ParseError(f"cycle points must be integers, got {cycle!r}")
+        for p in cycle:
             if not 0 <= p < degree:
                 raise ParseError(f"point {p} out of range 0..{degree - 1}")
             if p in seen:
                 raise ParseError(f"point {p} repeated across cycles")
             seen.add(p)
-        for i, p in enumerate(pts):
-            perm[p] = pts[(i + 1) % len(pts)]
+        for i, p in enumerate(cycle):
+            perm[p] = cycle[(i + 1) % len(cycle)]
     return tuple(perm)
 
 
@@ -70,6 +88,7 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
     kind = spec.get("kind")
     label = spec.get("label")
     if kind == "preset":
+        _check_preset_fields(spec)
         g = preset(spec.get("name"), spec.get("n"), spec.get("factors"), limits)
         if label:
             g.label = str(label)
@@ -77,7 +96,7 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
     if kind == "permutation":
         degree = spec.get("degree")
         gens_raw = spec.get("generators")
-        if not isinstance(degree, int) or not isinstance(gens_raw, list):
+        if not _is_int(degree) or not isinstance(gens_raw, list):
             raise ParseError("permutation spec needs integer 'degree' and list 'generators'")
         gens = [_cycles_to_perm(degree, g) for g in gens_raw]
         g = from_generators(degree, gens, label=label, limits=limits)
@@ -85,8 +104,10 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
         return g
     if kind == "table":
         matrix = spec.get("matrix")
-        if not isinstance(matrix, list):
-            raise ParseError("table spec needs a 'matrix' list")
+        if not isinstance(matrix, list) or not all(
+            isinstance(row, list) and all(_is_int(x) for x in row) for row in matrix
+        ):
+            raise ParseError("table spec needs a 'matrix' list of integer rows")
         g = from_table(matrix, label=label, limits=limits)
         g.spec = {"kind": "table", "matrix": [list(r) for r in g.mult]}
         return g
@@ -169,9 +190,10 @@ _CERT_FIELDS = ("group", "H", "A", "r", "s", "double_coset_reps", "U", "X", "che
 
 
 def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
-    """Re-run the witness checks and the graph oracle on a stored
-    certificate.  Parse failures raise; a well-formed but wrong certificate
-    returns False."""
+    """Re-check a stored certificate: the group order, the double-coset
+    reconstruction of U, XH = U, and then :func:`certify`, the same checks
+    that issued it.  Parse failures raise; a well-formed but wrong
+    certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -196,27 +218,21 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         raise ParseError("r and s must be integers")
     uset = frozenset(int(u) for u in data["U"])
     xset = frozenset(int(x) for x in data["X"])
-    try:
-        conn = validate_connection_set(H, uset)
-    except (RegsetError, ValueError):
-        return False
+    reps = [int(rep) for rep in data["double_coset_reps"]]
     rebuilt: set[int] = set()
-    for rep in data["double_coset_reps"]:
-        rebuilt |= double_coset(H, int(rep))
-    if rebuilt != set(uset):
-        return False
-    if not verify_witness(pair, xset, r, s).ok:
+    for rep in reps:
+        rebuilt |= double_coset(H, rep)
+    if rebuilt != uset:
         return False
     mult = G.mult
     xh = {mult[x][h] for x in xset for h in H.members}
-    if xh != set(uset):
+    if xh != uset:
         return False
-    graph = build(G, H, conn, limits=limits)
-    cvert = frozenset(graph.space.coset_of[a] for a in A.members)
-    prof = profile_subset(graph, cvert)
-    if len(cvert) == graph.vertex_count:
-        return prof is not None and prof[0] == r
-    return prof == (r, s)
+    try:
+        certify(pair, reps, uset, r, s)
+    except (RegsetError, ValueError):
+        return False
+    return True
 
 
 # -- survey -------------------------------------------------------------------

@@ -19,7 +19,7 @@ from math import gcd
 from typing import NamedTuple, Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .coset_graph import ConnectionSet, build, profile_subset, validate_connection_set
+from .coset_graph import ConnectionSet, validate_connection_set
 from .cosets import (
     conj_index,
     decompose_into_double_cosets,
@@ -38,6 +38,7 @@ from .group_core import (
     GroupTable,
     Subgroup,
     intersect,
+    involution_exists_in_coset,
     is_normal,
     normalizer,
     quotient,
@@ -279,27 +280,48 @@ def verify_witness(pair: PairSpec, X, r: int, s: int) -> WitnessReport:
     return WitnessReport(all(c.passed for c in checks), checks)
 
 
-def _certify(pair: PairSpec, class_reps, members, r: int, s: int,
-             limits: Limits) -> RegSetCertificate:
-    """Validate a candidate U against both the witness conditions and the
-    graph oracle; only validated certificates leave this module."""
+def certify(pair: PairSpec, class_reps, U, r: int, s: int) -> RegSetCertificate:
+    """Check a candidate connection set U, with witness X = U, and return its
+    certificate; this is the only source of certificates, and ``verify``
+    re-runs it on stored ones.
+
+    :func:`validate_connection_set` proves ``inverse_symmetry`` and
+    ``disjoint_from_subgroup`` for X = U.  ``graph_profile`` checks every
+    vertex gH by definition: its neighbours are the cosets guH (u in U), each
+    reached by |H| elements u, so exactly r|H| (g in A) or s|H| (g outside A)
+    elements u of U must have gu in A.  Failure raises ConstructionFailed.
+    """
     G, H, A = pair.G, pair.H, pair.A
-    conn = validate_connection_set(H, members)
-    report = verify_witness(pair, conn.members, r, s)
-    graph = build(G, H, conn, limits=limits)
-    cvert = frozenset(graph.space.coset_of[a] for a in A.members)
-    prof = profile_subset(graph, cvert)
-    if len(cvert) == graph.vertex_count:
-        oracle_ok = prof is not None and prof[0] == r
-    else:
-        oracle_ok = prof == (r, s)
-    checks = report.checks + (CheckResult("graph_profile", oracle_ok),)
-    if not (report.ok and oracle_ok):
-        failed = [c.name for c in checks if not c.passed]
-        raise ConstructionFailed(f"candidate failed validation: {failed}")
-    return RegSetCertificate(
-        pair, r, s, tuple(sorted(class_reps)), conn, frozenset(conn.members), checks
+    conn = validate_connection_set(H, U)
+    members = conn.members
+    hord = H.order
+    aspace = left_cosets(G, A)
+    acos = aspace.coset_of
+    counts = [0] * aspace.size  # coset 0 is A: reps ascend from the identity
+    for u in members:
+        counts[acos[u]] += 1
+    in_a = bytearray(G.order)
+    for a in A.members:
+        in_a[a] = 1
+    mult = G.mult
+    profile_ok = True
+    for g in left_cosets(G, H).reps:
+        row = mult[g]
+        want = (r if in_a[g] else s) * hord
+        if sum([in_a[row[u]] for u in members]) != want:
+            profile_ok = False
+            break
+    checks = (
+        CheckResult("inverse_symmetry", True),
+        CheckResult("disjoint_from_subgroup", True),
+        CheckResult("inside_count", counts[0] == r * hord),
+        CheckResult("outside_counts", all(c == s * hord for c in counts[1:])),
+        CheckResult("graph_profile", profile_ok),
     )
+    failed = [c.name for c in checks if not c.passed]
+    if failed:
+        raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
+    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, members, checks)
 
 
 # -- exhaustive decision ----------------------------------------------------
@@ -364,7 +386,7 @@ def decide_regular_set(pair: PairSpec, r: int, s: int,
     members: set[int] = set()
     for u in chosen:
         members |= u.members
-    return _certify(pair, class_reps, members, r, s, limits)
+    return certify(pair, class_reps, members, r, s)
 
 
 # -- normal-chain criteria and construction ---------------------------------
@@ -508,8 +530,7 @@ def _select_in_block(cctx: _ChainContext, b: int, quota: int) -> list[int]:
     return chosen
 
 
-def construct_normal_chain(pair: PairSpec, r: int, s: int,
-                           limits: Optional[Limits] = None) -> RegSetCertificate:
+def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
     """Explicitly build a connection set realizing (r, s) for a normal chain.
 
     Inside A the construction picks r H-cosets (inverse pairs padded with
@@ -517,7 +538,6 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int,
     whole double cosets, pairing a coset with its inverse class or using the
     even/odd split inside self-paired orbits.
     """
-    limits = limits if limits is not None else DEFAULT_LIMITS
     report = check_normal_chain(pair, r, s)
     if not report.verdict:
         raise PreconditionViolated(
@@ -546,7 +566,7 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int,
     for c in chosen:
         members |= ctx.decomp.member_sets[c]
     class_reps = [ctx.decomp.reps[c] for c in chosen]
-    return _certify(pair, class_reps, members, r, s, limits)
+    return certify(pair, class_reps, members, r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------
@@ -554,63 +574,32 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int,
 
 def cayley_normal_criterion(G: GroupTable, A: Subgroup, r: int, s: int) -> bool:
     """Decide (r, s)-regularity of a normal subgroup in some Cayley graph:
-    always constructible for even s; for odd s exactly when every coset xA
-    with x^2 in A contains an involution."""
-    full = G.full_subgroup()
-    if not is_normal(A, full):
-        raise PreconditionViolated("A is not normal in G")
+    always constructible for even s; for odd s exactly when A is a perfect
+    code of some Cayley graph (:func:`normal_perfect_code_criterion`)."""
     if not 0 <= r <= A.order - 1 or not 0 <= s <= A.order:
         raise ValueError(f"(r,s)=({r},{s}) out of range for |A|={A.order}")
     if r % gcd(2, A.order - 1) != 0:
         raise PreconditionViolated(f"gcd(2,|A|-1) does not divide r={r}")
-    if s % 2 == 0:
-        return True
-    mult = G.mult
-    for x in range(G.order):
-        if (A.mask >> x) & 1:
-            continue
-        if not (A.mask >> mult[x][x]) & 1:
-            continue
-        if not any(mult[mult[x][a]][mult[x][a]] == 0 for a in A.members):
-            return False
+    if s % 2 == 1:
+        return normal_perfect_code_criterion(G, A)
+    if not is_normal(A, G.full_subgroup()):
+        raise PreconditionViolated("A is not normal in G")
     return True
 
 
 def normal_perfect_code_criterion(G: GroupTable, A: Subgroup) -> bool:
     """Square-root criterion for a normal subgroup to be a perfect code of
     some Cayley graph: every x with x^2 in A admits a in A with (xa)^2 = 1."""
-    full = G.full_subgroup()
-    if not is_normal(A, full):
+    if not is_normal(A, G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
     mult = G.mult
-    for x in range(G.order):
-        if (A.mask >> x) & 1:
-            continue  # a = x^-1 always works inside A
-        if not (A.mask >> mult[x][x]) & 1:
-            continue
-        if not any(mult[mult[x][a]][mult[x][a]] == 0 for a in A.members):
-            return False
-    return True
-
-
-def cayley_odd_s_check(G: GroupTable, A: Subgroup, r: int, s: int,
-                       limits: Optional[Limits] = None) -> tuple[bool, bool]:
-    """For odd s, (r, s)-regularity of a normal subgroup coincides with the
-    perfect-code criterion.  Returns (verdict, consistency), where the flag
-    re-derives the verdict from the exhaustive search."""
-    if s % 2 != 1:
-        raise PreconditionViolated("s must be odd")
-    full = G.full_subgroup()
-    if not is_normal(A, full):
-        raise PreconditionViolated("A is not normal in G")
-    if not 0 <= r <= A.order - 1 or not 0 <= s <= A.order:
-        raise ValueError(f"(r,s)=({r},{s}) out of range for |A|={A.order}")
-    if r % gcd(2, A.order - 1) != 0:
-        raise PreconditionViolated(f"gcd(2,|A|-1) does not divide r={r}")
-    verdict = normal_perfect_code_criterion(G, A)
-    pair = PairSpec(G, trivial_subgroup(G), A)
-    present = decide_regular_set(pair, r, s, limits=limits) is not None
-    return verdict, verdict == present
+    amask = A.mask
+    # for x in A, a = x^-1 always works
+    return all(
+        involution_exists_in_coset(G, x, A)
+        for x in range(G.order)
+        if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
+    )
 
 
 # -- normalizer-quotient reduction ------------------------------------------
@@ -660,7 +649,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
             fib = fibers[q]
             members.update(fib)
             class_reps.append(min(fib))
-        certificate = _certify(pair, class_reps, members, r, s, limits)
+        certificate = certify(pair, class_reps, members, r, s)
     converse_consistent = None
     if s == 1:
         if verdict:

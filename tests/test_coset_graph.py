@@ -4,7 +4,6 @@ import random
 import pytest
 
 import regsets as rs
-from regsets.config import Limits
 from regsets.errors import (
     IntersectsSubgroup,
     NotDoubleCosetUnion,
@@ -106,15 +105,6 @@ def test_adjacency_is_representative_independent(s3):
                 if i < j and s3.mult[s3.inv[reps[i]]][reps[j]] in U:
                     edges.add((i, j))
         assert edges == set(graph.edges())
-
-
-def test_lazy_adjacency_above_threshold():
-    g = rs.cyclic(8)
-    H = rs.trivial_subgroup(g)
-    conn = rs.validate_connection_set(H, [1, 7])
-    lazy = rs.build(g, H, conn, limits=Limits(adjacency_vertex_cap=4))
-    eager = rs.build(g, H, conn)
-    assert all(lazy.neighbors(v) == eager.neighbors(v) for v in range(8))
 
 
 # -- profiles ----------------------------------------------------------------------

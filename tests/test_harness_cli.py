@@ -102,22 +102,31 @@ def test_certificate_schema_fields(tmp_path):
     assert data["U"] == [1, 3] and data["r"] == 0 and data["s"] == 2
 
 
-def test_certificate_tamper_u(tmp_path):
-    cert = make_cert()
+# D8 = dihedral(4) with H = {0, 2} central, A = {0, 2, 4, 6}: (1,1) is
+# realized by U = HxH u HyH = {1, 3} u {4, 6}; {5, 7} is a third class.
+TAMPERS = {
+    "U": lambda d: d["U"][1:],
+    "r": lambda d: d["r"] + 1,
+    "s": lambda d: d["s"] + 1,
+    "X": lambda d: d["X"][:1],
+    "A": lambda d: list(range(d["group"]["order"])),
+    "double_coset_reps": lambda d: [d["double_coset_reps"][0], 5],
+    "group.order": lambda d: dict(d["group"], order=d["group"]["order"] + 1),
+}
+
+
+@pytest.mark.parametrize("field", list(TAMPERS))
+def test_certificate_tamper(tmp_path, field):
+    g = rs.dihedral(4)
+    pair = rs.PairSpec(g, rs.Subgroup(g, [0, 2]), rs.Subgroup(g, [0, 2, 4, 6]))
+    cert = rs.decide_regular_set(pair, 1, 1)
     path = tmp_path / "cert.json"
     rs.write_certificate(cert, path)
     data = json.loads(path.read_text())
-    data["U"] = data["U"][1:]
-    path.write_text(json.dumps(data))
-    assert rs.verify_certificate_file(path) is False
-
-
-def test_certificate_tamper_r(tmp_path):
-    cert = make_cert()
-    path = tmp_path / "cert.json"
-    rs.write_certificate(cert, path)
-    data = json.loads(path.read_text())
-    data["r"] = 1
+    assert data["U"] == [1, 3, 4, 6] and data["double_coset_reps"] == [1, 4]
+    assert rs.verify_certificate_file(path) is True
+    key = field.split(".")[0]
+    data[key] = TAMPERS[field](data)
     path.write_text(json.dumps(data))
     assert rs.verify_certificate_file(path) is False
 
@@ -326,6 +335,41 @@ def test_cli_show_checks_the_cap_before_printing(monkeypatch, capsys):
 def test_cli_usage_error_exits_2():
     assert main(["check", "preset:cyclic:4"]) == 2  # missing required args
     assert main([]) == 2
+
+
+def test_cli_builds_the_parser_once(monkeypatch, capsys):
+    from regsets import cli
+
+    built = []
+    original = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or original())
+    outputs = []
+    for _ in range(2):
+        assert main(["show", "preset:cyclic:4"]) == 0
+        outputs.append(capsys.readouterr())
+    assert len(built) <= 1
+    assert outputs[0] == outputs[1] and "3 subgroups" in outputs[0].out
+
+
+@pytest.mark.parametrize("spec", [
+    '{"kind":"preset","name":"cyclic","n":[1]}',
+    '{"kind":"preset","name":[1]}',
+    '{"kind":"preset","name":"cyclic","n":true}',
+    '{"kind":"preset","name":"product","factors":5}',
+    '{"kind":"preset","name":"product","factors":[3,4]}',
+    '{"kind":"preset","name":"product","factors":'
+    '[{"kind":"preset","name":"cyclic","n":[2]},{"kind":"preset","name":"cyclic","n":2}]}',
+    '{"kind":"permutation","degree":"3","generators":[]}',
+    '{"kind":"permutation","degree":3,"generators":[5]}',
+    '{"kind":"permutation","degree":3,"generators":[[[[0],1]]]}',
+    '{"kind":"table","matrix":[5]}',
+    '{"kind":"table","matrix":[[0,"1"],[1,0]]}',
+])
+def test_cli_malformed_group_spec_exits_2(spec, capsys):
+    assert main(["show", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_cli_bad_inputs_exit_2():

@@ -1,8 +1,16 @@
+import random
+
 import pytest
 
 import regsets as rs
 from regsets.config import Limits
-from regsets.errors import PreconditionViolated, SearchBudgetExceeded
+from regsets.errors import (
+    ConstructionFailed,
+    PreconditionViolated,
+    RegsetError,
+    SearchBudgetExceeded,
+)
+from regsets.regular_sets import CheckResult
 
 import oracles
 
@@ -66,6 +74,80 @@ def test_sl23_explicit_witness(sl23_pair):
         if rs.verify_witness(sl23_pair, X, 0, 2).ok:
             verified += 1
     assert verified == 8  # every order-3 element works
+
+
+# -- certification ---------------------------------------------------------------
+
+
+def chain_checks(pair, U, r, s):
+    """The certificate checks as the witness test and the profile of the built
+    coset graph compute them, independently of ``certify``."""
+    G, H, A = pair.G, pair.H, pair.A
+    graph = rs.build(G, H, rs.validate_connection_set(H, U))
+    cvert = {graph.space.coset_of[a] for a in A.members}
+    prof = rs.profile_subset(graph, cvert)
+    if len(cvert) == graph.vertex_count:
+        profile_ok = prof is not None and prof[0] == r
+    else:
+        profile_ok = prof == (r, s)
+    return rs.verify_witness(pair, U, r, s).checks + (CheckResult("graph_profile", profile_ok),)
+
+
+def certify_checks(pair, U, r, s):
+    try:
+        return rs.certify(pair, (), U, r, s).checks
+    except ConstructionFailed as exc:
+        return exc.checks
+
+
+def test_certify_agrees_with_witness_and_graph_oracle(small_corpus):
+    # every certificate the search finds, and unions of units against a
+    # wrong (r,s), on every pair H <= A of every group of order <= 12
+    rng = random.Random(11)
+    certified = 0
+    failures = {name: 0 for name in ("inside_count", "outside_counts", "graph_profile")}
+    for G in small_corpus:
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pair = rs.PairSpec(G, H, A)
+                idx = pair.code_index
+                for r in range(idx):
+                    for s in range(idx + 1):
+                        cert = rs.decide_regular_set(pair, r, s)
+                        if cert is None:
+                            continue
+                        U = cert.connection.members
+                        assert cert.checks == chain_checks(pair, U, r, s)
+                        assert all(c.passed for c in cert.checks)
+                        certified += 1
+                units = oracles.inverse_closed_units(G, set(H.members))
+                for _ in range(4):
+                    U = set().union(*(u for u in units if rng.random() < 0.5))
+                    prof = oracles.graph_profile(G, set(H.members), U, set(A.members))
+                    for r in range(idx):
+                        for s in (0, idx):
+                            if prof == (r, s) or prof == (r, None):
+                                continue
+                            checks = certify_checks(pair, U, r, s)
+                            assert checks == chain_checks(pair, U, r, s)
+                            assert not all(c.passed for c in checks)
+                            for c in checks:
+                                if not c.passed:
+                                    failures[c.name] += 1
+    assert certified == 5160
+    assert all(failures.values())
+
+
+def test_certify_rejects_invalid_connection_sets(s3):
+    pair = s3_a3_pair(s3)
+    with pytest.raises(RegsetError):
+        rs.certify(pair, (), {0}, 0, 0)  # meets H
+    t = s3.perms.index((1, 2, 0))
+    with pytest.raises(RegsetError):
+        rs.certify(pair, (), {t}, 0, 0)  # not inverse closed
 
 
 # -- exhaustive decision -------------------------------------------------------
@@ -306,15 +388,28 @@ def test_square_criterion_q8_center():
     assert not rs.normal_perfect_code_criterion(q8, center)
 
 
+def cayley_odd_s_check(G, A, r, s):
+    """For odd s, (r, s)-regularity of a normal subgroup in some Cayley graph
+    coincides with the perfect-code criterion.  Returns (verdict,
+    consistency), where the flag re-derives the verdict from the exhaustive
+    search."""
+    assert s % 2 == 1
+    verdict = rs.normal_perfect_code_criterion(G, A)
+    assert verdict == rs.cayley_normal_criterion(G, A, r, s)
+    pair = rs.PairSpec(G, rs.trivial_subgroup(G), A)
+    present = rs.decide_regular_set(pair, r, s) is not None
+    return verdict, verdict == present
+
+
 def test_odd_s_equivalence_check():
     g = rs.cyclic(4)
-    verdict, consistent = rs.cayley_odd_s_check(g, rs.Subgroup(g, [0, 2]), 1, 1)
+    verdict, consistent = cayley_odd_s_check(g, rs.Subgroup(g, [0, 2]), 1, 1)
     assert verdict is False and consistent is True
 
 
 def test_odd_s_equivalence_s3(s3):
     A3 = rs.generate_subgroup(s3, [s3.perms.index((1, 2, 0))])
-    verdict, consistent = rs.cayley_odd_s_check(s3, A3, 0, 1)
+    verdict, consistent = cayley_odd_s_check(s3, A3, 0, 1)
     assert verdict is True and consistent is True
 
 
