@@ -479,7 +479,12 @@ def is_normal(H: Subgroup, K: Subgroup) -> bool:
     if not H.is_subset_of(K):
         raise ValueError("first subgroup is not contained in the second")
     G = H.parent
-    return all(_conjugate_mask(G, H, k) == H.mask for k in K.members)
+    key = ("is_normal", H.mask, K.mask)
+    cached = G._cache.get(key)
+    if cached is None:
+        cached = all(_conjugate_mask(G, H, k) == H.mask for k in K.members)
+        G._cache[key] = cached
+    return cached
 
 
 def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
@@ -582,16 +587,38 @@ def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgro
     return list(result)
 
 
-def involution_exists_in_coset(G: GroupTable, x: int, A: Subgroup) -> bool:
-    """True iff some element of the coset ``xA`` squares to the identity.
+def involution_exists_in_coset(G: GroupTable, x: int, A: Subgroup,
+                               N: Optional[Subgroup] = None,
+                               H: Optional[Subgroup] = None) -> bool:
+    """True iff some ``y`` in the coset ``xA`` lies in ``N`` and has ``y^2``
+    in ``H``; by default ``N = G`` and ``H = 1``, so ``y`` is an involution
+    or the identity.  With ``N = N_G(H)`` this asks for an element of
+    ``N_G(H)/H`` of order at most 2 in the image of ``xA``.
 
     Intended for ``x`` outside ``A``; for ``x`` in ``A`` the coset contains
     the identity and the answer is trivially True.
     """
     mult = G.mult
+    nmask = -1 if N is None else N.mask  # -1 has every bit set
+    hmask = 1 if H is None else H.mask  # bit 0 is the identity
     row = mult[x]
     for a in A.members:
         y = row[a]
-        if mult[y][y] == 0:
+        if (nmask >> y) & 1 and (hmask >> mult[y][y]) & 1:
             return True
     return False
+
+
+def square_roots_lift(G: GroupTable, A: Subgroup, N: Optional[Subgroup] = None,
+                      H: Optional[Subgroup] = None) -> bool:
+    """True iff :func:`involution_exists_in_coset` holds for every ``x`` with
+    ``x^2`` in ``A``: some ``b`` in ``A`` has ``xb`` in ``N`` and ``(xb)^2``
+    in ``H``.  Elements ``x`` of ``A`` are skipped, since ``b = x^-1`` gives
+    ``xb = 1``."""
+    mult = G.mult
+    amask = A.mask
+    return all(
+        involution_exists_in_coset(G, x, A, N, H)
+        for x in range(G.order)
+        if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
+    )

@@ -16,6 +16,7 @@ from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
     Subgroup,
+    _conjugate_mask,
     _members_of,
     all_subgroups,
     from_generators,
@@ -98,6 +99,9 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
         gens_raw = spec.get("generators")
         if not _is_int(degree) or not isinstance(gens_raw, list):
             raise ParseError("permutation spec needs integer 'degree' and list 'generators'")
+        cap = (limits if limits is not None else DEFAULT_LIMITS).closure_cap
+        if degree > cap:
+            raise ParseError(f"permutation degree {degree} exceeds cap {cap}")
         gens = [_cycles_to_perm(degree, g) for g in gens_raw]
         g = from_generators(degree, gens, label=label, limits=limits)
         g.spec = {"kind": "permutation", "degree": degree, "generators": gens_raw}
@@ -382,11 +386,46 @@ def _worker_row(masks: tuple[int, int]) -> dict:
     return _survey_row(G, H, A, _WORKER_STATE["strict"], _WORKER_STATE["limits"])
 
 
+def _class_representatives(G: GroupTable,
+                           pairs: list[tuple[Subgroup, Subgroup]]) -> list[int]:
+    """For each pair, the index in ``pairs`` of its class representative
+    under simultaneous conjugation (H, A) -> (H^g, A^g): the first pair of
+    the class in ``pairs`` order."""
+    rep_of: dict[tuple[int, int], int] = {}
+    reps = []
+    for i, (H, A) in enumerate(pairs):
+        rep = rep_of.get((H.mask, A.mask))
+        if rep is None:
+            rep = i
+            for g in range(G.order):
+                rep_of[(_conjugate_mask(G, H, g), _conjugate_mask(G, A, g))] = i
+        reps.append(rep)
+    return reps
+
+
+def _member_row(row: dict, H: Subgroup, A: Subgroup) -> dict:
+    """The representative's ``row`` for the conjugate pair (H, A), sharing
+    no list or dict with it."""
+    return {
+        **row,
+        "H": list(H.members),
+        "A": list(A.members),
+        "achievable": [list(rs) for rs in row["achievable"]],
+        "agreements": dict(row["agreements"]),
+        "anomalies": list(row["anomalies"]),
+    }
+
+
 def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
            workers: int = 1) -> SurveyReport:
     """Cross-validate every criterion against the exhaustive search over all
     subgroup pairs H <= A of ``G``.  Rows are sorted by (H, A) members, so
-    assembly order does not matter."""
+    assembly order does not matter.
+
+    Conjugation by g maps Cos(G,H,U) onto Cos(G,H^g,U^g) and the A-cosets
+    onto the A^g-cosets, so every answer in a row is the same for all pairs
+    in a class under simultaneous conjugation.  One representative per class
+    is decided and its row is copied to the other members."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     if G.order > limits.enumeration_cap:
         raise OrderExceedsCap(
@@ -396,13 +435,18 @@ def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
         raise ValueError(f"workers must be at least 1, got {workers}")
     subs = all_subgroups(G, limits=limits)
     pairs = [(H, A) for A in subs for H in subs if H.is_subset_of(A)]
-    workers = min(workers, os.cpu_count() or 1, len(pairs))
+    rep_index = _class_representatives(G, pairs)
+    rep_ids = [i for i, rep in enumerate(rep_index) if rep == i]
+    reps = [pairs[i] for i in rep_ids]
+    workers = min(workers, os.cpu_count() or 1, len(reps))
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_worker_init, initargs=(G, strict, limits)
         ) as pool:
-            rows = list(pool.map(_worker_row, [(H.mask, A.mask) for H, A in pairs]))
+            rep_rows = list(pool.map(_worker_row, [(H.mask, A.mask) for H, A in reps]))
     else:
-        rows = [_survey_row(G, H, A, strict, limits) for H, A in pairs]
+        rep_rows = [_survey_row(G, H, A, strict, limits) for H, A in reps]
+    row_of = dict(zip(rep_ids, rep_rows))
+    rows = [_member_row(row_of[i], H, A) for (H, A), i in zip(pairs, rep_index)]
     rows.sort(key=lambda row: (row["H"], row["A"]))
     return SurveyReport(G.label, G.order, rows)

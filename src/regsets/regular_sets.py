@@ -37,12 +37,13 @@ from .errors import (
 from .group_core import (
     GroupTable,
     Subgroup,
+    _conjugate_mask,
     intersect,
-    involution_exists_in_coset,
     is_normal,
     normalizer,
     quotient,
     set_product,
+    square_roots_lift,
     sylow_subgroup,
     trivial_subgroup,
 )
@@ -592,14 +593,7 @@ def normal_perfect_code_criterion(G: GroupTable, A: Subgroup) -> bool:
     some Cayley graph: every x with x^2 in A admits a in A with (xa)^2 = 1."""
     if not is_normal(A, G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
-    mult = G.mult
-    amask = A.mask
-    # for x in A, a = x^-1 always works
-    return all(
-        involution_exists_in_coset(G, x, A)
-        for x in range(G.order)
-        if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
-    )
+    return square_roots_lift(G, A)
 
 
 # -- normalizer-quotient reduction ------------------------------------------
@@ -686,20 +680,7 @@ def perfect_code_normalizer_criterion(pair: PairSpec) -> bool:
     N = normalizer(G, H)
     if len(set_product(G, A.members, N.members)) != G.order:
         return False
-    mult = G.mult
-    for x in range(G.order):
-        if not (A.mask >> mult[x][x]) & 1:
-            continue
-        row = mult[x]
-        ok = False
-        for b in A.members:
-            xb = row[b]
-            if (N.mask >> xb) & 1 and (H.mask >> mult[xb][xb]) & 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return square_roots_lift(G, A, N, H)
 
 
 def perfect_code_quotient_criterion(pair: PairSpec) -> bool:
@@ -738,22 +719,7 @@ def perfect_code_sylow_criterion(G: GroupTable, A: Subgroup, p: int) -> bool:
     N = normalizer(G, H)
     if len(set_product(G, N.members, A.members)) != G.order:
         raise FrattiniCheckFailed("G != N_G(H) * A for a Sylow subgroup of A")
-    mult = G.mult
-    for x in range(G.order):
-        if (A.mask >> x) & 1:
-            continue
-        if not (A.mask >> mult[x][x]) & 1:
-            continue
-        row = mult[x]
-        ok = False
-        for a in A.members:
-            xa = row[a]
-            if (N.mask >> xa) & 1 and (H.mask >> mult[xa][xa]) & 1:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+    return square_roots_lift(G, A, N, H)
 
 
 # -- necessary conditions -----------------------------------------------------
@@ -790,15 +756,21 @@ def necessary_conjugate_intersection(pair: PairSpec) -> bool:
 
 def necessary_divisibility(pair: PairSpec) -> bool:
     """Necessary for a perfect code when H is normal in A: |H * A^x| divides
-    |A * A^x| for every x."""
+    |A * A^x| for every x.  Both are products of two subgroups, so
+    |XY| = |X||Y| / |X meet Y| gives their sizes from mask intersections,
+    once per distinct conjugate A^x."""
     G, H, A = pair.G, pair.H, pair.A
     if not is_normal(H, A):
         raise PreconditionViolated("H is not normal in A")
+    seen: set[int] = set()
     for x in range(G.order):
-        ax = [G.conjugate(a, x) for a in A.members]
-        hax = set_product(G, H.members, ax)
-        aax = set_product(G, A.members, ax)
-        if len(aax) % len(hax) != 0:
+        ax = _conjugate_mask(G, A, x)
+        if ax in seen:
+            continue
+        seen.add(ax)
+        aax = A.order * A.order // (A.mask & ax).bit_count()
+        hax = H.order * A.order // (H.mask & ax).bit_count()
+        if aax % hax != 0:
             return False
     return True
 

@@ -249,3 +249,54 @@ def achievable_profiles(G, hset, asets):
             if ok:
                 res.add((r, s))
     return results
+
+
+def divisibility_by_set_products(G, hset, aset):
+    """The divisibility condition by explicit element sets: |H A^x| divides
+    |A A^x| for every x, with each product listed element by element."""
+    mult = G.mult
+    for x in range(G.order):
+        ax = {mult[mult[G.inv[x]][a]][x] for a in aset}
+        hax = {mult[h][y] for h in hset for y in ax}
+        aax = {mult[a][y] for a in aset for y in ax}
+        if len(aax) % len(hax) != 0:
+            return False
+    return True
+
+
+def conjugate_set(G, subset, g):
+    """The right conjugate g^-1 S g of an element set."""
+    mult = G.mult
+    return frozenset(mult[mult[G.inv[g]][s]][g] for s in subset)
+
+
+def pair_class_representatives(G, pairs):
+    """The first pair of each class of ``pairs`` (given as (H, A) element
+    sets) under simultaneous conjugation, in ``pairs`` order."""
+    seen = set()
+    reps = []
+    for hset, aset in pairs:
+        if (hset, aset) in seen:
+            continue
+        reps.append((hset, aset))
+        for g in range(G.order):
+            seen.add((conjugate_set(G, hset, g), conjugate_set(G, aset, g)))
+    return reps
+
+
+def normalizer_set(G, hset):
+    return frozenset(g for g in range(G.order) if conjugate_set(G, hset, g) == hset)
+
+
+def square_roots_lift_everywhere(G, aset, nset, hset):
+    """Every x with x^2 in A, x in A included, has some b in A with xb in N
+    and (xb)^2 in H."""
+    mult = G.mult
+    for x in range(G.order):
+        if mult[x][x] not in aset:
+            continue
+        if not any(
+            mult[x][b] in nset and mult[mult[x][b]][mult[x][b]] in hset for b in aset
+        ):
+            return False
+    return True

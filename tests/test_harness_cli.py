@@ -8,6 +8,8 @@ from regsets.cli import main
 from regsets.config import Limits, limits_from_env
 from regsets.errors import OrderExceedsCap, ParseError
 
+import oracles
+
 
 # -- group spec parsing ----------------------------------------------------------
 
@@ -42,6 +44,33 @@ def test_parse_errors():
         rs.parse_group_spec('{"kind":"permutation","degree":3,"generators":[[[0,0]]]}')
     with pytest.raises(ParseError):
         rs.parse_group_spec('{"kind":"preset","name":"cyclic"}')
+
+
+def test_permutation_degree_is_capped_before_anything_is_built(monkeypatch):
+    built = []
+
+    def perm_stand_in(degree, cycles):
+        built.append(("perm", degree))
+        return tuple(range(degree))
+
+    def group_stand_in(degree, gens, label=None, limits=None):
+        built.append(("group", degree))
+        return rs.cyclic(1)
+
+    monkeypatch.setattr(harness, "_cycles_to_perm", perm_stand_in)
+    monkeypatch.setattr(harness, "from_generators", group_stand_in)
+    monkeypatch.delenv("REGSET_MAX_ORDER", raising=False)
+    cap = Limits().closure_cap
+    spec = {"kind": "permutation", "degree": cap + 1, "generators": [[[0, 1]]]}
+    with pytest.raises(ParseError):
+        harness.group_from_spec_dict(spec)
+    assert main(["show", json.dumps(spec)]) == 2
+    small = Limits(closure_cap=10)
+    with pytest.raises(ParseError):
+        harness.group_from_spec_dict({**spec, "degree": 11}, limits=small)
+    assert built == []
+    harness.group_from_spec_dict({**spec, "degree": 10}, limits=small)
+    assert built == [("perm", 10), ("group", 10)]
 
 
 def test_spec_round_trip_reproduces_table(corpus):
@@ -179,6 +208,42 @@ def test_survey_workers_match_sequential():
     assert seq.rows == par.rows
 
 
+def _class_representatives(G):
+    """The first pair of each conjugacy class of subgroup pairs H <= A, in
+    the survey's pair order, as (H, A) element sets."""
+    subs = rs.all_subgroups(G)
+    pairs = [
+        (frozenset(H.members), frozenset(A.members))
+        for A in subs for H in subs if H.is_subset_of(A)
+    ]
+    return oracles.pair_class_representatives(G, pairs)
+
+
+def test_survey_matches_a_row_for_every_pair(corpus):
+    # Abelian groups are left out, as conjugation fixes each of their pairs,
+    # and so is order 16, to keep the test short.
+    for spec in (G.spec for G in corpus if G.order != 16 and any(
+        G.mult[a][b] != G.mult[b][a] for a in range(G.order) for b in range(a)
+    )):
+        rows = rs.survey(rs.parse_group_spec(json.dumps(spec))).rows
+        G = rs.parse_group_spec(json.dumps(spec))
+        subs = rs.all_subgroups(G)
+        every = [
+            harness._survey_row(G, H, A, False, Limits())
+            for A in subs for H in subs if H.is_subset_of(A)
+        ]
+        assert rows == sorted(every, key=lambda row: (row["H"], row["A"])), G.label
+
+
+def test_survey_rows_share_no_lists():
+    rows = rs.survey(rs.symmetric(3)).rows
+    for field in ("achievable", "agreements", "anomalies"):
+        assert len({id(row[field]) for row in rows}) == len(rows)
+    assert len({id(p) for row in rows for p in row["achievable"]}) == sum(
+        len(row["achievable"]) for row in rows
+    )
+
+
 def test_survey_decides_each_query_once(monkeypatch):
     calls = []
     real = regular_sets.decide_regular_set
@@ -189,16 +254,25 @@ def test_survey_decides_each_query_once(monkeypatch):
 
     monkeypatch.setattr(harness, "decide_regular_set", counting)
     monkeypatch.setattr(regular_sets, "decide_regular_set", counting)
-    rs.survey(rs.symmetric(4))
-    # 4380 (r,s) queries over 150 pairs, plus one quotient-level search in
-    # normalizer_reduction for each of the 46 pairs with A normal in S4
-    assert len(calls) == 4426
+    G = rs.symmetric(4)
+    rs.survey(G)
+    # |A:H|(|A:H|+1) (r,s) queries per class representative, plus one
+    # quotient-level search in normalizer_reduction for each one with A
+    # normal in G
+    reps = _class_representatives(G)
+    queries = sum(len(a) // len(h) * (len(a) // len(h) + 1) for h, a in reps)
+    normal = sum(
+        all(oracles.conjugate_set(G, a, g) == a for g in range(G.order))
+        for _, a in reps
+    )
+    assert len(calls) == queries + normal
 
 
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor and runs the rows in-process."""
 
     made: list = []
+    mapped: list = []
 
     def __init__(self, max_workers, initializer, initargs):
         self.made.append(max_workers)
@@ -211,7 +285,24 @@ class _RecordingPool:
         return False
 
     def map(self, fn, items):
+        items = list(items)
+        self.mapped.extend(items)
         return map(fn, items)
+
+
+def test_survey_pool_maps_class_representatives_only(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    monkeypatch.setattr(_RecordingPool, "mapped", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1000)
+    G = rs.symmetric(4)
+    report = rs.survey(G, workers=1000)
+    reps = _class_representatives(G)
+    masks = [tuple(sum(1 << e for e in s) for s in rep) for rep in reps]
+    assert _RecordingPool.mapped == masks
+    assert _RecordingPool.made == [len(reps)]
+    assert len(report.rows) > len(reps)
+    assert report.rows == rs.survey(rs.symmetric(4)).rows
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [

@@ -534,6 +534,38 @@ def test_sylow_criterion_sl23(sl23_pair):
     assert got == rs.perfect_code_pair(rs.PairSpec(G, A, A))[0]
 
 
+def test_square_root_criteria_match_the_unfolded_loops(corpus):
+    # The criteria share square_roots_lift, which skips x in A; the
+    # reference tests every x with x^2 in A, as both loops once did.
+    for G in corpus:
+        full = G.full_subgroup()
+        every, one = frozenset(range(G.order)), frozenset({0})
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            if not rs.is_normal(A, full):
+                continue
+            aset = frozenset(A.members)
+            assert rs.normal_perfect_code_criterion(G, A) == (
+                oracles.square_roots_lift_everywhere(G, aset, every, one)
+            )
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                hset = frozenset(H.members)
+                nset = oracles.normalizer_set(G, hset)
+                covers = len({G.mult[a][n] for a in aset for n in nset}) == G.order
+                want = covers and oracles.square_roots_lift_everywhere(G, aset, nset, hset)
+                assert rs.perfect_code_normalizer_criterion(rs.PairSpec(G, H, A)) == want
+            for p in (p for p in range(2, A.order + 1) if A.order % p == 0):
+                if any(p % q == 0 for q in range(2, p)):
+                    continue
+                pset = frozenset(rs.sylow_subgroup(A, p).members)
+                want = oracles.square_roots_lift_everywhere(
+                    G, aset, oracles.normalizer_set(G, pset), pset
+                )
+                assert rs.perfect_code_sylow_criterion(G, A, p) == want
+
+
 # -- necessary conditions -----------------------------------------------------------------------
 
 
@@ -549,6 +581,17 @@ def test_divisibility_trivial_cases(s3):
     A3 = rs.generate_subgroup(s3, [s3.perms.index((1, 2, 0))])
     assert rs.necessary_divisibility(s3_a3_pair(s3))
     assert rs.necessary_divisibility(rs.PairSpec(s3, A3, A3))
+
+
+def test_divisibility_matches_set_products(corpus):
+    for G in corpus:
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if H.is_subset_of(A) and rs.is_normal(H, A):
+                    assert rs.necessary_divisibility(rs.PairSpec(G, H, A)) == (
+                        oracles.divisibility_by_set_products(G, H.members, A.members)
+                    )
 
 
 def test_necessary_conditions_follow_from_perfect_code(sl23_pair):
