@@ -1,4 +1,4 @@
-"""Tunable size caps and search budgets."""
+"""Tunable size caps and the decision's state budget."""
 
 from __future__ import annotations
 
@@ -14,7 +14,9 @@ ENV_MAX_ORDER = "REGSET_MAX_ORDER"
 class Limits:
     """Resource caps: ``closure_cap`` on the order of any group built,
     ``enumeration_cap`` (``REGSET_MAX_ORDER``) on the order of a group whose
-    subgroups are enumerated, ``search_node_budget`` on one search's nodes."""
+    subgroups are enumerated, ``search_node_budget`` on the states that the
+    reachable-sums sweeps of one decision may reach, summed over its
+    components."""
 
     closure_cap: int = 5000
     enumeration_cap: int = 48

@@ -34,28 +34,33 @@ class ConnectionSet:
 
 
 def validate_connection_set(H: Subgroup, U: Iterable[int]) -> ConnectionSet:
-    """Check the three connection-set invariants and wrap ``U``."""
+    """Check the three connection-set invariants on bitmasks and wrap ``U``.
+
+    U must miss H, equal U^-1 as a mask, and contain or miss each left
+    H-coset whole (UH = U).  For an inverse-closed U, UH = U gives
+    HU = (U^-1 H)^-1 = U as well, so U is a union of (H,H)-double cosets.
+    """
     G = H.parent
-    uset = frozenset(int(u) for u in U)
-    mask = 0
-    for u in uset:
-        if not 0 <= u < G.order:
-            raise ValueError(f"element {u} out of range")
-        mask |= 1 << u
+    uset = frozenset(map(int, U))
+    if uset and not 0 <= min(uset) <= max(uset) < G.order:
+        bad = min(uset) if min(uset) < 0 else max(uset)
+        raise ValueError(f"element {bad} out of range")
+    inv = G.inv
+    bit = (1).__lshift__  # a sum of distinct bits is their bitwise or
+    mask = sum(map(bit, uset))
+    inv_mask = sum(map(bit, map(inv.__getitem__, uset)))
     if mask & H.mask:
         raise IntersectsSubgroup("connection set meets the base subgroup")
-    inv = G.inv
-    for u in uset:
-        if inv[u] not in uset:
-            raise NotInverseClosed(f"{u} is in the set but its inverse is not")
-    mult = G.mult
-    for u in uset:
-        row = mult[u]
-        for h in H.members:
-            if row[h] not in uset or mult[h][u] not in uset:
-                raise NotDoubleCosetUnion(
-                    f"set is not H-stable at element {u}"
-                )
+    if inv_mask != mask:
+        outside = inv_mask & ~mask  # inverses of members that are not members
+        u = inv[outside.bit_length() - 1]
+        raise NotInverseClosed(f"{u} is in the set but its inverse is not")
+    for coset in left_cosets(G, H).masks:
+        meet = coset & mask
+        if meet and meet != coset:
+            raise NotDoubleCosetUnion(
+                f"set is not H-stable at element {meet.bit_length() - 1}"
+            )
     return ConnectionSet(H, uset, mask)
 
 

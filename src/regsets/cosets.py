@@ -11,16 +11,19 @@ from .group_core import GroupTable, Subgroup
 class CosetSpace:
     """The left cosets of a subgroup, with minimum-element representatives.
 
-    ``reps[0]`` is always the identity (the subgroup itself is coset 0) and
-    ``coset_of`` is total over the parent group.
+    ``reps[0]`` is always the identity (the subgroup itself is coset 0),
+    ``coset_of`` is total over the parent group, and ``masks[i]`` is the
+    bitmask of coset ``i`` (bit g set for each member g).
     """
 
     def __init__(self, group: GroupTable, subgroup: Subgroup,
-                 reps: tuple[int, ...], coset_of: tuple[int, ...]):
+                 reps: tuple[int, ...], coset_of: tuple[int, ...],
+                 masks: tuple[int, ...]):
         self.group = group
         self.subgroup = subgroup
         self.reps = reps
         self.coset_of = coset_of
+        self.masks = masks
 
     @property
     def size(self) -> int:
@@ -75,6 +78,7 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
         return cached
     coset_of = [-1] * G.order
     reps = []
+    masks = []
     mult = G.mult
     hm = H.members
     for g in range(G.order):  # ascending scan makes reps minimal
@@ -83,9 +87,12 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
         idx = len(reps)
         reps.append(g)
         row = mult[g]
+        mask = 0
         for h in hm:
             coset_of[row[h]] = idx
-    space = CosetSpace(G, H, tuple(reps), tuple(coset_of))
+            mask |= 1 << row[h]
+        masks.append(mask)
+    space = CosetSpace(G, H, tuple(reps), tuple(coset_of), tuple(masks))
     G._cache[("left_cosets", H.mask)] = space
     return space
 

@@ -66,7 +66,8 @@ class NotEquitable(RegsetError):
 
 
 class SearchBudgetExceeded(RegsetError):
-    """Search hit its node budget before deciding (distinct from a definite 'absent')."""
+    """A decision's sweeps reached more states than ``search_node_budget``
+    before deciding (distinct from a definite 'absent')."""
 
 
 class ConstructionFailed(RegsetError):

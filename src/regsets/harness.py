@@ -29,10 +29,10 @@ from .presets import preset
 from .regular_sets import (
     PairSpec,
     RegSetCertificate,
+    achievable_profiles,
     cayley_normal_criterion,
     certify,
     check_normal_chain,
-    decide_regular_set,
     necessary_conjugate_intersection,
     necessary_divisibility,
     perfect_code_normalizer_criterion,
@@ -191,13 +191,15 @@ def write_certificate(cert: RegSetCertificate, path) -> None:
 
 
 _CERT_FIELDS = ("group", "H", "A", "r", "s", "double_coset_reps", "U", "X", "checks")
+_CERT_ID_FIELDS = ("H", "A", "double_coset_reps", "U", "X")
 
 
 def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     """Re-check a stored certificate: the group order, the double-coset
     reconstruction of U, XH = U, and then :func:`certify`, the same checks
-    that issued it.  Parse failures raise; a well-formed but wrong
-    certificate returns False."""
+    that issued it.  Parse failures raise :class:`ParseError`, as does a
+    negative element id; a well-formed but wrong certificate returns
+    False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -208,6 +210,10 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     group = data["group"]
     if not isinstance(group, dict) or "spec" not in group:
         raise ParseError("certificate group has no reconstructible spec")
+    for field in _CERT_ID_FIELDS:
+        ids = data[field]
+        if isinstance(ids, list) and any(_is_int(x) and x < 0 for x in ids):
+            raise ParseError(f"certificate field {field!r} holds a negative element id")
     G = group_from_spec_dict(group["spec"], limits=limits)
     if G.order != group.get("order"):
         return False
@@ -281,7 +287,8 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
     h_norm = is_normal(H, A)
     a_norm = is_normal(A, G.full_subgroup())
     degenerate = A.order == G.order
-    achievable: list[list[int]] = []
+    profiles = {(c.r, c.s) for c in achievable_profiles(pair, limits=limits)}
+    achievable = [[r, s] for r in range(idx) for s in range(idx + 1) if (r, s) in profiles]
     anomalies: list[str] = []
     agreements: dict[str, str] = {}
     chain = h_norm and a_norm
@@ -290,9 +297,7 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
     cayley_ok = True
     for r in range(idx):
         for s in range(idx + 1):
-            present = decide_regular_set(pair, r, s, limits=limits) is not None
-            if present:
-                achievable.append([r, s])
+            present = (r, s) in profiles
             if chain:
                 verdict = check_normal_chain(pair, r, s, strict=strict).verdict
                 if verdict != present:
@@ -309,10 +314,10 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"
     agreements["cayley_normal"] = ("ok" if cayley_ok else "fail") if cayley else "n/a"
 
-    present01 = [0, 1] in achievable
+    present01 = (0, 1) in profiles
     # For normal A, perfect_code_pair decides through the normalizer
     # reduction, an independent criterion; otherwise it would only repeat the
-    # search of (0,1) the loop above has already made.
+    # decision of (0,1) that achievable_profiles has already made.
     pc = perfect_code_pair(pair, limits=limits)[0] if a_norm else present01
     if pc != present01:
         anomalies.append("perfect-code decision disagrees with search at (0,1)")
@@ -418,7 +423,7 @@ def _member_row(row: dict, H: Subgroup, A: Subgroup) -> dict:
 
 def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
            workers: int = 1) -> SurveyReport:
-    """Cross-validate every criterion against the exhaustive search over all
+    """Cross-validate every criterion against the exact decision over all
     subgroup pairs H <= A of ``G``.  Rows are sorted by (H, A) members, so
     assembly order does not matter.
 

@@ -2,21 +2,21 @@
 
 A subgroup ``A`` with ``H <= A <= G`` is an (r,s)-regular set of the pair
 (G, H) when some coset graph on G/H exists in which the A-cosets form an
-(r,s)-regular vertex set.  Equivalently (and this is how the search works):
-there is an inverse-closed union ``U`` of (H,H)-double cosets avoiding H
-whose H-coset count inside the block ``A`` is ``r`` and inside every other
-left A-coset is ``s``.
+(r,s)-regular vertex set.  Equivalently (and this is how the decision
+works): there is an inverse-closed union ``U`` of (H,H)-double cosets
+avoiding H whose H-coset count inside the block ``A`` is ``r`` and inside
+every other left A-coset is ``s``.
 
 Everything here returns either a re-checkable :class:`RegSetCertificate`
 (validated against the graph oracle before being handed out) or a definite
-"absent" after a complete search.
+"absent" after an exact reachable-sums sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import gcd
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .coset_graph import ConnectionSet, validate_connection_set
@@ -51,11 +51,18 @@ from .group_core import (
 
 @dataclass(frozen=True)
 class PairSpec:
-    """The data of a decision instance: a chain ``H <= A <= G``."""
+    """The data of a decision instance: a chain ``H <= A <= G``.
+
+    ``_cache`` holds the per-pair analysis (units, components, chain data
+    and the quotient-level pair of :func:`normalizer_reduction`), so it
+    lives exactly as long as the pair: a group keeps no pair's data after
+    the pair is gone.
+    """
 
     G: GroupTable
     H: Subgroup
     A: Subgroup
+    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H.parent is not self.G or self.A.parent is not self.G:
@@ -145,7 +152,7 @@ class NormalizerReduction:
     ``applicable`` records whether G equals N_G(H)*A; ``verdict`` is the
     conjunction with the quotient-level criterion.  For s = 1 the reduction
     is exact, and ``converse_consistent`` reports whether a false verdict
-    indeed coincides with an absent exhaustive search.
+    indeed coincides with an absent exact decision.
     """
 
     applicable: bool
@@ -167,7 +174,53 @@ class _Unit(NamedTuple):
     members: frozenset[int]
 
 
+class _Component(NamedTuple):
+    """A set of A-coset blocks that no unit joins to any other block, with
+    the units touching them in sweep order.  Block counts are packed into
+    fields of ``width`` bits, one per block of the component in ascending
+    order; ``ones`` has a 1 in every field and ``closes[i]`` covers the
+    fields that no unit after ``units[i]`` touches."""
+
+    units: tuple[_Unit, ...]
+    vectors: tuple[int, ...]
+    closes: tuple[int, ...]
+    ones: int
+    width: int
+
+
+def _component(blocks: list[int], units: list[_Unit], index: int) -> _Component:
+    """Order the units so that blocks close early: repeatedly take the open
+    block touched by the fewest remaining units and sweep all of them."""
+    pending = {b: [k for k, u in enumerate(units) if u.vector[b]] for b in blocks}
+    order: list[int] = []
+    while len(order) < len(units):
+        first = min((b for b in blocks if pending[b]), key=lambda b: len(pending[b]))
+        taken = pending[first]
+        order.extend(taken)
+        for b in blocks:
+            pending[b] = [k for k in pending[b] if k not in taken]
+    # a field holds at most 2*index (a state plus one unit), below its top bit
+    width = index.bit_length() + 2
+    fmask = (1 << width) - 1
+    vectors = tuple(
+        sum(units[k].vector[b] << (width * i) for i, b in enumerate(blocks))
+        for k in order
+    )
+    closes = [0] * len(order)
+    for i, b in enumerate(blocks):
+        touching = [pos for pos, k in enumerate(order) if units[k].vector[b]]
+        if touching:  # only block 0, when A = H, has no unit
+            closes[touching[-1]] |= fmask << (width * i)
+    ones = sum(1 << (width * i) for i in range(len(blocks)))
+    return _Component(tuple(units[k] for k in order), vectors, tuple(closes), ones, width)
+
+
 class _PairContext:
+    """Cosets, double cosets and units of a pair, and the units split into
+    components.  ``components[0]`` is block 0 (A itself) with the units
+    inside A; the others are the union-find components of blocks 1.. under
+    "some unit touches both"."""
+
     def __init__(self, pair: PairSpec):
         G, H, A = pair.G, pair.H, pair.A
         self.hspace = left_cosets(G, H)
@@ -198,15 +251,33 @@ class _PairContext:
                 units.append(self._make_unit((i,)))
             elif i < j:
                 units.append(self._make_unit((i, j)))
-        units.sort(key=lambda u: (-sum(u.vector), u.reps))
-        self.units = tuple(units)
-        sufs = []
-        acc = (0,) * self.nblocks
-        for u in reversed(units):
-            acc = tuple(a + b for a, b in zip(acc, u.vector))
-            sufs.append(acc)
-        sufs.reverse()
-        self.suffix_sums = tuple(sufs)
+        root = list(range(self.nblocks))
+
+        def find(b: int) -> int:
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            return b
+
+        firsts = []
+        for u in units:
+            touched = [b for b, c in enumerate(u.vector) if c]
+            for b in touched[1:]:
+                root[find(b)] = find(touched[0])
+            firsts.append(touched[0])
+        # x outside A puts HxH and Hx^-1H outside A, so block 0 stays alone
+        assert all(find(b) != find(0) for b in range(1, self.nblocks))
+        blocks_of: dict[int, list[int]] = {}
+        for b in range(self.nblocks):
+            blocks_of.setdefault(find(b), []).append(b)
+        units_of: dict[int, list[_Unit]] = {root_b: [] for root_b in blocks_of}
+        for u, first in zip(units, firsts):
+            units_of[find(first)].append(u)
+        index = pair.code_index
+        self.components = tuple(
+            _component(blocks, units_of[root_b], index)
+            for root_b, blocks in blocks_of.items()
+        )
 
     def _make_unit(self, class_ids: tuple[int, ...]) -> _Unit:
         vec = [0] * self.nblocks
@@ -221,11 +292,9 @@ class _PairContext:
 
 
 def _pair_context(pair: PairSpec) -> _PairContext:
-    key = ("pairctx", pair.H.mask, pair.A.mask)
-    ctx = pair.G._cache.get(key)
+    ctx = pair._cache.get("pairctx")
     if ctx is None:
-        ctx = _PairContext(pair)
-        pair.G._cache[key] = ctx
+        ctx = pair._cache["pairctx"] = _PairContext(pair)
     return ctx
 
 
@@ -287,29 +356,28 @@ def certify(pair: PairSpec, class_reps, U, r: int, s: int) -> RegSetCertificate:
     re-runs it on stored ones.
 
     :func:`validate_connection_set` proves ``inverse_symmetry`` and
-    ``disjoint_from_subgroup`` for X = U.  ``graph_profile`` checks every
+    ``disjoint_from_subgroup`` for X = U.  The counts are popcounts of U's
+    mask against the left A-coset masks.  ``graph_profile`` checks every
     vertex gH by definition: its neighbours are the cosets guH (u in U), each
-    reached by |H| elements u, so exactly r|H| (g in A) or s|H| (g outside A)
-    elements u of U must have gu in A.  Failure raises ConstructionFailed.
+    reached by |H| elements u, and gu lies in A exactly when u lies in
+    g^-1 A, so |U meet g^-1 A| must be r|H| (g in A) or s|H| (g outside A).
+    Failure raises ConstructionFailed.
     """
     G, H, A = pair.G, pair.H, pair.A
     conn = validate_connection_set(H, U)
-    members = conn.members
+    umask = conn.mask
     hord = H.order
     aspace = left_cosets(G, A)
+    amasks = aspace.masks
+    counts = [(umask & m).bit_count() for m in amasks]  # coset 0 is A
     acos = aspace.coset_of
-    counts = [0] * aspace.size  # coset 0 is A: reps ascend from the identity
-    for u in members:
-        counts[acos[u]] += 1
-    in_a = bytearray(G.order)
-    for a in A.members:
-        in_a[a] = 1
-    mult = G.mult
+    inv = G.inv
+    amask = A.mask
+    want_in, want_out = r * hord, s * hord
     profile_ok = True
     for g in left_cosets(G, H).reps:
-        row = mult[g]
-        want = (r if in_a[g] else s) * hord
-        if sum([in_a[row[u]] for u in members]) != want:
+        want = want_in if (amask >> g) & 1 else want_out
+        if (umask & amasks[acos[inv[g]]]).bit_count() != want:
             profile_ok = False
             break
     checks = (
@@ -322,72 +390,146 @@ def certify(pair: PairSpec, class_reps, U, r: int, s: int) -> RegSetCertificate:
     failed = [c.name for c in checks if not c.passed]
     if failed:
         raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
-    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, members, checks)
+    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, conn.members, checks)
 
 
-# -- exhaustive decision ----------------------------------------------------
+def _certify_units(pair: PairSpec, units: list[_Unit], r: int, s: int) -> RegSetCertificate:
+    members: set[int] = set()
+    for u in units:
+        members |= u.members
+    return certify(pair, [rep for u in units for rep in u.reps], members, r, s)
+
+
+# -- exact decision -----------------------------------------------------------
+
+
+def _sweep(comp: _Component, cap: int, target: Optional[int],
+           budget: int) -> dict[int, Optional[tuple[int, int]]]:
+    """Forward reachable-sums sweep over the units of one component.
+
+    A state is the packed block counts of a sub-collection of the units
+    swept so far, each count at most ``cap``.  A block is closed once every
+    unit touching it has been swept, and its count is then final.  With a
+    ``target``, a closed block must hold exactly ``target`` and the sweep
+    stops once (target, ..., target) is reached.  Without one, the closed
+    blocks must agree on one value c and no block may exceed c, because
+    only states (c, ..., c) are wanted.  Returns the parent pointers,
+    state -> (previous state, position of the added unit), with None for
+    the empty state; each state keeps the first way it was reached.  More
+    than ``budget`` states raise :class:`SearchBudgetExceeded`.
+    """
+    ones, width = comp.ones, comp.width
+    guard = ones << (width - 1)
+    fmask = (1 << width) - 1
+    limit = cap * ones | guard  # (limit - w) & guard == guard iff w <= cap
+    goal = None if target is None else target * ones
+    parent: dict[int, Optional[tuple[int, int]]] = {0: None}
+    frontier = [0]
+    closed = 0
+    for pos, (u, closing) in enumerate(zip(comp.vectors, comp.closes)):
+        if goal in parent:
+            break
+        grown = []
+        for v in frontier:
+            w = v + u
+            if w not in parent and (limit - w) & guard == guard:
+                parent[w] = (v, pos)
+                grown.append(w)
+        if len(parent) > budget:
+            raise SearchBudgetExceeded(f"state budget {budget} exhausted")
+        frontier += grown
+        if closing:
+            closed |= closing
+            if goal is not None:
+                frontier = [v for v in frontier if (v ^ goal) & closed == 0]
+            else:
+                low = (closed & -closed).bit_length() - 1  # a closed field's lowest bit
+                kept = []
+                for v in frontier:
+                    c = (v >> low) & fmask
+                    if (v ^ c * ones) & closed == 0 and \
+                            ((c * ones | guard) - v) & guard == guard:
+                        kept.append(v)
+                frontier = kept
+    if len(parent) > budget:
+        raise SearchBudgetExceeded(f"state budget {budget} exhausted")
+    return parent
+
+
+def _witness(comp: _Component, parent: dict, state: int) -> list[_Unit]:
+    """The units that the parent pointers record for ``state``."""
+    units = []
+    step = parent[state]
+    while step is not None:
+        state, pos = step
+        units.append(comp.units[pos])
+        step = parent[state]
+    return units
 
 
 def decide_regular_set(pair: PairSpec, r: int, s: int,
                        limits: Optional[Limits] = None) -> Optional[RegSetCertificate]:
-    """Complete search for a connection set realizing the profile (r, s).
+    """Exact decision of the profile (r, s), with a certificate when it is
+    achievable.
 
     The complement of H splits into atomic inverse-closed units (a
     self-inverse double coset, or a class taken together with its inverse
-    class).  Each unit contributes a fixed vector of H-coset counts per left
-    A-coset; backtracking with per-block suffix pruning and failed-state
-    memoization finds a sub-collection summing to (r, s, s, ...) or proves
-    none exists.  ``None`` therefore certifies non-existence; running out of
-    node budget raises :class:`SearchBudgetExceeded` instead.
+    class), each with a vector of H-coset counts per left A-coset block.
+    The blocks split into components that share no unit (see
+    :func:`achievable_profiles`), so (r, s) is achievable exactly when
+    block 0 reaches r and every other component reaches s on each of its
+    blocks; one :func:`_sweep` per component decides that, every count
+    bounded by its target.  ``None`` therefore proves non-existence; more
+    than ``limits.search_node_budget`` sweep states raise
+    :class:`SearchBudgetExceeded` instead.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     _validate_range(pair, r, s)
-    ctx = _pair_context(pair)
-    nb = ctx.nblocks
-    target = (r,) + (s,) * (nb - 1)
-    units = ctx.units
-    m = len(units)
-    sufs = ctx.suffix_sums
     budget = limits.search_node_budget
-    nodes = 0
-    failed: set[tuple[int, tuple[int, ...]]] = set()
     chosen: list[_Unit] = []
-    zero = (0,) * nb
+    for k, comp in enumerate(_pair_context(pair).components):
+        target = r if k == 0 else s
+        parent = _sweep(comp, target, target, budget)
+        budget -= len(parent)
+        if target * comp.ones not in parent:
+            return None
+        chosen += _witness(comp, parent, target * comp.ones)
+    return _certify_units(pair, chosen, r, s)
 
-    def dfs(i: int, remaining: tuple[int, ...]) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(f"node budget {budget} exhausted")
-        if remaining == zero:
-            return True
-        if i == m:
-            return False
-        state = (i, remaining)
-        if state in failed:
-            return False
-        suf = sufs[i]
-        for b in range(nb):
-            if remaining[b] > suf[b]:
-                failed.add(state)
-                return False
-        vec = units[i].vector
-        if all(remaining[b] >= vec[b] for b in range(nb)):
-            if dfs(i + 1, tuple(remaining[b] - vec[b] for b in range(nb))):
-                chosen.append(units[i])
-                return True
-        if dfs(i + 1, remaining):
-            return True
-        failed.add(state)
-        return False
 
-    if not dfs(0, target):
-        return None
-    class_reps = [ctx.decomp.reps[c] for u in chosen for c in u.class_ids]
-    members: set[int] = set()
-    for u in chosen:
-        members |= u.members
-    return certify(pair, class_reps, members, r, s)
+def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
+                        ) -> Iterator[RegSetCertificate]:
+    """Yield a certificate for every achievable (r, s), in (r, s) order.
+
+    For x outside A the unit of HxH lies inside AxA u Ax^-1A, so its vector
+    is zero on A and on every block outside those double cosets.  The
+    blocks therefore split into independent components: block 0, whose
+    reachable sums R are the achievable r, and the union-find components of
+    blocks 1.. , each giving the set S_k of values s it reaches on all of
+    its blocks at once.  Choices in different components never interact, so
+    the achievable profiles are exactly R x (S_1 meet S_2 ...), with every s
+    in 0..|A:H| when A = G leaves no other component.  One sweep per
+    component finds every S_k with one witness per value, and the witness
+    of (r, s) is the union of its components' witnesses.
+    """
+    limits = limits if limits is not None else DEFAULT_LIMITS
+    index = pair.code_index
+    budget = limits.search_node_budget
+    reached = []  # per component: value -> units reaching it on every block
+    for comp in _pair_context(pair).components:
+        parent = _sweep(comp, index, None, budget)
+        budget -= len(parent)
+        reached.append({
+            c: _witness(comp, parent, c * comp.ones)
+            for c in range(index + 1) if c * comp.ones in parent
+        })
+    inside, outside = reached[0], reached[1:]
+    svalues = [s for s in range(index + 1) if all(s in S for S in outside)]
+    for r in range(index):
+        if r in inside:
+            for s in svalues:
+                units = inside[r] + [u for S in outside for u in S[s]]
+                yield _certify_units(pair, units, r, s)
 
 
 # -- normal-chain criteria and construction ---------------------------------
@@ -432,11 +574,9 @@ class _ChainContext:
 
 
 def _chain_context(pair: PairSpec) -> _ChainContext:
-    key = ("chainctx", pair.H.mask, pair.A.mask)
-    cctx = pair.G._cache.get(key)
+    cctx = pair._cache.get("chainctx")
     if cctx is None:
-        cctx = _ChainContext(pair, _pair_context(pair))
-        pair.G._cache[key] = cctx
+        cctx = pair._cache["chainctx"] = _ChainContext(pair, _pair_context(pair))
     return cctx
 
 
@@ -607,7 +747,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
     (r,s)-regular set of the quotient; when both hold a certificate for the
     original pair is produced by lifting a quotient-level connection set
     through the section.  For s = 1 the reduction is an equivalence and the
-    report records consistency with the exhaustive search.
+    report records consistency with the exact decision.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     G, H, A = pair.G, pair.H, pair.A
@@ -630,7 +770,11 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
     verdict = applicable and quotient_ok
     certificate = None
     if verdict:
-        qpair = PairSpec(quo.table, trivial_subgroup(quo.table), B)
+        qpair = pair._cache.get("quotient_pair")  # keeps its analysis across (r, s)
+        if qpair is None:
+            qpair = pair._cache["quotient_pair"] = PairSpec(
+                quo.table, trivial_subgroup(quo.table), B
+            )
         qcert = decide_regular_set(qpair, r, s, limits=limits)
         if qcert is None:  # criterion guarantees existence
             raise ConstructionFailed("quotient-level search found no witness")
@@ -658,7 +802,7 @@ def perfect_code_pair(pair: PairSpec,
                       ) -> tuple[bool, Optional[RegSetCertificate]]:
     """Decide whether A is a perfect code of the pair (G, H), i.e. a
     (0,1)-regular set.  Normal A goes through the normalizer-quotient
-    criterion (with a lifted certificate); otherwise the exhaustive search
+    criterion (with a lifted certificate); otherwise the exact decision
     decides."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     if is_normal(pair.A, pair.G.full_subgroup()):

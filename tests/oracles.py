@@ -300,3 +300,26 @@ def square_roots_lift_everywhere(G, aset, nset, hset):
         ):
             return False
     return True
+
+
+def validate_connection_set_elementwise(H, U):
+    """Connection-set validation element by element, as the library first
+    did it: range, then H, then inverses, then u*h and h*u for every u in U
+    and h in H.  Returns the element set or raises the library's error."""
+    from regsets.errors import IntersectsSubgroup, NotDoubleCosetUnion, NotInverseClosed
+
+    G = H.parent
+    uset = frozenset(int(u) for u in U)
+    for u in uset:
+        if not 0 <= u < G.order:
+            raise ValueError(f"element {u} out of range")
+    if any((H.mask >> u) & 1 for u in uset):
+        raise IntersectsSubgroup("connection set meets the base subgroup")
+    for u in uset:
+        if G.inv[u] not in uset:
+            raise NotInverseClosed(f"{u} is in the set but its inverse is not")
+    for u in uset:
+        for h in H.members:
+            if G.mult[u][h] not in uset or G.mult[h][u] not in uset:
+                raise NotDoubleCosetUnion(f"set is not H-stable at element {u}")
+    return uset

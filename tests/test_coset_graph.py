@@ -9,6 +9,7 @@ from regsets.errors import (
     NotDoubleCosetUnion,
     NotEquitable,
     NotInverseClosed,
+    RegsetError,
 )
 
 import oracles
@@ -51,6 +52,50 @@ def test_connection_set_not_double_coset_union(s3):
     x = s3.perms.index((1, 2, 0))
     with pytest.raises(NotDoubleCosetUnion):
         rs.validate_connection_set(H, [x, s3.inv[x]])
+
+
+def _candidate_sets(G, H, rng):
+    """Random element sets of every kind validation tells apart: any subset,
+    subsets of G - H with and without their inverses, unions of left
+    H-cosets closed under inverses, and unions of inverse-closed units."""
+    outside = [g for g in range(G.order) if not (H.mask >> g) & 1]
+    cosets = [c for c in oracles.left_coset_sets(G, set(H.members)) if 0 not in c]
+    units = oracles.inverse_closed_units(G, set(H.members))
+    yield [-1]
+    yield [G.order]
+    for _ in range(6):
+        yield [g for g in range(G.order) if rng.random() < 0.3]
+        some = [g for g in outside if rng.random() < 0.4]
+        yield some
+        yield some + [G.inv[g] for g in some]
+        left = set().union(*(c for c in cosets if rng.random() < 0.4))
+        yield left | {G.inv[g] for g in left}
+        yield set().union(*(u for u in units if rng.random() < 0.5))
+
+
+def test_mask_validation_matches_elementwise(small_corpus):
+    # every subgroup H of every group of order <= 12: the mask validation
+    # accepts exactly the sets the element-wise one accepts, and otherwise
+    # raises the same exception class
+    rng = random.Random(6)
+    outcomes = {}
+    for G in small_corpus:
+        for H in rs.all_subgroups(G):
+            for U in _candidate_sets(G, H, rng):
+                try:
+                    want = oracles.validate_connection_set_elementwise(H, U)
+                except (ValueError, RegsetError) as exc:
+                    with pytest.raises(type(exc)) as got:
+                        rs.validate_connection_set(H, U)
+                    assert type(got.value) is type(exc), (G.label, H.members, U)
+                    outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+                    continue
+                conn = rs.validate_connection_set(H, U)
+                assert conn.members == want
+                assert conn.mask == sum(1 << u for u in want)
+                outcomes["valid"] = outcomes.get("valid", 0) + 1
+    assert set(outcomes) == {"ValueError", "IntersectsSubgroup", "NotInverseClosed",
+                             "NotDoubleCosetUnion", "valid"}
 
 
 # -- graph construction ---------------------------------------------------------

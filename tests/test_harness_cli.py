@@ -160,6 +160,31 @@ def test_certificate_tamper(tmp_path, field):
     assert rs.verify_certificate_file(path) is False
 
 
+# On the cyclic(4) certificate of make_cert (H trivial, A = {0, 2},
+# U = X = double_coset_reps = [1, 3]), indexing would read -k as 4 - k, so
+# each of these would otherwise name a valid certificate or crash.
+NEGATIVE_IDS = {
+    "H": [0, -4],
+    "A": [0, -2],
+    "U": [1, -1],
+    "X": [1, -1],
+    "double_coset_reps": [1, -1],
+}
+
+
+@pytest.mark.parametrize("field", list(NEGATIVE_IDS))
+def test_certificate_negative_id_is_a_parse_error(tmp_path, capsys, field):
+    path = tmp_path / "cert.json"
+    rs.write_certificate(make_cert(), path)
+    data = json.loads(path.read_text())
+    data[field] = NEGATIVE_IDS[field]
+    path.write_text(json.dumps(data))
+    with pytest.raises(ParseError):
+        rs.verify_certificate_file(path)
+    assert main(["verify", str(path)]) == 2
+    assert "valid" not in capsys.readouterr().out
+
+
 def test_certificate_missing_field(tmp_path):
     path = tmp_path / "cert.json"
     path.write_text('{"group": {}}')
@@ -245,27 +270,34 @@ def test_survey_rows_share_no_lists():
 
 
 def test_survey_decides_each_query_once(monkeypatch):
-    calls = []
-    real = regular_sets.decide_regular_set
+    sweeps = []
+    decides = []
+    real_sweep = regular_sets.achievable_profiles
+    real_decide = regular_sets.decide_regular_set
 
-    def counting(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counting_sweep(pair, *args, **kwargs):
+        sweeps.append((pair.H.mask, pair.A.mask))
+        return real_sweep(pair, *args, **kwargs)
 
-    monkeypatch.setattr(harness, "decide_regular_set", counting)
-    monkeypatch.setattr(regular_sets, "decide_regular_set", counting)
+    def counting_decide(*args, **kwargs):
+        decides.append(args[1:3])
+        return real_decide(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "achievable_profiles", counting_sweep)
+    monkeypatch.setattr(regular_sets, "achievable_profiles", counting_sweep)
+    monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
     G = rs.symmetric(4)
     rs.survey(G)
-    # |A:H|(|A:H|+1) (r,s) queries per class representative, plus one
-    # quotient-level search in normalizer_reduction for each one with A
-    # normal in G
+    # every (r,s) of a class representative comes from one achievable_profiles
+    # call; decide_regular_set runs only for the quotient-level search in
+    # normalizer_reduction, once per representative with A normal in G
     reps = _class_representatives(G)
-    queries = sum(len(a) // len(h) * (len(a) // len(h) + 1) for h, a in reps)
+    assert len(sweeps) == len(set(sweeps)) == len(reps)
     normal = sum(
         all(oracles.conjugate_set(G, a, g) == a for g in range(G.order))
         for _, a in reps
     )
-    assert len(calls) == queries + normal
+    assert len(decides) == normal
 
 
 class _RecordingPool:

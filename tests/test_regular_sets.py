@@ -1,8 +1,10 @@
 import random
+import weakref
 
 import pytest
 
 import regsets as rs
+from regsets import regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
@@ -150,7 +152,7 @@ def test_certify_rejects_invalid_connection_sets(s3):
         rs.certify(pair, (), {t}, 0, 0)  # not inverse closed
 
 
-# -- exhaustive decision -------------------------------------------------------
+# -- exact decision --------------------------------------------------------------
 
 
 def test_zero_zero_always_present(small_corpus):
@@ -183,6 +185,49 @@ def test_decide_matches_naive_enumeration_c4():
             assert present == ((r, s) in profiles)
 
 
+def test_sweep_matches_naive_enumeration(corpus):
+    # every pair H <= A of every group of order <= 16: achievable_profiles
+    # yields exactly the profiles that enumerating every connection set
+    # finds, in (r,s) order, and decide_regular_set returns None exactly off
+    # that set
+    for G in (G for G in corpus if G.order <= 16):
+        subs = rs.all_subgroups(G)
+        for H in subs:
+            supers = [A for A in subs if H.is_subset_of(A)]
+            naive = oracles.achievable_profiles(
+                G, set(H.members), [set(A.members) for A in supers]
+            )
+            for A, profiles in zip(supers, naive):
+                pair = rs.PairSpec(G, H, A)
+                idx = pair.code_index
+                if A.order == G.order:
+                    want = [(r, s) for r in range(idx) for s in range(idx + 1)
+                            if (r, None) in profiles]
+                else:
+                    want = sorted(profiles)
+                certs = list(rs.achievable_profiles(pair))
+                assert [(c.r, c.s) for c in certs] == want, (G.label, H.members, A.members)
+                assert all(all(c.passed for c in cert.checks) for cert in certs)
+                for r in range(idx):
+                    for s in range(idx + 1):
+                        cert = rs.decide_regular_set(pair, r, s)
+                        assert (cert is not None) == ((r, s) in want)
+                        if cert is not None:
+                            assert (cert.r, cert.s) == (r, s)
+
+
+def test_pair_analysis_is_freed_with_the_pair():
+    # units and components live in the pair, not in the group's cache, so a
+    # survey of every pair leaves none of them behind in G
+    G = rs.symmetric(4)
+    subs = rs.all_subgroups(G)
+    pair = rs.PairSpec(G, subs[0], subs[-1])
+    rs.decide_regular_set(pair, 0, 1)
+    ref = weakref.ref(regular_sets._pair_context(pair))
+    del pair
+    assert ref() is None
+
+
 def test_decide_range_validation():
     pair = c4_pair()
     with pytest.raises(ValueError):
@@ -194,6 +239,18 @@ def test_decide_range_validation():
 def test_search_budget_exceeded():
     with pytest.raises(SearchBudgetExceeded):
         rs.decide_regular_set(c4_pair(), 0, 2, limits=Limits(search_node_budget=1))
+
+
+def test_sweep_budget_counts_states():
+    # C4 over the trivial subgroup, A = {0, 2}: block 0 holds the empty and
+    # the one-unit state, the other block the empty state and count 2
+    pair = c4_pair()
+    assert rs.decide_regular_set(pair, 1, 2, limits=Limits(search_node_budget=4))
+    with pytest.raises(SearchBudgetExceeded):
+        rs.decide_regular_set(pair, 1, 2, limits=Limits(search_node_budget=3))
+    assert len(list(rs.achievable_profiles(pair, limits=Limits(search_node_budget=4)))) == 4
+    with pytest.raises(SearchBudgetExceeded):
+        list(rs.achievable_profiles(pair, limits=Limits(search_node_budget=3)))
 
 
 def test_whole_group_as_code_is_degenerate(s3):
