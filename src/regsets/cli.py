@@ -56,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--emit", help="write the certificate JSON here")
-    p.add_argument("--strict", action="store_true",
-                   help="check the chain conditions element by element")
 
     p = sub.add_parser("perfect-code", help="decide the (0,1) case")
     add_pair_args(p)
@@ -68,7 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the JSON report here")
     p.add_argument("--workers", type=int, default=1,
                    help="worker processes (at least 1; capped at the CPU count)")
-    p.add_argument("--strict", action="store_true")
 
     p = sub.add_parser("verify", help="re-check a stored certificate")
     p.add_argument("certificate", help="path to a certificate JSON file")
@@ -101,7 +98,7 @@ def _cmd_check(args, limits: Limits) -> int:
 def _cmd_construct(args, limits: Limits) -> int:
     G = group_from_arg(args.group, limits=limits)
     pair = PairSpec(G, subgroup_from_arg(G, args.H), subgroup_from_arg(G, args.A))
-    report = check_normal_chain(pair, args.r, args.s, strict=args.strict)
+    report = check_normal_chain(pair, args.r, args.s)
     for cid, ok, wit in zip(report.condition_ids, report.outcomes, report.witnesses):
         extra = f" (witness element {wit})" if wit is not None and not ok else ""
         print(f"condition {cid}: {'pass' if ok else 'FAIL'}{extra}")
@@ -125,7 +122,7 @@ def _cmd_perfect_code(args, limits: Limits) -> int:
 
 def _cmd_survey(args, limits: Limits) -> int:
     G = group_from_arg(args.group, limits=limits)
-    report = survey(G, limits=limits, strict=args.strict, workers=args.workers)
+    report = survey(G, limits=limits, workers=args.workers)
     print(report.to_text(), end="")
     if args.out:
         Path(args.out).write_text(
@@ -177,9 +174,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
-    limits = limits_from_env()
     try:
-        return _COMMANDS[args.command](args, limits)
+        return _COMMANDS[args.command](args, limits_from_env())
     except PreconditionViolated as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return 2

@@ -63,12 +63,6 @@ class DoubleCosetDecomp:
     def closed_under_inverse(self) -> bool:
         return all(j is not None for _, j in self.inverse_pairing)
 
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for ms in self.member_sets:
-            out |= ms
-        return frozenset(out)
-
 
 def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
     if H.parent is not G:

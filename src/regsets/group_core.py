@@ -167,9 +167,6 @@ class GroupTable:
 
     # -- basic arithmetic -----------------------------------------------
 
-    def mul(self, a: int, b: int) -> int:
-        return self.mult[a][b]
-
     def conjugate(self, a: int, g: int) -> int:
         """Right conjugate a^g = g^-1 a g."""
         return self.mult[self.mult[self.inv[g]][a]][g]
@@ -181,9 +178,6 @@ class GroupTable:
             x = self.mult[x][a]
             k += 1
         return k
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def full_subgroup(self) -> "Subgroup":
         sub = self._cache.get("full_subgroup")
@@ -261,28 +255,21 @@ class Subgroup:
 class QuotientGroup:
     """Quotient of a subgroup by a normal subgroup, with projection/section.
 
-    ``projection`` maps every element of ``domain`` to its coset index in
+    ``projection`` maps every element of the subgroup to its coset index in
     ``table``; ``section`` picks the minimum-id representative per coset.
     """
 
     def __init__(
         self,
         base: GroupTable,
-        domain: Subgroup,
-        kernel: Subgroup,
         table: GroupTable,
         projection: dict[int, int],
         section: tuple[int, ...],
     ):
         self.base = base
-        self.domain = domain
-        self.kernel = kernel
         self.table = table
         self.projection = projection
         self.section = section
-
-    def project(self, e: int) -> int:
-        return self.projection[e]
 
     def __repr__(self) -> str:
         return f"QuotientGroup(order={self.table.order} of {self.base.label})"
@@ -472,6 +459,15 @@ def set_product(G: GroupTable, A: Iterable[int], B: Iterable[int]) -> frozenset[
     return frozenset(out)
 
 
+def product_is_group(N: Subgroup, A: Subgroup) -> bool:
+    """True iff N*A is the whole parent group.  For subgroups,
+    |NA| = |N||A| / |N meet A|, so this holds exactly when
+    |N||A| = |G| |N meet A|."""
+    if N.parent is not A.parent:
+        raise ValueError("subgroups of different groups")
+    return N.order * A.order == N.parent.order * (N.mask & A.mask).bit_count()
+
+
 def is_normal(H: Subgroup, K: Subgroup) -> bool:
     """True iff ``H^k = H`` for every ``k`` in ``K``; requires ``H <= K``."""
     if H.parent is not K.parent:
@@ -514,7 +510,7 @@ def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
         [projection[mult[section[i]][section[j]]] for j in range(q)] for i in range(q)
     ]
     table = GroupTable(qmult, label=f"{G.label}/k{K.order}")
-    result = QuotientGroup(G, N, K, table, projection, tuple(section))
+    result = QuotientGroup(G, table, projection, tuple(section))
     G._cache[("quotient", N.mask, K.mask)] = result
     return result
 

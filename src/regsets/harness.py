@@ -280,8 +280,7 @@ class SurveyReport:
         return "\n".join(lines) + "\n"
 
 
-def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
-                limits: Limits) -> dict:
+def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict:
     pair = PairSpec(G, H, A)
     idx = pair.code_index
     h_norm = is_normal(H, A)
@@ -299,7 +298,7 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
         for s in range(idx + 1):
             present = (r, s) in profiles
             if chain:
-                verdict = check_normal_chain(pair, r, s, strict=strict).verdict
+                verdict = check_normal_chain(pair, r, s).verdict
                 if verdict != present:
                     chain_ok = False
                     anomalies.append(
@@ -377,9 +376,8 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, strict: bool,
 _WORKER_STATE: dict = {}
 
 
-def _worker_init(G: GroupTable, strict: bool, limits: Limits) -> None:
+def _worker_init(G: GroupTable, limits: Limits) -> None:
     _WORKER_STATE["G"] = G
-    _WORKER_STATE["strict"] = strict
     _WORKER_STATE["limits"] = limits
 
 
@@ -388,7 +386,7 @@ def _worker_row(masks: tuple[int, int]) -> dict:
     hmask, amask = masks
     H = Subgroup(G, _members_of(hmask))
     A = Subgroup(G, _members_of(amask))
-    return _survey_row(G, H, A, _WORKER_STATE["strict"], _WORKER_STATE["limits"])
+    return _survey_row(G, H, A, _WORKER_STATE["limits"])
 
 
 def _class_representatives(G: GroupTable,
@@ -421,7 +419,7 @@ def _member_row(row: dict, H: Subgroup, A: Subgroup) -> dict:
     }
 
 
-def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
+def survey(G: GroupTable, limits: Optional[Limits] = None,
            workers: int = 1) -> SurveyReport:
     """Cross-validate every criterion against the exact decision over all
     subgroup pairs H <= A of ``G``.  Rows are sorted by (H, A) members, so
@@ -446,11 +444,11 @@ def survey(G: GroupTable, limits: Optional[Limits] = None, strict: bool = False,
     workers = min(workers, os.cpu_count() or 1, len(reps))
     if workers > 1:
         with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(G, strict, limits)
+            max_workers=workers, initializer=_worker_init, initargs=(G, limits)
         ) as pool:
             rep_rows = list(pool.map(_worker_row, [(H.mask, A.mask) for H, A in reps]))
     else:
-        rep_rows = [_survey_row(G, H, A, strict, limits) for H, A in reps]
+        rep_rows = [_survey_row(G, H, A, limits) for H, A in reps]
     row_of = dict(zip(rep_ids, rep_rows))
     rows = [_member_row(row_of[i], H, A) for (H, A), i in zip(pairs, rep_index)]
     rows.sort(key=lambda row: (row["H"], row["A"]))

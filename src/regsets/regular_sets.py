@@ -21,7 +21,6 @@ from typing import Iterator, NamedTuple, Optional
 from .config import DEFAULT_LIMITS, Limits
 from .coset_graph import ConnectionSet, validate_connection_set
 from .cosets import (
-    conj_index,
     decompose_into_double_cosets,
     double_coset,
     left_coset_count,
@@ -41,6 +40,7 @@ from .group_core import (
     intersect,
     is_normal,
     normalizer,
+    product_is_group,
     quotient,
     set_product,
     square_roots_lift,
@@ -151,14 +151,12 @@ class NormalizerReduction:
 
     ``applicable`` records whether G equals N_G(H)*A; ``verdict`` is the
     conjunction with the quotient-level criterion.  For s = 1 the reduction
-    is exact, and ``converse_consistent`` reports whether a false verdict
-    indeed coincides with an absent exact decision.
+    is exact: a false verdict proves that no connection set exists.
     """
 
     applicable: bool
     verdict: bool
     certificate: Optional[RegSetCertificate]
-    converse_consistent: Optional[bool]
 
 
 # -- shared per-pair analysis ---------------------------------------------
@@ -587,8 +585,7 @@ def _require_normal_chain(pair: PairSpec) -> None:
         raise PreconditionViolated("A is not normal in G")
 
 
-def check_normal_chain(pair: PairSpec, r: int, s: int,
-                       strict: bool = False) -> ConditionReport:
+def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     """Evaluate the three conditions that characterize (r, s)-regularity for
     a normal chain H <| A <| G:
 
@@ -597,11 +594,15 @@ def check_normal_chain(pair: PairSpec, r: int, s: int,
     - self_paired: whenever x outside A has x^2 in A and s/|HxH:H| is odd,
       some class inside xA is its own inverse class.
 
-    By default divisibility and self_paired are tested once per A-coset
-    orbit (the quantities are constant on ``tA`` together with ``t^-1 A``);
-    ``strict=True`` re-tests every element individually.
+    Both element conditions are tested once per left A-coset tA, and this
+    is exact: each is constant on tA u t^-1 A.  For x in tA, the classes
+    HxH and Hx^-1H lie in xA = tA and x^-1 A = t^-1 A (A is normal and
+    contains H) and have the size |HtH:H| (H is normal in A), and x^2 lies
+    in A exactly when t^-1 A = tA.  The witness of a failure is the
+    representative of the first failing coset; representatives are the
+    minimal elements of their cosets, so it is also the least failing
+    element.
     """
-    G, H, A = pair.G, pair.H, pair.A
     _require_normal_chain(pair)
     _validate_range(pair, r, s)
     idx = pair.code_index
@@ -611,41 +612,15 @@ def check_normal_chain(pair: PairSpec, r: int, s: int,
     cctx = _chain_context(pair)
     div_ok, div_witness = True, None
     self_ok, self_witness = True, None
-    if strict:
-        for t in range(G.order):
-            if (A.mask >> t) & 1:
-                continue
-            ci = conj_index(H, t)
-            if s % ci != 0:
+    for b in range(1, ctx.nblocks):
+        t = ctx.aspace.reps[b]
+        ci = cctx.block_ci[b]
+        if s % ci != 0:
+            if div_ok:
                 div_ok, div_witness = False, t
-                break
-        for x in range(G.order):
-            if (A.mask >> x) & 1:
-                continue
-            if not (A.mask >> G.mult[x][x]) & 1:
-                continue
-            ci = conj_index(H, x)
-            if s % ci != 0 or (s // ci) % 2 == 0:
-                continue
-            found = False
-            for a in A.members:
-                d = double_coset(H, G.mult[x][a])
-                if d == frozenset(G.inv[m] for m in d):
-                    found = True
-                    break
-            if not found:
-                self_ok, self_witness = False, x
-                break
-    else:
-        for b in range(1, ctx.nblocks):
-            t = ctx.aspace.reps[b]
-            ci = cctx.block_ci[b]
-            if s % ci != 0:
-                if div_ok:
-                    div_ok, div_witness = False, t
-            elif cctx.block_inv[b] == b and (s // ci) % 2 == 1:
-                if not cctx.selfs_by_block[b] and self_ok:
-                    self_ok, self_witness = False, t
+        elif cctx.block_inv[b] == b and (s // ci) % 2 == 1:
+            if not cctx.selfs_by_block[b] and self_ok:
+                self_ok, self_witness = False, t
     return ConditionReport(
         ("parity", "divisibility", "self_paired"),
         (parity_ok, div_ok, self_ok),
@@ -746,8 +721,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
     Tests G = N_G(H) * A, then decides whether the image of N_A(H) is an
     (r,s)-regular set of the quotient; when both hold a certificate for the
     original pair is produced by lifting a quotient-level connection set
-    through the section.  For s = 1 the reduction is an equivalence and the
-    report records consistency with the exact decision.
+    through the section.  For s = 1 the reduction is an equivalence.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     G, H, A = pair.G, pair.H, pair.A
@@ -765,7 +739,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
         )
     if r % gcd(2, border - 1) != 0:
         raise PreconditionViolated("gcd(2,|N_A(H)/H|-1) does not divide r")
-    applicable = len(set_product(G, N.members, A.members)) == G.order
+    applicable = product_is_group(N, A)
     quotient_ok = cayley_normal_criterion(quo.table, B, r, s)
     verdict = applicable and quotient_ok
     certificate = None
@@ -788,13 +762,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
             members.update(fib)
             class_reps.append(min(fib))
         certificate = certify(pair, class_reps, members, r, s)
-    converse_consistent = None
-    if s == 1:
-        if verdict:
-            converse_consistent = True
-        else:
-            converse_consistent = decide_regular_set(pair, r, 1, limits=limits) is None
-    return NormalizerReduction(applicable, verdict, certificate, converse_consistent)
+    return NormalizerReduction(applicable, verdict, certificate)
 
 
 def perfect_code_pair(pair: PairSpec,
@@ -822,7 +790,7 @@ def perfect_code_normalizer_criterion(pair: PairSpec) -> bool:
     if not is_normal(A, G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
     N = normalizer(G, H)
-    if len(set_product(G, A.members, N.members)) != G.order:
+    if not product_is_group(N, A):
         return False
     return square_roots_lift(G, A, N, H)
 
@@ -849,8 +817,7 @@ def perfect_code_odd_order_criterion(pair: PairSpec) -> bool:
         raise PreconditionViolated("A is not normal in G")
     if A.order % 2 == 0 and (G.order // A.order) % 2 == 0:
         raise PreconditionViolated("requires |A| or |G:A| odd")
-    N = normalizer(G, H)
-    return len(set_product(G, N.members, A.members)) == G.order
+    return product_is_group(normalizer(G, H), A)
 
 
 def perfect_code_sylow_criterion(G: GroupTable, A: Subgroup, p: int) -> bool:
@@ -861,7 +828,7 @@ def perfect_code_sylow_criterion(G: GroupTable, A: Subgroup, p: int) -> bool:
         raise PreconditionViolated("A is not normal in G")
     H = sylow_subgroup(A, p)
     N = normalizer(G, H)
-    if len(set_product(G, N.members, A.members)) != G.order:
+    if not product_is_group(N, A):
         raise FrattiniCheckFailed("G != N_G(H) * A for a Sylow subgroup of A")
     return square_roots_lift(G, A, N, H)
 

@@ -323,3 +323,41 @@ def validate_connection_set_elementwise(H, U):
             if G.mult[u][h] not in uset or G.mult[h][u] not in uset:
                 raise NotDoubleCosetUnion(f"set is not H-stable at element {u}")
     return uset
+
+
+def normal_chain_reports(G, hset, aset):
+    """The three normal-chain conditions, element by element, for every
+    (r, s) with 0 <= r < |A:H| and 0 <= s <= |A:H|: a dict
+    (r, s) -> (outcomes, witnesses) in the order parity, divisibility,
+    self_paired, each witness the least failing element (None for parity
+    and for a condition that holds).
+
+    - parity: r is even or |A:H| is even;
+    - divisibility: |H : H meet H^t| divides s for every t outside A;
+    - self_paired: every x outside A with x^2 in A and s / |H : H meet H^x|
+      odd has some a in A whose double coset HxaH is its own inverse set.
+    """
+    mult = G.mult
+    index = len(aset) // len(hset)
+    outside = [t for t in range(G.order) if t not in aset]
+    size = {t: len(hset) // len(hset & conjugate_set(G, hset, t)) for t in outside}
+    squares_in_a = [x for x in outside if mult[x][x] in aset]
+    self_paired = {}
+
+    def has_self_paired(x):
+        if x not in self_paired:
+            self_paired[x] = any(
+                frozenset(G.inv[m] for m in d) == d
+                for d in (double_coset_set(G, hset, mult[x][a]) for a in aset)
+            )
+        return self_paired[x]
+
+    reports = {}
+    for s in range(index + 1):
+        div = next((t for t in outside if s % size[t] != 0), None)
+        selfp = next((x for x in squares_in_a if s % size[x] == 0
+                      and (s // size[x]) % 2 == 1 and not has_self_paired(x)), None)
+        for r in range(index):
+            parity = r % 2 == 0 or index % 2 == 0
+            reports[(r, s)] = ((parity, div is None, selfp is None), (None, div, selfp))
+    return reports

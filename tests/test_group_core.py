@@ -17,6 +17,7 @@ from regsets.errors import (
     OrderExceedsCap,
     PNotDividing,
 )
+from regsets.group_core import product_is_group
 
 import oracles
 
@@ -282,6 +283,20 @@ def test_product_formula(small_corpus):
             for K in subs:
                 hk = rs.set_product(G, H.members, K.members)
                 assert len(hk) * rs.intersect(H, K).order == H.order * K.order
+
+
+def test_product_is_group_matches_set_product(corpus):
+    seen = {True: 0, False: 0}
+    for G in corpus:
+        if G.order > 16:
+            continue
+        subs = rs.all_subgroups(G)
+        for N in subs:
+            for A in subs:
+                covers = len(rs.set_product(G, N.members, A.members)) == G.order
+                assert product_is_group(N, A) == covers, (G.label, N, A)
+                seen[covers] += 1
+    assert all(seen.values())
 
 
 # -- normality / quotients ------------------------------------------------------

@@ -254,7 +254,7 @@ def test_survey_matches_a_row_for_every_pair(corpus):
         G = rs.parse_group_spec(json.dumps(spec))
         subs = rs.all_subgroups(G)
         every = [
-            harness._survey_row(G, H, A, False, Limits())
+            harness._survey_row(G, H, A, Limits())
             for A in subs for H in subs if H.is_subset_of(A)
         ]
         assert rows == sorted(every, key=lambda row: (row["H"], row["A"])), G.label
@@ -287,17 +287,24 @@ def test_survey_decides_each_query_once(monkeypatch):
     monkeypatch.setattr(regular_sets, "achievable_profiles", counting_sweep)
     monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
     G = rs.symmetric(4)
-    rs.survey(G)
+    report = rs.survey(G)
     # every (r,s) of a class representative comes from one achievable_profiles
     # call; decide_regular_set runs only for the quotient-level search in
-    # normalizer_reduction, once per representative with A normal in G
+    # normalizer_reduction, once per representative with A normal in G and
+    # (0,1) achievable (the reduction is exact at s = 1)
     reps = _class_representatives(G)
     assert len(sweeps) == len(set(sweeps)) == len(reps)
-    normal = sum(
-        all(oracles.conjugate_set(G, a, g) == a for g in range(G.order))
-        for _, a in reps
+    codes = {
+        (frozenset(row["H"]), frozenset(row["A"]))
+        for row in report.rows if [0, 1] in row["achievable"]
+    }
+    lifted = sum(
+        (h, a) in codes
+        and all(oracles.conjugate_set(G, a, g) == a for g in range(G.order))
+        for h, a in reps
     )
-    assert len(decides) == normal
+    assert 0 < lifted < len(reps)
+    assert decides == [(0, 1)] * lifted
 
 
 class _RecordingPool:
@@ -411,14 +418,27 @@ def test_cli_perfect_code_exit_codes():
     assert main(["perfect-code", "preset:symmetric:3", "--A", "gen:2"]) == 0
 
 
-def test_cli_construct(tmp_path):
+def test_cli_construct(tmp_path, capsys):
     path = tmp_path / "c.json"
     rc = main(["construct", "preset:quaternion8", "--H", "0,2", "--A", "gen:1",
                "--r", "1", "--s", "2", "--emit", str(path)])
     assert rc == 0
     assert main(["verify", str(path)]) == 0
-    # conditions fail -> exit 1
+    capsys.readouterr()
+    # conditions fail -> exit 1, each failure named with its least element
     assert main(["construct", "preset:cyclic:4", "--A", "0,2", "--r", "0", "--s", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "condition parity: pass\n"
+        "condition divisibility: pass\n"
+        "condition self_paired: FAIL (witness element 1)\n"
+    )
+    assert main(["construct", "preset:dihedral:4", "--H", "0,4", "--A", "0,2,4,6",
+                 "--r", "0", "--s", "1"]) == 1
+    assert capsys.readouterr().out == (
+        "condition parity: pass\n"
+        "condition divisibility: FAIL (witness element 1)\n"
+        "condition self_paired: pass\n"
+    )
 
 
 def test_cli_verify_tampered(tmp_path):
@@ -453,6 +473,15 @@ def test_cli_show_checks_the_cap_before_printing(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "exceeds enumeration cap 1" in captured.err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_cli_malformed_max_order_is_an_error(monkeypatch, capsys, value):
+    monkeypatch.setenv("REGSET_MAX_ORDER", value)
+    assert main(["show", "preset:cyclic:4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
 
 
 def test_cli_usage_error_exits_2():

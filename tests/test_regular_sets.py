@@ -290,9 +290,10 @@ def test_chain_requires_normality(s3):
         rs.check_normal_chain(pair, 0, 0)
 
 
-def test_strict_agrees_with_representative_checks(small_corpus):
-    for G in small_corpus:
-        if G.order > 8:
+def test_chain_conditions_match_elementwise_oracle(corpus):
+    failures = [0, 0, 0]
+    for G in corpus:
+        if G.order > 16:
             continue
         subs = rs.all_subgroups(G)
         full = G.full_subgroup()
@@ -303,12 +304,17 @@ def test_strict_agrees_with_representative_checks(small_corpus):
                 if not H.is_subset_of(A) or not rs.is_normal(H, A):
                     continue
                 pair = rs.PairSpec(G, H, A)
-                idx = pair.code_index
-                for r in range(idx):
-                    for s in range(idx + 1):
-                        a = rs.check_normal_chain(pair, r, s, strict=False)
-                        b = rs.check_normal_chain(pair, r, s, strict=True)
-                        assert a.outcomes == b.outcomes
+                expected = oracles.normal_chain_reports(
+                    G, frozenset(H.members), frozenset(A.members)
+                )
+                for (r, s), (outcomes, witnesses) in expected.items():
+                    report = rs.check_normal_chain(pair, r, s)
+                    assert report.condition_ids == ("parity", "divisibility", "self_paired")
+                    assert (report.outcomes, report.witnesses) == (outcomes, witnesses), \
+                        (G.label, H.members, A.members, r, s)
+                    for k, ok in enumerate(outcomes):
+                        failures[k] += not ok
+    assert all(failures), failures
 
 
 # -- construction -----------------------------------------------------------------
@@ -490,7 +496,6 @@ def test_reduction_with_normal_h_matches_direct_search():
             red = rs.normalizer_reduction(pair, r, 1)
             present = rs.decide_regular_set(pair, r, 1) is not None
             assert red.verdict == present
-            assert red.converse_consistent is True
             if red.verdict:
                 assert_certificate_sound(red.certificate)
 
