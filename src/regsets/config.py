@@ -27,7 +27,10 @@ DEFAULT_LIMITS = Limits()
 
 
 def limits_from_env(base: Limits | None = None) -> Limits:
-    """Return ``base`` with caps overridden from the environment."""
+    """Return ``base`` with ``enumeration_cap`` taken from the environment.
+
+    ``closure_cap`` stays as it is, so the order of every group built stays
+    bounded: a value above it raises :class:`ParseError`."""
     base = base if base is not None else DEFAULT_LIMITS
     raw = os.environ.get(ENV_MAX_ORDER)
     if raw is None:
@@ -38,8 +41,8 @@ def limits_from_env(base: Limits | None = None) -> Limits:
         raise ParseError(f"{ENV_MAX_ORDER} must be an integer, got {raw!r}") from exc
     if value < 1:
         raise ParseError(f"{ENV_MAX_ORDER} must be positive, got {value}")
-    return replace(
-        base,
-        enumeration_cap=value,
-        closure_cap=max(base.closure_cap, value),
-    )
+    if value > base.closure_cap:
+        raise ParseError(
+            f"{ENV_MAX_ORDER}={value} exceeds the group-order cap {base.closure_cap}"
+        )
+    return replace(base, enumeration_cap=value)

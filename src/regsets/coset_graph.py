@@ -3,65 +3,75 @@
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .cosets import CosetSpace, left_cosets
 from .errors import IntersectsSubgroup, NotDoubleCosetUnion, NotEquitable, NotInverseClosed
-from .group_core import GroupTable, Subgroup
+from .group_core import GroupTable, Subgroup, _members_of
 
 
 class ConnectionSet:
     """An inverse-closed union of (H,H)-double cosets disjoint from H.
 
     Such a set makes coset adjacency independent of representative choice;
-    use :func:`validate_connection_set` to build one.
+    use :func:`validate_connection_set` to build one.  The set is held as
+    its bitmask; ``members`` lists the set bits the first time it is read.
     """
 
-    def __init__(self, subgroup: Subgroup, members: frozenset[int], mask: int):
+    def __init__(self, subgroup: Subgroup, mask: int):
         self.subgroup = subgroup
-        self.members = members
         self.mask = mask
+
+    @cached_property
+    def members(self) -> frozenset[int]:
+        return frozenset(_members_of(self.mask))
 
     @property
     def degree(self) -> int:
-        return len(self.members) // self.subgroup.order
+        return len(self) // self.subgroup.order
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __repr__(self) -> str:
-        return f"ConnectionSet(|U|={len(self.members)}, |H|={self.subgroup.order})"
+        return f"ConnectionSet(|U|={len(self)}, |H|={self.subgroup.order})"
 
 
-def validate_connection_set(H: Subgroup, U: Iterable[int]) -> ConnectionSet:
-    """Check the three connection-set invariants on bitmasks and wrap ``U``.
+def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
+    """Check the three connection-set invariants on ``U``, the bitmask of
+    the set, and wrap it; :func:`~regsets.cosets.mask_of` turns element ids
+    into one.
 
-    U must miss H, equal U^-1 as a mask, and contain or miss each left
+    U must lie in G, miss H, equal U^-1, and contain or miss each left
     H-coset whole (UH = U).  For an inverse-closed U, UH = U gives
     HU = (U^-1 H)^-1 = U as well, so U is a union of (H,H)-double cosets.
     """
     G = H.parent
-    uset = frozenset(map(int, U))
-    if uset and not 0 <= min(uset) <= max(uset) < G.order:
-        bad = min(uset) if min(uset) < 0 else max(uset)
-        raise ValueError(f"element {bad} out of range")
-    inv = G.inv
-    bit = (1).__lshift__  # a sum of distinct bits is their bitwise or
-    mask = sum(map(bit, uset))
-    inv_mask = sum(map(bit, map(inv.__getitem__, uset)))
-    if mask & H.mask:
+    if U < 0:
+        raise ValueError("a connection-set mask cannot be negative")
+    if U >> G.order:
+        raise ValueError(f"element {U.bit_length() - 1} out of range")
+    if U & H.mask:
         raise IntersectsSubgroup("connection set meets the base subgroup")
-    if inv_mask != mask:
-        outside = inv_mask & ~mask  # inverses of members that are not members
+    inv = G.inv
+    inv_mask = 0
+    rest = U
+    while rest:  # walk the set bits of U, highest first
+        u = rest.bit_length() - 1
+        inv_mask |= 1 << inv[u]
+        rest ^= 1 << u
+    if inv_mask != U:
+        outside = inv_mask & ~U  # inverses of members that are not members
         u = inv[outside.bit_length() - 1]
         raise NotInverseClosed(f"{u} is in the set but its inverse is not")
     for coset in left_cosets(G, H).masks:
-        meet = coset & mask
+        meet = coset & U
         if meet and meet != coset:
             raise NotDoubleCosetUnion(
                 f"set is not H-stable at element {meet.bit_length() - 1}"
             )
-    return ConnectionSet(H, uset, mask)
+    return ConnectionSet(H, U)
 
 
 class CosetGraph:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import NotDoubleCosetUnion, NotLeftCosetUnion
-from .group_core import GroupTable, Subgroup
+from .group_core import GroupTable, Subgroup, _mask_of
 
 
 class CosetSpace:
@@ -62,6 +62,19 @@ class DoubleCosetDecomp:
     @property
     def closed_under_inverse(self) -> bool:
         return all(j is not None for _, j in self.inverse_pairing)
+
+
+def mask_of(G: GroupTable, ids: Iterable[int]) -> int:
+    """The bitmask of a collection of element ids (bit g for each id g).
+
+    This is where element ids from outside become masks: an id that is
+    negative or not below ``G.order`` raises ValueError before any shift.
+    """
+    ids = frozenset(map(int, ids))
+    if ids and not 0 <= min(ids) <= max(ids) < G.order:
+        bad = min(ids) if min(ids) < 0 else max(ids)
+        raise ValueError(f"element {bad} out of range")
+    return _mask_of(ids)
 
 
 def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:

@@ -610,11 +610,16 @@ def square_roots_lift(G: GroupTable, A: Subgroup, N: Optional[Subgroup] = None,
     """True iff :func:`involution_exists_in_coset` holds for every ``x`` with
     ``x^2`` in ``A``: some ``b`` in ``A`` has ``xb`` in ``N`` and ``(xb)^2``
     in ``H``.  Elements ``x`` of ``A`` are skipped, since ``b = x^-1`` gives
-    ``xb = 1``."""
-    mult = G.mult
-    amask = A.mask
-    return all(
-        involution_exists_in_coset(G, x, A, N, H)
-        for x in range(G.order)
-        if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
-    )
+    ``xb = 1``.  Memoized in ``G._cache`` under the masks of A, N and H."""
+    key = ("square_roots_lift", A.mask,
+           None if N is None else N.mask, None if H is None else H.mask)
+    cached = G._cache.get(key)
+    if cached is None:
+        mult = G.mult
+        amask = A.mask
+        cached = G._cache[key] = all(
+            involution_exists_in_coset(G, x, A, N, H)
+            for x in range(G.order)
+            if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
+        )
+    return cached

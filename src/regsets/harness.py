@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .cosets import double_coset
+from .cosets import double_coset, mask_of
 from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
@@ -239,7 +239,7 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     if xh != uset:
         return False
     try:
-        certify(pair, reps, uset, r, s)
+        certify(pair, reps, mask_of(G, uset), r, s)
     except (RegsetError, ValueError):
         return False
     return True

@@ -25,6 +25,7 @@ from .cosets import (
     double_coset,
     left_coset_count,
     left_cosets,
+    mask_of,
 )
 from .errors import (
     ConstructionFailed,
@@ -37,6 +38,7 @@ from .group_core import (
     GroupTable,
     Subgroup,
     _conjugate_mask,
+    _mask_of,
     intersect,
     is_normal,
     normalizer,
@@ -54,7 +56,8 @@ class PairSpec:
     """The data of a decision instance: a chain ``H <= A <= G``.
 
     ``_cache`` holds the per-pair analysis (units, components, chain data
-    and the quotient-level pair of :func:`normalizer_reduction`), so it
+    and its conditions per s, the blocks that ``graph_profile`` reads, and
+    the quotient-level pair of :func:`normalizer_reduction`), so it
     lives exactly as long as the pair: a group keeps no pair's data after
     the pair is gone.
     """
@@ -107,8 +110,11 @@ class RegSetCertificate:
     s: int
     double_coset_reps: tuple[int, ...]
     connection: ConnectionSet
-    witness: frozenset[int]
     checks: tuple[CheckResult, ...]
+
+    @property
+    def witness(self) -> frozenset[int]:
+        return self.connection.members
 
     @property
     def degree(self) -> int:
@@ -169,7 +175,7 @@ class _Unit(NamedTuple):
     class_ids: tuple[int, ...]
     reps: tuple[int, ...]
     vector: tuple[int, ...]  # H-coset count per A-coset block
-    members: frozenset[int]
+    mask: int  # the union of the classes, bit g for each member g
 
 
 class _Component(NamedTuple):
@@ -279,14 +285,14 @@ class _PairContext:
 
     def _make_unit(self, class_ids: tuple[int, ...]) -> _Unit:
         vec = [0] * self.nblocks
-        members: set[int] = set()
+        mask = 0
         reps = []
         for c in class_ids:
             for b, x in enumerate(self.class_vectors[c]):
                 vec[b] += x
-            members |= self.decomp.member_sets[c]
+            mask |= _mask_of(self.decomp.member_sets[c])
             reps.append(self.decomp.reps[c])
-        return _Unit(class_ids, tuple(sorted(reps)), tuple(vec), frozenset(members))
+        return _Unit(class_ids, tuple(sorted(reps)), tuple(vec), mask)
 
 
 def _pair_context(pair: PairSpec) -> _PairContext:
@@ -348,54 +354,60 @@ def verify_witness(pair: PairSpec, X, r: int, s: int) -> WitnessReport:
     return WitnessReport(all(c.passed for c in checks), checks)
 
 
-def certify(pair: PairSpec, class_reps, U, r: int, s: int) -> RegSetCertificate:
-    """Check a candidate connection set U, with witness X = U, and return its
-    certificate; this is the only source of certificates, and ``verify``
-    re-runs it on stored ones.
+_CHECK_NAMES = ("inverse_symmetry", "disjoint_from_subgroup", "inside_count",
+                "outside_counts", "graph_profile")
+_ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
+
+
+def _profile_blocks(pair: PairSpec) -> tuple[int, ...]:
+    """The blocks b != 0 of g^-1 A over the H-coset representatives g: the
+    only blocks that ``graph_profile`` reads outside A."""
+    blocks = pair._cache.get("profile_blocks")
+    if blocks is None:
+        G = pair.G
+        acos, inv = left_cosets(G, pair.A).coset_of, G.inv
+        reached = {acos[inv[g]] for g in left_cosets(G, pair.H).reps}
+        blocks = pair._cache["profile_blocks"] = tuple(sorted(reached - {0}))
+    return blocks
+
+
+def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
+    """Check a candidate connection set U, given as its bitmask, with
+    witness X = U, and return its certificate; this is the only source of
+    certificates, and ``verify`` re-runs it on stored ones.
 
     :func:`validate_connection_set` proves ``inverse_symmetry`` and
-    ``disjoint_from_subgroup`` for X = U.  The counts are popcounts of U's
-    mask against the left A-coset masks.  ``graph_profile`` checks every
-    vertex gH by definition: its neighbours are the cosets guH (u in U), each
+    ``disjoint_from_subgroup`` for X = U.  The counts are popcounts of U
+    against the left A-coset masks.  ``graph_profile`` checks every vertex
+    gH by definition: its neighbours are the cosets guH (u in U), each
     reached by |H| elements u, and gu lies in A exactly when u lies in
     g^-1 A, so |U meet g^-1 A| must be r|H| (g in A) or s|H| (g outside A).
-    Failure raises ConstructionFailed.
+    That count is the count of the block of g^-1 A, and g lies in A exactly
+    when that block is 0, so the check compares the count of each distinct
+    block g^-1 A once (:func:`_profile_blocks`).  Failure raises
+    ConstructionFailed.
     """
     G, H, A = pair.G, pair.H, pair.A
     conn = validate_connection_set(H, U)
-    umask = conn.mask
     hord = H.order
-    aspace = left_cosets(G, A)
-    amasks = aspace.masks
-    counts = [(umask & m).bit_count() for m in amasks]  # coset 0 is A
-    acos = aspace.coset_of
-    inv = G.inv
-    amask = A.mask
+    counts = [(U & m).bit_count() for m in left_cosets(G, A).masks]  # coset 0 is A
     want_in, want_out = r * hord, s * hord
-    profile_ok = True
-    for g in left_cosets(G, H).reps:
-        want = want_in if (amask >> g) & 1 else want_out
-        if (umask & amasks[acos[inv[g]]]).bit_count() != want:
-            profile_ok = False
-            break
-    checks = (
-        CheckResult("inverse_symmetry", True),
-        CheckResult("disjoint_from_subgroup", True),
-        CheckResult("inside_count", counts[0] == r * hord),
-        CheckResult("outside_counts", all(c == s * hord for c in counts[1:])),
-        CheckResult("graph_profile", profile_ok),
-    )
-    failed = [c.name for c in checks if not c.passed]
-    if failed:
+    inside_ok = counts[0] == want_in
+    outside_ok = all(c == want_out for c in counts[1:])
+    profile_ok = inside_ok and all(counts[b] == want_out for b in _profile_blocks(pair))
+    if not (inside_ok and outside_ok and profile_ok):
+        checks = tuple(map(CheckResult, _CHECK_NAMES,
+                           (True, True, inside_ok, outside_ok, profile_ok)))
+        failed = [c.name for c in checks if not c.passed]
         raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
-    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, conn.members, checks)
+    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, _ALL_PASS)
 
 
 def _certify_units(pair: PairSpec, units: list[_Unit], r: int, s: int) -> RegSetCertificate:
-    members: set[int] = set()
+    mask = 0
     for u in units:
-        members |= u.members
-    return certify(pair, [rep for u in units for rep in u.reps], members, r, s)
+        mask |= u.mask
+    return certify(pair, [rep for u in units for rep in u.reps], mask, r, s)
 
 
 # -- exact decision -----------------------------------------------------------
@@ -605,9 +617,22 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     """
     _require_normal_chain(pair)
     _validate_range(pair, r, s)
-    idx = pair.code_index
-    parity_ok = r % gcd(2, idx - 1) == 0
+    parity_ok = r % gcd(2, pair.code_index - 1) == 0
+    div_ok, div_witness, self_ok, self_witness = _chain_conditions_at(pair, s)
+    return ConditionReport(
+        ("parity", "divisibility", "self_paired"),
+        (parity_ok, div_ok, self_ok),
+        (None, div_witness, self_witness),
+    )
 
+
+def _chain_conditions_at(pair: PairSpec, s: int) -> tuple:
+    """The divisibility and self_paired outcomes and witnesses at ``s``,
+    which do not depend on r; kept per pair in ``pair._cache``."""
+    by_s = pair._cache.setdefault("chain_conditions", {})
+    found = by_s.get(s)
+    if found is not None:
+        return found
     ctx = _pair_context(pair)
     cctx = _chain_context(pair)
     div_ok, div_witness = True, None
@@ -621,11 +646,8 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
         elif cctx.block_inv[b] == b and (s // ci) % 2 == 1:
             if not cctx.selfs_by_block[b] and self_ok:
                 self_ok, self_witness = False, t
-    return ConditionReport(
-        ("parity", "divisibility", "self_paired"),
-        (parity_ok, div_ok, self_ok),
-        (None, div_witness, self_witness),
-    )
+    found = by_s[s] = (div_ok, div_witness, self_ok, self_witness)
+    return found
 
 
 def _select_in_block(cctx: _ChainContext, b: int, quota: int) -> list[int]:
@@ -682,7 +704,7 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
     for c in chosen:
         members |= ctx.decomp.member_sets[c]
     class_reps = [ctx.decomp.reps[c] for c in chosen]
-    return certify(pair, class_reps, members, r, s)
+    return certify(pair, class_reps, mask_of(pair.G, members), r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------
@@ -761,7 +783,7 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
             fib = fibers[q]
             members.update(fib)
             class_reps.append(min(fib))
-        certificate = certify(pair, class_reps, members, r, s)
+        certificate = certify(pair, class_reps, mask_of(G, members), r, s)
     return NormalizerReduction(applicable, verdict, certificate)
 
 

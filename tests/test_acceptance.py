@@ -254,7 +254,7 @@ def test_criterion_7_arc_transitive(corpus):
             ):
                 if not self_inv:
                     continue
-                conn = rs.validate_connection_set(H, members)
+                conn = rs.validate_connection_set(H, rs.mask_of(G, members))
                 graph = rs.build(G, H, conn)
                 xs = sorted(members) if G.order <= 12 else [rep]
                 for A in uppers:

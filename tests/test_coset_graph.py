@@ -17,7 +17,7 @@ import oracles
 
 def cayley(G, U):
     H = rs.trivial_subgroup(G)
-    return rs.build(G, H, rs.validate_connection_set(H, U))
+    return rs.build(G, H, rs.validate_connection_set(H, rs.mask_of(G, U)))
 
 
 # -- connection set validation ------------------------------------------------
@@ -25,33 +25,41 @@ def cayley(G, U):
 
 def test_empty_connection_set_valid(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
-    conn = rs.validate_connection_set(H, [])
+    conn = rs.validate_connection_set(H, 0)
     assert conn.degree == 0
 
 
 def test_cayley_pair_valid():
     g = rs.cyclic(5)
-    conn = rs.validate_connection_set(rs.trivial_subgroup(g), [1, 4])
+    conn = rs.validate_connection_set(rs.trivial_subgroup(g), rs.mask_of(g, [1, 4]))
     assert conn.degree == 2
 
 
 def test_connection_set_meeting_subgroup_rejected(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     with pytest.raises(IntersectsSubgroup):
-        rs.validate_connection_set(H, H.members)
+        rs.validate_connection_set(H, H.mask)
 
 
 def test_connection_set_not_inverse_closed():
     g = rs.cyclic(5)
     with pytest.raises(NotInverseClosed):
-        rs.validate_connection_set(rs.trivial_subgroup(g), [1])
+        rs.validate_connection_set(rs.trivial_subgroup(g), rs.mask_of(g, [1]))
 
 
 def test_connection_set_not_double_coset_union(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     x = s3.perms.index((1, 2, 0))
     with pytest.raises(NotDoubleCosetUnion):
-        rs.validate_connection_set(H, [x, s3.inv[x]])
+        rs.validate_connection_set(H, rs.mask_of(s3, [x, s3.inv[x]]))
+
+
+def test_connection_set_mask_out_of_range(s3):
+    H = rs.trivial_subgroup(s3)
+    with pytest.raises(ValueError, match="element 6 out of range"):
+        rs.validate_connection_set(H, 1 << 6 | 1 << 1)
+    with pytest.raises(ValueError):
+        rs.validate_connection_set(H, -1)
 
 
 def _candidate_sets(G, H, rng):
@@ -86,11 +94,11 @@ def test_mask_validation_matches_elementwise(small_corpus):
                     want = oracles.validate_connection_set_elementwise(H, U)
                 except (ValueError, RegsetError) as exc:
                     with pytest.raises(type(exc)) as got:
-                        rs.validate_connection_set(H, U)
+                        rs.validate_connection_set(H, rs.mask_of(G, U))
                     assert type(got.value) is type(exc), (G.label, H.members, U)
                     outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
                     continue
-                conn = rs.validate_connection_set(H, U)
+                conn = rs.validate_connection_set(H, rs.mask_of(G, U))
                 assert conn.members == want
                 assert conn.mask == sum(1 << u for u in want)
                 outcomes["valid"] = outcomes.get("valid", 0) + 1
@@ -103,7 +111,7 @@ def test_mask_validation_matches_elementwise(small_corpus):
 
 def test_empty_graph(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
-    graph = rs.build(s3, H, rs.validate_connection_set(H, []))
+    graph = rs.build(s3, H, rs.validate_connection_set(H, 0))
     assert graph.vertex_count == 3
     assert all(graph.neighbors(v) == () for v in range(3))
 
@@ -128,7 +136,7 @@ def test_graph_regularity_on_random_connection_sets(small_corpus):
             for _ in range(4):
                 chosen = [u for u in units if rng.random() < 0.5]
                 U = set().union(*chosen) if chosen else set()
-                graph = rs.build(G, H, rs.validate_connection_set(H, U))
+                graph = rs.build(G, H, rs.validate_connection_set(H, rs.mask_of(G, U)))
                 k = len(U) // H.order
                 assert graph.degree == k
                 assert all(len(graph.neighbors(v)) == k for v in range(graph.vertex_count))
@@ -140,7 +148,7 @@ def test_adjacency_is_representative_independent(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     x = s3.perms.index((1, 2, 0))
     U = rs.double_coset(H, x)
-    graph = rs.build(s3, H, rs.validate_connection_set(H, U))
+    graph = rs.build(s3, H, rs.validate_connection_set(H, rs.mask_of(s3, U)))
     space = graph.space
     for _ in range(10):
         reps = [rng.choice(space.members(i)) for i in range(space.size)]
@@ -157,7 +165,7 @@ def test_adjacency_is_representative_independent(s3):
 
 def test_profile_edgeless(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
-    graph = rs.build(s3, H, rs.validate_connection_set(H, []))
+    graph = rs.build(s3, H, rs.validate_connection_set(H, 0))
     assert rs.profile_subset(graph, [0, 1]) == (0, 0)
 
 
@@ -201,7 +209,8 @@ def test_profile_matches_naive_recount(small_corpus):
         for _ in range(5):
             chosen = [u for u in units if rng.random() < 0.5]
             U = set().union(*chosen) if chosen else set()
-            graph = rs.build(G, rs.trivial_subgroup(G), rs.validate_connection_set(rs.trivial_subgroup(G), U))
+            trivial = rs.trivial_subgroup(G)
+            graph = rs.build(G, trivial, rs.validate_connection_set(trivial, rs.mask_of(G, U)))
             size = rng.randrange(1, G.order + 1)
             C = set(rng.sample(range(G.order), size))
             got = rs.profile_subset(graph, C)
@@ -226,7 +235,7 @@ def test_edge_double_count_identity(small_corpus):
             for _ in range(6):
                 chosen = [u for u in units if rng.random() < 0.5]
                 U = set().union(*chosen) if chosen else set()
-                graph = rs.build(G, H, rs.validate_connection_set(H, U))
+                graph = rs.build(G, H, rs.validate_connection_set(H, rs.mask_of(G, U)))
                 size = rng.randrange(1, space.size)
                 C = set(rng.sample(range(space.size), size))
                 prof = rs.profile_subset(graph, C)

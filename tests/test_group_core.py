@@ -17,7 +17,7 @@ from regsets.errors import (
     OrderExceedsCap,
     PNotDividing,
 )
-from regsets.group_core import product_is_group
+from regsets.group_core import product_is_group, square_roots_lift
 
 import oracles
 
@@ -452,3 +452,28 @@ def test_involution_coset_s3_transversal(s3):
         if x in A3:
             continue
         assert rs.involution_exists_in_coset(s3, x, A3)
+
+
+def test_square_roots_lift_memo_keeps_n_and_h_apart():
+    # One group object, so every call after the first of a key is a cache
+    # hit.  For each A the loop runs over H outside and N inside, so a key
+    # without N would answer a later N with an earlier one's result, and a
+    # key without H a later H with an earlier one's; the answers do vary in
+    # both, so either would disagree with the oracle.
+    G = rs.dihedral(4)
+    subs = rs.all_subgroups(G)
+    sets = [(S, frozenset(S.members)) for S in subs]
+    ns = [(None, frozenset(range(G.order)))] + sets  # N defaults to G
+    hs = [(None, frozenset({0}))] + sets  # H defaults to 1
+    varies_in_n = varies_in_h = False
+    for A in subs:
+        aset = frozenset(A.members)
+        got = {}
+        for H, hset in hs:
+            for N, nset in ns:
+                got[(N, H)] = square_roots_lift(G, A, N, H)
+                want = oracles.square_roots_lift_everywhere(G, aset, nset, hset)
+                assert got[(N, H)] == want, (A.members, N, H)
+        varies_in_n |= any(len({got[(N, H)] for N, _ in ns}) > 1 for H, _ in hs)
+        varies_in_h |= any(len({got[(N, H)] for H, _ in hs}) > 1 for N, _ in ns)
+    assert varies_in_n and varies_in_h

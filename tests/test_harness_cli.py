@@ -397,6 +397,23 @@ def test_limits_from_env(monkeypatch):
         limits_from_env()
 
 
+def test_limits_from_env_keeps_the_group_order_cap(monkeypatch):
+    # the environment may raise the enumeration cap up to closure_cap, never
+    # closure_cap itself, so every group order stays bounded
+    monkeypatch.setenv("REGSET_MAX_ORDER", "5000")
+    assert limits_from_env() == Limits(enumeration_cap=5000)
+    for value in ("5001", "1000000000"):
+        monkeypatch.setenv("REGSET_MAX_ORDER", value)
+        with pytest.raises(ParseError, match="exceeds the group-order cap 5000"):
+            limits_from_env()
+    base = Limits(closure_cap=60)
+    monkeypatch.setenv("REGSET_MAX_ORDER", "60")
+    assert limits_from_env(base) == Limits(closure_cap=60, enumeration_cap=60)
+    monkeypatch.setenv("REGSET_MAX_ORDER", "61")
+    with pytest.raises(ParseError, match="exceeds the group-order cap 60"):
+        limits_from_env(base)
+
+
 # -- command line -------------------------------------------------------------------------
 
 
@@ -475,7 +492,7 @@ def test_cli_show_checks_the_cap_before_printing(monkeypatch, capsys):
     assert "exceeds enumeration cap 1" in captured.err
 
 
-@pytest.mark.parametrize("value", ["abc", "0"])
+@pytest.mark.parametrize("value", ["abc", "0", "5001", "1000000000"])
 def test_cli_malformed_max_order_is_an_error(monkeypatch, capsys, value):
     monkeypatch.setenv("REGSET_MAX_ORDER", value)
     assert main(["show", "preset:cyclic:4"]) == 2

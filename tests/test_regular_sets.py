@@ -85,7 +85,7 @@ def chain_checks(pair, U, r, s):
     """The certificate checks as the witness test and the profile of the built
     coset graph compute them, independently of ``certify``."""
     G, H, A = pair.G, pair.H, pair.A
-    graph = rs.build(G, H, rs.validate_connection_set(H, U))
+    graph = rs.build(G, H, rs.validate_connection_set(H, rs.mask_of(G, U)))
     cvert = {graph.space.coset_of[a] for a in A.members}
     prof = rs.profile_subset(graph, cvert)
     if len(cvert) == graph.vertex_count:
@@ -97,7 +97,7 @@ def chain_checks(pair, U, r, s):
 
 def certify_checks(pair, U, r, s):
     try:
-        return rs.certify(pair, (), U, r, s).checks
+        return rs.certify(pair, (), rs.mask_of(pair.G, U), r, s).checks
     except ConstructionFailed as exc:
         return exc.checks
 
@@ -146,10 +146,38 @@ def test_certify_agrees_with_witness_and_graph_oracle(small_corpus):
 def test_certify_rejects_invalid_connection_sets(s3):
     pair = s3_a3_pair(s3)
     with pytest.raises(RegsetError):
-        rs.certify(pair, (), {0}, 0, 0)  # meets H
+        rs.certify(pair, (), rs.mask_of(s3, {0}), 0, 0)  # meets H
     t = s3.perms.index((1, 2, 0))
     with pytest.raises(RegsetError):
-        rs.certify(pair, (), {t}, 0, 0)  # not inverse closed
+        rs.certify(pair, (), rs.mask_of(s3, {t}), 0, 0)  # not inverse closed
+
+
+def test_certificates_built_from_masks_materialise(small_corpus):
+    # certify sees U only as a mask; the members read back from it must be
+    # the union of the units (element sets from the oracle) that the
+    # reported representatives name, and both JSON fields list them
+    materialised = 0
+    for G in small_corpus:
+        for bad in (-1, G.order):
+            with pytest.raises(ValueError):
+                rs.mask_of(G, [0, bad])
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                units = oracles.inverse_closed_units(G, set(H.members))
+                for cert in rs.achievable_profiles(rs.PairSpec(G, H, A)):
+                    reps = set(cert.double_coset_reps)
+                    want = frozenset().union(*(u for u in units if u & reps))
+                    members = cert.connection.members
+                    assert members == want and cert.witness == want
+                    assert cert.connection.mask == rs.mask_of(G, want)
+                    assert len(cert.connection) == len(want)
+                    data = cert.to_json_dict()
+                    assert data["U"] == data["X"] == sorted(members)
+                    materialised += 1
+    assert materialised == 5160  # every achievable (r,s), as the search finds them
 
 
 # -- exact decision --------------------------------------------------------------
@@ -677,7 +705,7 @@ def test_arc_transitive_s3_all_self_paired_classes(s3):
         if d != frozenset(s3.inv[m] for m in d):
             continue
         got = rs.arc_transitive_perfect_code(pair, x)
-        conn = rs.validate_connection_set(H, d)
+        conn = rs.validate_connection_set(H, rs.mask_of(s3, d))
         graph = rs.build(s3, H, conn)
         C = frozenset(graph.space.coset_of[a] for a in H.members)
         assert got == rs.is_perfect_code(graph, C)
