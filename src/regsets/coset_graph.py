@@ -46,6 +46,13 @@ def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
     U must lie in G, miss H, equal U^-1, and contain or miss each left
     H-coset whole (UH = U).  For an inverse-closed U, UH = U gives
     HU = (U^-1 H)^-1 = U as well, so U is a union of (H,H)-double cosets.
+
+    The check walks the left H-cosets that U meets: it takes the coset of
+    the highest element not yet covered, requires the whole coset in U, and
+    ors in the coset's inverse mask.  When the walk uses up U, U is a union
+    of those cosets and the or is U^-1, so U is valid exactly when the or
+    equals U.  A set that fails is handed to :func:`_first_violation`,
+    which names the first invariant it breaks, in the order above.
     """
     G = H.parent
     if U < 0:
@@ -54,6 +61,29 @@ def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
         raise ValueError(f"element {U.bit_length() - 1} out of range")
     if U & H.mask:
         raise IntersectsSubgroup("connection set meets the base subgroup")
+    space = left_cosets(G, H)
+    coset_of, masks, inverse_masks = space.coset_of, space.masks, space.inverse_masks
+    inverse = 0
+    rest = U
+    while rest:
+        c = coset_of[rest.bit_length() - 1]
+        coset = masks[c]
+        if rest & coset != coset:
+            break
+        inverse |= inverse_masks[c]
+        rest ^= coset
+    if rest or inverse != U:
+        raise _first_violation(H, U)
+    return ConnectionSet(H, U)
+
+
+def _first_violation(H: Subgroup, U: int) -> Exception:
+    """The error for a set in range and outside H that is not a union of
+    left H-cosets equal to its inverse: NotInverseClosed when U^-1 != U
+    (naming the member whose missing inverse is the highest element), else
+    NotDoubleCosetUnion at the highest element of U in the first left
+    H-coset that U meets only in part."""
+    G = H.parent
     inv = G.inv
     inv_mask = 0
     rest = U
@@ -64,14 +94,14 @@ def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
     if inv_mask != U:
         outside = inv_mask & ~U  # inverses of members that are not members
         u = inv[outside.bit_length() - 1]
-        raise NotInverseClosed(f"{u} is in the set but its inverse is not")
+        return NotInverseClosed(f"{u} is in the set but its inverse is not")
     for coset in left_cosets(G, H).masks:
         meet = coset & U
         if meet and meet != coset:
-            raise NotDoubleCosetUnion(
+            return NotDoubleCosetUnion(
                 f"set is not H-stable at element {meet.bit_length() - 1}"
             )
-    return ConnectionSet(H, U)
+    raise AssertionError("the coset walk rejected a valid connection set")
 
 
 class CosetGraph:

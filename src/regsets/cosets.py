@@ -12,18 +12,21 @@ class CosetSpace:
     """The left cosets of a subgroup, with minimum-element representatives.
 
     ``reps[0]`` is always the identity (the subgroup itself is coset 0),
-    ``coset_of`` is total over the parent group, and ``masks[i]`` is the
-    bitmask of coset ``i`` (bit g set for each member g).
+    ``coset_of`` is total over the parent group, ``masks[i]`` is the
+    bitmask of coset ``i`` (bit g set for each member g), and
+    ``inverse_masks[i]`` the bitmask of its inverse set, the right coset
+    ``H reps[i]^-1``.
     """
 
     def __init__(self, group: GroupTable, subgroup: Subgroup,
                  reps: tuple[int, ...], coset_of: tuple[int, ...],
-                 masks: tuple[int, ...]):
+                 masks: tuple[int, ...], inverse_masks: tuple[int, ...]):
         self.group = group
         self.subgroup = subgroup
         self.reps = reps
         self.coset_of = coset_of
         self.masks = masks
+        self.inverse_masks = inverse_masks
 
     @property
     def size(self) -> int:
@@ -86,7 +89,9 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
     coset_of = [-1] * G.order
     reps = []
     masks = []
+    inverse_masks = []
     mult = G.mult
+    inv = G.inv
     hm = H.members
     for g in range(G.order):  # ascending scan makes reps minimal
         if coset_of[g] >= 0:
@@ -94,12 +99,16 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
         idx = len(reps)
         reps.append(g)
         row = mult[g]
-        mask = 0
+        mask = inverse = 0
         for h in hm:
-            coset_of[row[h]] = idx
-            mask |= 1 << row[h]
+            gh = row[h]
+            coset_of[gh] = idx
+            mask |= 1 << gh
+            inverse |= 1 << inv[gh]
         masks.append(mask)
-    space = CosetSpace(G, H, tuple(reps), tuple(coset_of), tuple(masks))
+        inverse_masks.append(inverse)
+    space = CosetSpace(G, H, tuple(reps), tuple(coset_of), tuple(masks),
+                       tuple(inverse_masks))
     G._cache[("left_cosets", H.mask)] = space
     return space
 

@@ -222,10 +222,7 @@ class Subgroup:
             raise ValueError("subgroup order does not divide the group order")
         self.members = tuple(mems)
         self.mask = _mask_of(mems)
-
-    @property
-    def order(self) -> int:
-        return len(self.members)
+        self.order = len(mems)
 
     def __contains__(self, e: int) -> bool:
         return bool((self.mask >> e) & 1)

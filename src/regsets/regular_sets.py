@@ -55,9 +55,10 @@ from .group_core import (
 class PairSpec:
     """The data of a decision instance: a chain ``H <= A <= G``.
 
-    ``_cache`` holds the per-pair analysis (units, components, chain data
-    and its conditions per s, the blocks that ``graph_profile`` reads, and
-    the quotient-level pair of :func:`normalizer_reduction`), so it
+    ``_cache`` holds the per-pair analysis (units, components, chain data,
+    whether the chain is normal and its conditions per s, the A-coset masks
+    and blocks that :func:`certify` reads, and the quotient-level pair of
+    :func:`normalizer_reduction`), so it
     lives exactly as long as the pair: a group keeps no pair's data after
     the pair is gone.
     """
@@ -95,8 +96,7 @@ class WitnessReport:
     checks: tuple[CheckResult, ...]
 
 
-@dataclass(frozen=True)
-class RegSetCertificate:
+class RegSetCertificate(NamedTuple):
     """An explicit, independently re-checkable (r,s) witness.
 
     ``connection`` is the connection set U, ``witness`` the set X with
@@ -137,8 +137,7 @@ class RegSetCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of the three normal-chain conditions, with witnesses for
     failures (an offending coset representative where applicable)."""
 
@@ -359,16 +358,18 @@ _CHECK_NAMES = ("inverse_symmetry", "disjoint_from_subgroup", "inside_count",
 _ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
 
 
-def _profile_blocks(pair: PairSpec) -> tuple[int, ...]:
-    """The blocks b != 0 of g^-1 A over the H-coset representatives g: the
-    only blocks that ``graph_profile`` reads outside A."""
-    blocks = pair._cache.get("profile_blocks")
-    if blocks is None:
+def _certify_data(pair: PairSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The left A-coset masks (coset 0 is A) and the blocks b != 0 of
+    g^-1 A over the H-coset representatives g, the only blocks that
+    ``graph_profile`` reads outside A; kept in ``pair._cache``."""
+    data = pair._cache.get("certify")
+    if data is None:
         G = pair.G
-        acos, inv = left_cosets(G, pair.A).coset_of, G.inv
+        aspace = left_cosets(G, pair.A)
+        acos, inv = aspace.coset_of, G.inv
         reached = {acos[inv[g]] for g in left_cosets(G, pair.H).reps}
-        blocks = pair._cache["profile_blocks"] = tuple(sorted(reached - {0}))
-    return blocks
+        data = pair._cache["certify"] = (aspace.masks, tuple(sorted(reached - {0})))
+    return data
 
 
 def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
@@ -384,17 +385,17 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
     g^-1 A, so |U meet g^-1 A| must be r|H| (g in A) or s|H| (g outside A).
     That count is the count of the block of g^-1 A, and g lies in A exactly
     when that block is 0, so the check compares the count of each distinct
-    block g^-1 A once (:func:`_profile_blocks`).  Failure raises
-    ConstructionFailed.
+    block g^-1 A once (:func:`_certify_data`); those blocks are among the
+    ones ``outside_counts`` reads.  Failure raises ConstructionFailed.
     """
-    G, H, A = pair.G, pair.H, pair.A
-    conn = validate_connection_set(H, U)
-    hord = H.order
-    counts = [(U & m).bit_count() for m in left_cosets(G, A).masks]  # coset 0 is A
+    conn = validate_connection_set(pair.H, U)
+    amasks, blocks = _certify_data(pair)
+    hord = pair.H.order
+    counts = [(U & m).bit_count() for m in amasks]  # coset 0 is A
     want_in, want_out = r * hord, s * hord
     inside_ok = counts[0] == want_in
     outside_ok = all(c == want_out for c in counts[1:])
-    profile_ok = inside_ok and all(counts[b] == want_out for b in _profile_blocks(pair))
+    profile_ok = inside_ok and (outside_ok or all(counts[b] == want_out for b in blocks))
     if not (inside_ok and outside_ok and profile_ok):
         checks = tuple(map(CheckResult, _CHECK_NAMES,
                            (True, True, inside_ok, outside_ok, profile_ok)))
@@ -615,7 +616,9 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     minimal elements of their cosets, so it is also the least failing
     element.
     """
-    _require_normal_chain(pair)
+    if "normal_chain" not in pair._cache:  # a failing pair raises on every call
+        _require_normal_chain(pair)
+        pair._cache["normal_chain"] = True
     _validate_range(pair, r, s)
     parity_ok = r % gcd(2, pair.code_index - 1) == 0
     div_ok, div_witness, self_ok, self_witness = _chain_conditions_at(pair, s)

@@ -305,7 +305,11 @@ def square_roots_lift_everywhere(G, aset, nset, hset):
 def validate_connection_set_elementwise(H, U):
     """Connection-set validation element by element, as the library first
     did it: range, then H, then inverses, then u*h and h*u for every u in U
-    and h in H.  Returns the element set or raises the library's error."""
+    and h in H.  Returns the element set or raises the library's error.
+
+    Each error names the library's witness: the member whose missing
+    inverse is the highest element, or the highest member of U in the first
+    left H-coset (ordered by least element) that U meets in part."""
     from regsets.errors import IntersectsSubgroup, NotDoubleCosetUnion, NotInverseClosed
 
     G = H.parent
@@ -315,13 +319,17 @@ def validate_connection_set_elementwise(H, U):
             raise ValueError(f"element {u} out of range")
     if any((H.mask >> u) & 1 for u in uset):
         raise IntersectsSubgroup("connection set meets the base subgroup")
-    for u in uset:
-        if G.inv[u] not in uset:
-            raise NotInverseClosed(f"{u} is in the set but its inverse is not")
-    for u in uset:
-        for h in H.members:
-            if G.mult[u][h] not in uset or G.mult[h][u] not in uset:
-                raise NotDoubleCosetUnion(f"set is not H-stable at element {u}")
+    missing = [u for u in uset if G.inv[u] not in uset]
+    if missing:
+        u = max(missing, key=lambda u: G.inv[u])
+        raise NotInverseClosed(f"{u} is in the set but its inverse is not")
+    if any(G.mult[u][h] not in uset or G.mult[h][u] not in uset
+           for u in uset for h in H.members):
+        # U = U^-1 here, so HU = U would follow from UH = U: some left coset
+        # meets U in part
+        partial = [c for c in left_coset_sets(G, H.members) if 0 < len(c & uset) < len(c)]
+        witness = max(partial[0] & uset)
+        raise NotDoubleCosetUnion(f"set is not H-stable at element {witness}")
     return uset
 
 

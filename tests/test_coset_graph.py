@@ -65,7 +65,8 @@ def test_connection_set_mask_out_of_range(s3):
 def _candidate_sets(G, H, rng):
     """Random element sets of every kind validation tells apart: any subset,
     subsets of G - H with and without their inverses, unions of left
-    H-cosets closed under inverses, and unions of inverse-closed units."""
+    H-cosets with and without their inverses, such a union with one more
+    element, and unions of inverse-closed units."""
     outside = [g for g in range(G.order) if not (H.mask >> g) & 1]
     cosets = [c for c in oracles.left_coset_sets(G, set(H.members)) if 0 not in c]
     units = oracles.inverse_closed_units(G, set(H.members))
@@ -77,33 +78,59 @@ def _candidate_sets(G, H, rng):
         yield some
         yield some + [G.inv[g] for g in some]
         left = set().union(*(c for c in cosets if rng.random() < 0.4))
+        yield left
         yield left | {G.inv[g] for g in left}
+        if outside:
+            yield left | {rng.choice(outside)}
         yield set().union(*(u for u in units if rng.random() < 0.5))
 
 
 def test_mask_validation_matches_elementwise(small_corpus):
     # every subgroup H of every group of order <= 12: the mask validation
     # accepts exactly the sets the element-wise one accepts, and otherwise
-    # raises the same exception class
+    # raises the same exception with the same message; among the rejected
+    # sets are H-stable ones that are not inverse-closed and sets that are
+    # neither, which must raise NotInverseClosed first
     rng = random.Random(6)
     outcomes = {}
     for G in small_corpus:
         for H in rs.all_subgroups(G):
             for U in _candidate_sets(G, H, rng):
+                uset = set(U)
+                closed = uset == {G.inv[u] for u in uset if 0 <= u < G.order}
+                stable = all(G.mult[u][h] in uset for u in uset if 0 <= u < G.order
+                             for h in H.members)
                 try:
                     want = oracles.validate_connection_set_elementwise(H, U)
                 except (ValueError, RegsetError) as exc:
                     with pytest.raises(type(exc)) as got:
                         rs.validate_connection_set(H, rs.mask_of(G, U))
                     assert type(got.value) is type(exc), (G.label, H.members, U)
-                    outcomes[type(exc).__name__] = outcomes.get(type(exc).__name__, 0) + 1
+                    assert str(got.value) == str(exc), (G.label, H.members, U)
+                    key = (type(exc).__name__, closed, stable)
+                    outcomes[key] = outcomes.get(key, 0) + 1
                     continue
                 conn = rs.validate_connection_set(H, rs.mask_of(G, U))
                 assert conn.members == want
                 assert conn.mask == sum(1 << u for u in want)
                 outcomes["valid"] = outcomes.get("valid", 0) + 1
-    assert set(outcomes) == {"ValueError", "IntersectsSubgroup", "NotInverseClosed",
-                             "NotDoubleCosetUnion", "valid"}
+    kinds = {key if key == "valid" else key[0] for key in outcomes}
+    assert kinds == {"ValueError", "IntersectsSubgroup", "NotInverseClosed",
+                     "NotDoubleCosetUnion", "valid"}
+    assert ("NotInverseClosed", False, True) in outcomes  # H-stable only
+    assert ("NotInverseClosed", False, False) in outcomes  # fails both
+    assert ("NotDoubleCosetUnion", True, False) in outcomes
+
+
+def test_inverse_masks_are_inverse_cosets(small_corpus):
+    # inverse_masks[i] is the mask of the inverses of the members of coset i
+    for G in small_corpus:
+        for H in rs.all_subgroups(G):
+            space = rs.left_cosets(G, H)
+            assert len(space.inverse_masks) == space.size
+            for i in range(space.size):
+                inverses = {G.inv[g] for g in space.members(i)}
+                assert space.inverse_masks[i] == sum(1 << g for g in inverses)
 
 
 # -- graph construction ---------------------------------------------------------

@@ -307,6 +307,30 @@ def test_survey_decides_each_query_once(monkeypatch):
     assert decides == [(0, 1)] * lifted
 
 
+def test_survey_certifies_every_achievable_profile(monkeypatch):
+    # every achievable (r,s) of every class representative is certified on
+    # that representative's own pair during the survey
+    certified = set()
+    real_certify = regular_sets.certify
+
+    def recording_certify(pair, class_reps, U, r, s):
+        cert = real_certify(pair, class_reps, U, r, s)
+        certified.add((frozenset(pair.H.members), frozenset(pair.A.members), r, s))
+        return cert
+
+    monkeypatch.setattr(regular_sets, "certify", recording_certify)
+    G = rs.symmetric(4)
+    report = rs.survey(G)
+    rows = {(frozenset(row["H"]), frozenset(row["A"])): row for row in report.rows}
+    wanted = {
+        (h, a, r, s)
+        for h, a in _class_representatives(G)
+        for r, s in rows[(h, a)]["achievable"]
+    }
+    assert len(wanted) > len(_class_representatives(G))
+    assert wanted <= certified
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor and runs the rows in-process."""
 

@@ -318,6 +318,27 @@ def test_chain_requires_normality(s3):
         rs.check_normal_chain(pair, 0, 0)
 
 
+def test_chain_precondition_raises_on_every_call(s3):
+    # a pair that passes the precondition keeps the pass; one that fails it
+    # must raise again on every later call, and so must an (r,s) out of range
+    t = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
+    failing = (
+        (rs.PairSpec(s3, t, s3.full_subgroup()), "H is not normal in A"),
+        (rs.PairSpec(s3, t, t), "A is not normal in G"),
+    )
+    for pair, message in failing:
+        for _ in range(2):
+            with pytest.raises(PreconditionViolated, match=message):
+                rs.check_normal_chain(pair, 0, 0)
+    a3 = rs.generate_subgroup(s3, [s3.perms.index((1, 2, 0))])
+    pair = rs.PairSpec(s3, rs.trivial_subgroup(s3), a3)
+    assert rs.check_normal_chain(pair, 0, 0).verdict
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            rs.check_normal_chain(pair, 3, 0)
+    assert rs.check_normal_chain(pair, 0, 0) == rs.check_normal_chain(pair, 0, 0)
+
+
 def test_chain_conditions_match_elementwise_oracle(corpus):
     failures = [0, 0, 0]
     for G in corpus:
