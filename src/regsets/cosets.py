@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from .errors import NotDoubleCosetUnion, NotLeftCosetUnion
-from .group_core import GroupTable, Subgroup, _mask_of
+from .group_core import GroupTable, Subgroup, _mask_of, _members_of
 
 
 class CosetSpace:
@@ -45,17 +45,18 @@ class CosetSpace:
 class DoubleCosetDecomp:
     """A set split into (H,H)-double cosets.
 
+    ``masks[i]`` is the bitmask of the class of ``reps[i]``, and
     ``inverse_pairing[i] = (i, j)`` locates the class of ``reps[i]^-1``;
     ``j`` is None when that class lies outside the decomposed set.
     """
 
     def __init__(self, subgroup: Subgroup, reps: tuple[int, ...],
-                 member_sets: tuple[frozenset[int], ...],
+                 masks: tuple[int, ...],
                  inverse_pairing: tuple[tuple[int, Optional[int]], ...],
                  self_inverse_flags: tuple[bool, ...]):
         self.subgroup = subgroup
         self.reps = reps
-        self.member_sets = member_sets
+        self.masks = masks
         self.inverse_pairing = inverse_pairing
         self.self_inverse_flags = self_inverse_flags
 
@@ -119,56 +120,64 @@ def left_transversal(G: GroupTable, A: Subgroup) -> list[int]:
     return list(left_cosets(G, A).reps)
 
 
+def _double_coset(space: CosetSpace, x: int) -> tuple[set[int], int]:
+    """``HxH`` for the subgroup H of ``space``: the left cosets hxH (h in H)
+    that make it up, and the OR of their masks."""
+    mult, coset_of, masks = space.group.mult, space.coset_of, space.masks
+    cosets = {coset_of[mult[h][x]] for h in space.subgroup.members}
+    mask = 0
+    for c in cosets:
+        mask |= masks[c]
+    return cosets, mask
+
+
+def double_coset_mask(H: Subgroup, x: int) -> int:
+    """The bitmask of the double coset ``HxH``."""
+    return _double_coset(left_cosets(H.parent, H), x)[1]
+
+
 def double_coset(H: Subgroup, x: int) -> frozenset[int]:
-    """The double coset ``HxH`` as an element set."""
-    G = H.parent
-    mult = G.mult
-    row = mult[x]
-    right = [row[h] for h in H.members]
-    out = set()
-    for h in H.members:
-        row_h = mult[h]
-        for y in right:
-            out.add(row_h[y])
-    return frozenset(out)
+    """The double coset ``HxH`` as an element set, the members of
+    :func:`double_coset_mask`."""
+    return frozenset(_members_of(double_coset_mask(H, x)))
 
 
 def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDecomp:
-    """Partition ``S`` into (H,H)-double cosets.
+    """Partition ``S`` into (H,H)-double cosets, each the OR of the masks
+    of its left H-cosets.
 
     Raises :class:`NotDoubleCosetUnion` when some class straddles the
-    boundary of ``S``.  Representatives are minimal and ascending.
+    boundary of ``S``, and ValueError for an id out of range.
+    Representatives are minimal and ascending.
     """
     G = H.parent
-    sset = frozenset(int(x) for x in S)
-    for x in sset:
-        if not 0 <= x < G.order:
-            raise ValueError(f"element {x} out of range")
+    smask = mask_of(G, S)
+    space = left_cosets(G, H)
+    class_of: list[Optional[int]] = [None] * space.size  # per left H-coset
     reps: list[int] = []
-    member_sets: list[frozenset[int]] = []
-    class_of: dict[int, int] = {}
-    for x in sorted(sset):
-        if x in class_of:
-            continue
-        d = double_coset(H, x)
-        if not d <= sset:
+    masks: list[int] = []
+    rest = smask
+    while rest:
+        x = (rest & -rest).bit_length() - 1
+        cosets, d = _double_coset(space, x)
+        if d & ~smask:
             raise NotDoubleCosetUnion(
                 f"double coset of {x} leaves the given set"
             )
-        idx = len(reps)
+        for c in cosets:
+            class_of[c] = len(reps)
         reps.append(x)
-        member_sets.append(d)
-        for m in d:
-            class_of[m] = idx
-    inv = G.inv
+        masks.append(d)
+        rest &= ~d
+    inv, coset_of = G.inv, space.coset_of
     pairing: list[tuple[int, Optional[int]]] = []
     flags: list[bool] = []
     for i, r in enumerate(reps):
-        j = class_of.get(inv[r])
+        j = class_of[coset_of[inv[r]]]
         pairing.append((i, j))
         flags.append(j == i)
     return DoubleCosetDecomp(
-        H, tuple(reps), tuple(member_sets), tuple(pairing), tuple(flags)
+        H, tuple(reps), tuple(masks), tuple(pairing), tuple(flags)
     )
 
 

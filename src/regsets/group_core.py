@@ -8,6 +8,7 @@ minimum element id, so all outputs are deterministic.
 
 from __future__ import annotations
 
+from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -513,13 +514,16 @@ def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
 
 
 def sylow_subgroup(A: Subgroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup of ``A``, grown through its normalizer chain.
+    """A Sylow p-subgroup of ``A``, grown through its normalizer chain;
+    a ``p`` that is not a prime dividing ``|A|`` raises PNotDividing.
 
     Deterministic: at each step the minimum-id element of p-power order in
     the current normalizer quotient is adjoined.
     """
-    if p < 2 or A.order % p != 0:
+    if p >= 2 and A.order % p != 0:
         raise PNotDividing(f"{p} does not divide {A.order}")
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):  # p <= |A| here
+        raise PNotDividing(f"{p} is not a prime")
     G = A.parent
     target = 1
     rest = A.order

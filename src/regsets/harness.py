@@ -11,7 +11,7 @@ from pathlib import Path
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .cosets import double_coset, mask_of
+from .cosets import double_coset_mask
 from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
@@ -229,17 +229,17 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     uset = frozenset(int(u) for u in data["U"])
     xset = frozenset(int(x) for x in data["X"])
     reps = [int(rep) for rep in data["double_coset_reps"]]
-    rebuilt: set[int] = set()
+    rebuilt = 0
     for rep in reps:
-        rebuilt |= double_coset(H, rep)
-    if rebuilt != uset:
+        rebuilt |= double_coset_mask(H, rep)
+    if frozenset(_members_of(rebuilt)) != uset:
         return False
     mult = G.mult
     xh = {mult[x][h] for x in xset for h in H.members}
     if xh != uset:
         return False
     try:
-        certify(pair, reps, mask_of(G, uset), r, s)
+        certify(pair, reps, rebuilt, r, s)  # rebuilt is the mask of U
     except (RegsetError, ValueError):
         return False
     return True
@@ -393,15 +393,20 @@ def _class_representatives(G: GroupTable,
                            pairs: list[tuple[Subgroup, Subgroup]]) -> list[int]:
     """For each pair, the index in ``pairs`` of its class representative
     under simultaneous conjugation (H, A) -> (H^g, A^g): the first pair of
-    the class in ``pairs`` order."""
+    the class in ``pairs`` order.  Each subgroup is conjugated by each g
+    once, however many pairs it lies in."""
+    conj: dict[int, list[int]] = {}  # subgroup mask -> mask of S^g per g
     rep_of: dict[tuple[int, int], int] = {}
     reps = []
     for i, (H, A) in enumerate(pairs):
         rep = rep_of.get((H.mask, A.mask))
         if rep is None:
             rep = i
-            for g in range(G.order):
-                rep_of[(_conjugate_mask(G, H, g), _conjugate_mask(G, A, g))] = i
+            for S in (H, A):
+                if S.mask not in conj:
+                    conj[S.mask] = [_conjugate_mask(G, S, g) for g in range(G.order)]
+            for key in zip(conj[H.mask], conj[A.mask]):
+                rep_of[key] = i
         reps.append(rep)
     return reps
 

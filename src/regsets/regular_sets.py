@@ -14,7 +14,8 @@ Everything here returns either a re-checkable :class:`RegSetCertificate`
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterator, NamedTuple, Optional
 
@@ -38,7 +39,6 @@ from .group_core import (
     GroupTable,
     Subgroup,
     _conjugate_mask,
-    _mask_of,
     intersect,
     is_normal,
     normalizer,
@@ -55,18 +55,14 @@ from .group_core import (
 class PairSpec:
     """The data of a decision instance: a chain ``H <= A <= G``.
 
-    ``_cache`` holds the per-pair analysis (units, components, chain data,
-    whether the chain is normal and its conditions per s, the A-coset masks
-    and blocks that :func:`certify` reads, and the quotient-level pair of
-    :func:`normalizer_reduction`), so it
-    lives exactly as long as the pair: a group keeps no pair's data after
-    the pair is gone.
+    The per-pair analysis is built on first use and kept in the cached
+    properties below, so it lives exactly as long as the pair: a group
+    keeps no pair's data after the pair is gone.
     """
 
     G: GroupTable
     H: Subgroup
     A: Subgroup
-    _cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.H.parent is not self.G or self.A.parent is not self.G:
@@ -78,6 +74,34 @@ class PairSpec:
     def code_index(self) -> int:
         """|A : H|, the number of H-cosets inside A."""
         return self.A.order // self.H.order
+
+    @cached_property
+    def _context(self) -> _PairContext:
+        """Cosets, double cosets, units and components of the decision."""
+        return _PairContext(self)
+
+    @cached_property
+    def _chain(self) -> _ChainContext:
+        """The normal-chain data; raises PreconditionViolated, on every
+        access, unless H is normal in A and A is normal in G."""
+        if not is_normal(self.H, self.A):
+            raise PreconditionViolated("H is not normal in A")
+        if not is_normal(self.A, self.G.full_subgroup()):
+            raise PreconditionViolated("A is not normal in G")
+        return _ChainContext(self)
+
+    @cached_property
+    def _certification(self) -> _CertifyData:
+        """What :func:`certify` reads; a cold pair builds only this."""
+        return _CertifyData(self)
+
+    @cached_property
+    def _quotient_pair(self) -> PairSpec:
+        """The pair (N_G(H)/H, 1, N_A(H)/H) of :func:`normalizer_reduction`."""
+        N = normalizer(self.G, self.H)
+        quo = quotient(N, self.H)
+        image = {quo.projection[m] for m in intersect(self.A, N).members}
+        return PairSpec(quo.table, trivial_subgroup(quo.table), Subgroup(quo.table, sorted(image)))
 
     def __repr__(self) -> str:
         return (
@@ -234,17 +258,15 @@ class _PairContext:
         )
         outside = [g for g in range(G.order) if not (H.mask >> g) & 1]
         self.decomp = decompose_into_double_cosets(outside, H)
-        hcos = self.hspace.coset_of
+        hmasks, hcos = self.hspace.masks, self.hspace.coset_of
         acos = self.aspace.coset_of
         vectors = []
-        for members in self.decomp.member_sets:
+        for mask in self.decomp.masks:  # one H-coset at a time
             vec = [0] * self.nblocks
-            seen: set[int] = set()
-            for m in members:
-                hid = hcos[m]
-                if hid not in seen:
-                    seen.add(hid)
-                    vec[acos[m]] += 1
+            while mask:
+                g = (mask & -mask).bit_length() - 1
+                vec[acos[g]] += 1
+                mask &= ~hmasks[hcos[g]]
             vectors.append(tuple(vec))
         self.class_vectors = tuple(vectors)
         units = []
@@ -289,16 +311,9 @@ class _PairContext:
         for c in class_ids:
             for b, x in enumerate(self.class_vectors[c]):
                 vec[b] += x
-            mask |= _mask_of(self.decomp.member_sets[c])
+            mask |= self.decomp.masks[c]
             reps.append(self.decomp.reps[c])
         return _Unit(class_ids, tuple(sorted(reps)), tuple(vec), mask)
-
-
-def _pair_context(pair: PairSpec) -> _PairContext:
-    ctx = pair._cache.get("pairctx")
-    if ctx is None:
-        ctx = pair._cache["pairctx"] = _PairContext(pair)
-    return ctx
 
 
 def _validate_range(pair: PairSpec, r: int, s: int) -> None:
@@ -358,18 +373,18 @@ _CHECK_NAMES = ("inverse_symmetry", "disjoint_from_subgroup", "inside_count",
 _ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
 
 
-def _certify_data(pair: PairSpec) -> tuple[tuple[int, ...], tuple[int, ...]]:
+class _CertifyData:
     """The left A-coset masks (coset 0 is A) and the blocks b != 0 of
     g^-1 A over the H-coset representatives g, the only blocks that
-    ``graph_profile`` reads outside A; kept in ``pair._cache``."""
-    data = pair._cache.get("certify")
-    if data is None:
+    ``graph_profile`` reads outside A."""
+
+    def __init__(self, pair: PairSpec):
         G = pair.G
         aspace = left_cosets(G, pair.A)
         acos, inv = aspace.coset_of, G.inv
         reached = {acos[inv[g]] for g in left_cosets(G, pair.H).reps}
-        data = pair._cache["certify"] = (aspace.masks, tuple(sorted(reached - {0})))
-    return data
+        self.amasks = aspace.masks
+        self.blocks = tuple(sorted(reached - {0}))
 
 
 def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
@@ -385,17 +400,17 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
     g^-1 A, so |U meet g^-1 A| must be r|H| (g in A) or s|H| (g outside A).
     That count is the count of the block of g^-1 A, and g lies in A exactly
     when that block is 0, so the check compares the count of each distinct
-    block g^-1 A once (:func:`_certify_data`); those blocks are among the
+    block g^-1 A once (:class:`_CertifyData`); those blocks are among the
     ones ``outside_counts`` reads.  Failure raises ConstructionFailed.
     """
     conn = validate_connection_set(pair.H, U)
-    amasks, blocks = _certify_data(pair)
+    data = pair._certification
     hord = pair.H.order
-    counts = [(U & m).bit_count() for m in amasks]  # coset 0 is A
+    counts = [(U & m).bit_count() for m in data.amasks]  # coset 0 is A
     want_in, want_out = r * hord, s * hord
     inside_ok = counts[0] == want_in
     outside_ok = all(c == want_out for c in counts[1:])
-    profile_ok = inside_ok and (outside_ok or all(counts[b] == want_out for b in blocks))
+    profile_ok = inside_ok and (outside_ok or all(counts[b] == want_out for b in data.blocks))
     if not (inside_ok and outside_ok and profile_ok):
         checks = tuple(map(CheckResult, _CHECK_NAMES,
                            (True, True, inside_ok, outside_ok, profile_ok)))
@@ -498,7 +513,7 @@ def decide_regular_set(pair: PairSpec, r: int, s: int,
     _validate_range(pair, r, s)
     budget = limits.search_node_budget
     chosen: list[_Unit] = []
-    for k, comp in enumerate(_pair_context(pair).components):
+    for k, comp in enumerate(pair._context.components):
         target = r if k == 0 else s
         parent = _sweep(comp, target, target, budget)
         budget -= len(parent)
@@ -527,7 +542,7 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     index = pair.code_index
     budget = limits.search_node_budget
     reached = []  # per component: value -> units reaching it on every block
-    for comp in _pair_context(pair).components:
+    for comp in pair._context.components:
         parent = _sweep(comp, index, None, budget)
         budget -= len(parent)
         reached.append({
@@ -549,53 +564,48 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
 class _ChainContext:
     """Per-block data valid when H is normal in A and A is normal in G:
     every double coset lies in a single A-coset block and all classes of a
-    block have the same H-coset count."""
+    block have the same H-coset count.  ``conditions[s]`` holds the
+    divisibility and self_paired outcomes and witnesses at s, which do not
+    depend on r."""
 
-    def __init__(self, pair: PairSpec, ctx: _PairContext):
-        G = pair.G
+    def __init__(self, pair: PairSpec):
+        ctx = pair._context
         nb = ctx.nblocks
-        acos = ctx.aspace.coset_of
         self.block_inv = ctx.block_inv
-        classes_by_block: list[list[int]] = [[] for _ in range(nb)]
-        for c, members in enumerate(ctx.decomp.member_sets):
-            blocks = {acos[m] for m in members}
-            assert len(blocks) == 1  # guaranteed by the normal chain
-            classes_by_block[blocks.pop()].append(c)
-        self.classes_by_block = [sorted(ids) for ids in classes_by_block]
+        self.classes_by_block: list[list[int]] = [[] for _ in range(nb)]
         self.block_ci: list[Optional[int]] = [None] * nb
-        for b, ids in enumerate(self.classes_by_block):
-            if not ids:
-                continue
-            counts = {sum(ctx.class_vectors[c]) for c in ids}
-            assert len(counts) == 1  # classes of one block share their size
-            self.block_ci[b] = counts.pop()
+        block_of = []
+        for c, vec in enumerate(ctx.class_vectors):
+            (b,) = (b for b, n in enumerate(vec) if n)  # guaranteed by the normal chain
+            assert self.block_ci[b] in (None, vec[b])  # classes of one block share their size
+            self.block_ci[b] = vec[b]
+            self.classes_by_block[b].append(c)
+            block_of.append(b)
         self.selfs_by_block = [
             [c for c in ids if ctx.decomp.self_inverse_flags[c]]
             for ids in self.classes_by_block
         ]
-        pairs_by_block: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
-        partner = {i: j for i, j in ctx.decomp.inverse_pairing}
-        for b, ids in enumerate(self.classes_by_block):
-            for c in ids:
-                j = partner[c]
-                if j != c and acos[ctx.decomp.reps[j]] == b and c < j:
-                    pairs_by_block[b].append((c, j))
-        self.pairs_by_block = pairs_by_block
-        self.partner = partner
+        self.partner = dict(ctx.decomp.inverse_pairing)
+        self.pairs_by_block: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
+        for c, j in ctx.decomp.inverse_pairing:
+            if c < j and block_of[j] == block_of[c]:
+                self.pairs_by_block[block_of[c]].append((c, j))
+        reps = ctx.aspace.reps
+        self.conditions = tuple(self._conditions_at(reps, s)
+                                for s in range(pair.code_index + 1))
 
-
-def _chain_context(pair: PairSpec) -> _ChainContext:
-    cctx = pair._cache.get("chainctx")
-    if cctx is None:
-        cctx = pair._cache["chainctx"] = _ChainContext(pair, _pair_context(pair))
-    return cctx
-
-
-def _require_normal_chain(pair: PairSpec) -> None:
-    if not is_normal(pair.H, pair.A):
-        raise PreconditionViolated("H is not normal in A")
-    if not is_normal(pair.A, pair.G.full_subgroup()):
-        raise PreconditionViolated("A is not normal in G")
+    def _conditions_at(self, reps: tuple[int, ...], s: int) -> tuple:
+        div_ok, div_witness = True, None
+        self_ok, self_witness = True, None
+        for b in range(1, len(reps)):
+            ci = self.block_ci[b]
+            if s % ci != 0:
+                if div_ok:
+                    div_ok, div_witness = False, reps[b]
+            elif self.block_inv[b] == b and (s // ci) % 2 == 1:
+                if not self.selfs_by_block[b] and self_ok:
+                    self_ok, self_witness = False, reps[b]
+        return div_ok, div_witness, self_ok, self_witness
 
 
 def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
@@ -616,41 +626,15 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     minimal elements of their cosets, so it is also the least failing
     element.
     """
-    if "normal_chain" not in pair._cache:  # a failing pair raises on every call
-        _require_normal_chain(pair)
-        pair._cache["normal_chain"] = True
+    chain = pair._chain  # a failing pair raises on every call
     _validate_range(pair, r, s)
     parity_ok = r % gcd(2, pair.code_index - 1) == 0
-    div_ok, div_witness, self_ok, self_witness = _chain_conditions_at(pair, s)
+    div_ok, div_witness, self_ok, self_witness = chain.conditions[s]
     return ConditionReport(
         ("parity", "divisibility", "self_paired"),
         (parity_ok, div_ok, self_ok),
         (None, div_witness, self_witness),
     )
-
-
-def _chain_conditions_at(pair: PairSpec, s: int) -> tuple:
-    """The divisibility and self_paired outcomes and witnesses at ``s``,
-    which do not depend on r; kept per pair in ``pair._cache``."""
-    by_s = pair._cache.setdefault("chain_conditions", {})
-    found = by_s.get(s)
-    if found is not None:
-        return found
-    ctx = _pair_context(pair)
-    cctx = _chain_context(pair)
-    div_ok, div_witness = True, None
-    self_ok, self_witness = True, None
-    for b in range(1, ctx.nblocks):
-        t = ctx.aspace.reps[b]
-        ci = cctx.block_ci[b]
-        if s % ci != 0:
-            if div_ok:
-                div_ok, div_witness = False, t
-        elif cctx.block_inv[b] == b and (s // ci) % 2 == 1:
-            if not cctx.selfs_by_block[b] and self_ok:
-                self_ok, self_witness = False, t
-    found = by_s[s] = (div_ok, div_witness, self_ok, self_witness)
-    return found
 
 
 def _select_in_block(cctx: _ChainContext, b: int, quota: int) -> list[int]:
@@ -684,8 +668,7 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
         raise PreconditionViolated(
             f"normal-chain conditions fail: {report!r}"
         )
-    ctx = _pair_context(pair)
-    cctx = _chain_context(pair)
+    ctx, cctx = pair._context, pair._chain
     chosen = _select_in_block(cctx, 0, r)
     for b in range(1, ctx.nblocks):
         binv = cctx.block_inv[b]
@@ -703,11 +686,10 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
             chosen.extend(cctx.partner[c] for c in ids)
         else:
             chosen.extend(_select_in_block(cctx, b, lt))
-    members: set[int] = set()
+    mask = 0
     for c in chosen:
-        members |= ctx.decomp.member_sets[c]
-    class_reps = [ctx.decomp.reps[c] for c in chosen]
-    return certify(pair, class_reps, mask_of(pair.G, members), r, s)
+        mask |= ctx.decomp.masks[c]
+    return certify(pair, [ctx.decomp.reps[c] for c in chosen], mask, r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------
@@ -755,8 +737,8 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
         raise PreconditionViolated("A is not normal in G")
     N = normalizer(G, H)
     quo = quotient(N, H)
-    bmembers = sorted({quo.projection[m] for m in intersect(A, N).members})
-    B = Subgroup(quo.table, bmembers)
+    qpair = pair._quotient_pair  # keeps its analysis across (r, s)
+    B = qpair.A
     border = B.order
     if not 0 <= r <= border - 1 or not 0 <= s <= border:
         raise PreconditionViolated(
@@ -769,11 +751,6 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
     verdict = applicable and quotient_ok
     certificate = None
     if verdict:
-        qpair = pair._cache.get("quotient_pair")  # keeps its analysis across (r, s)
-        if qpair is None:
-            qpair = pair._cache["quotient_pair"] = PairSpec(
-                quo.table, trivial_subgroup(quo.table), B
-            )
         qcert = decide_regular_set(qpair, r, s, limits=limits)
         if qcert is None:  # criterion guarantees existence
             raise ConstructionFailed("quotient-level search found no witness")

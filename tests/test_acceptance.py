@@ -249,14 +249,14 @@ def test_criterion_7_arc_transitive(corpus):
             )
             uppers = [s for s in subs if H.is_subset_of(s)]
             norm = rs.normalizer(G, H)
-            for rep, members, self_inv in zip(
-                decomp.reps, decomp.member_sets, decomp.self_inverse_flags
+            for rep, mask, self_inv in zip(
+                decomp.reps, decomp.masks, decomp.self_inverse_flags
             ):
                 if not self_inv:
                     continue
-                conn = rs.validate_connection_set(H, rs.mask_of(G, members))
+                conn = rs.validate_connection_set(H, mask)
                 graph = rs.build(G, H, conn)
-                xs = sorted(members) if G.order <= 12 else [rep]
+                xs = sorted(conn.members) if G.order <= 12 else [rep]
                 for A in uppers:
                     pair = rs.PairSpec(G, H, A)
                     cvert = frozenset(graph.space.coset_of[a] for a in A.members)

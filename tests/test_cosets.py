@@ -132,13 +132,18 @@ def test_decompose_whole_group(small_corpus):
     for G in small_corpus[:8]:
         for H in rs.all_subgroups(G):
             d = rs.decompose_into_double_cosets(range(G.order), H)
-            # partitions exactly, pairing is an involution
-            assert sorted(x for ms in d.member_sets for x in ms) == list(range(G.order))
+            classes = [oracles.double_coset_set(G, H.members, rep) for rep in d.reps]
+            # each mask is its class by definition, and the classes partition G
+            assert list(d.masks) == [rs.mask_of(G, c) for c in classes]
+            assert sorted(x for c in classes for x in c) == list(range(G.order))
+            assert all(rep == min(c) for rep, c in zip(d.reps, classes))
+            # the pairing locates the inverse set; it is an involution
             assert d.closed_under_inverse
             pairing = dict(d.inverse_pairing)
-            for i, j in d.inverse_pairing:
+            for (i, j), c in zip(d.inverse_pairing, classes):
+                assert classes[j] == frozenset(G.inv[x] for x in c)
                 assert pairing[j] == i
-            assert all(r == min(ms) for r, ms in zip(d.reps, d.member_sets))
+                assert d.self_inverse_flags[i] == (j == i)
 
 
 def test_decompose_partner_outside_is_flagged():
@@ -147,6 +152,13 @@ def test_decompose_partner_outside_is_flagged():
     d = rs.decompose_into_double_cosets([1], H)
     assert d.inverse_pairing == ((0, None),)
     assert not d.closed_under_inverse
+
+
+def test_decompose_rejects_ids_out_of_range(s3):
+    H = transposition_subgroup(s3)
+    for bad in (-1, s3.order):
+        with pytest.raises(ValueError, match=f"element {bad} out of range"):
+            rs.decompose_into_double_cosets([*range(s3.order), bad], H)
 
 
 def test_decompose_straddling_set_rejected(s3):

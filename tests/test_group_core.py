@@ -385,6 +385,19 @@ def test_sylow_p_not_dividing(s3):
         rs.sylow_subgroup(s3.full_subgroup(), 5)
 
 
+def test_sylow_rejects_a_p_that_is_not_prime():
+    # on S4, p = 4 once returned an order-4 subgroup (the Sylow 2-subgroup
+    # has order 8), p = 6 failed inside the growth loop, and p = 1 was
+    # reported as not dividing 24
+    s4 = rs.symmetric(4)
+    full = s4.full_subgroup()
+    for p in (0, 1, 4, 6, 12):
+        with pytest.raises(PNotDividing, match="not a prime"):
+            rs.sylow_subgroup(full, p)
+        with pytest.raises(PNotDividing, match="not a prime"):
+            rs.perfect_code_sylow_criterion(s4, full, p)
+
+
 def test_sylow_order_is_p_part(corpus):
     for G in corpus:
         if G.order > 16:

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regsets as rs
 from regsets import harness, regular_sets
@@ -224,6 +225,30 @@ def test_survey_degenerate_flag():
     report = rs.survey(rs.cyclic(2))
     full_row = next(r for r in report.rows if r["A"] == [0, 1])
     assert full_row["degenerate_s"] is True
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_survey_answers_survive_relabelling(small_corpus, data):
+    # relabel the table by a permutation fixing 0: representatives (least
+    # elements) and the grouping of pairs by conjugacy are chosen on the
+    # new labels, yet every row must map back onto the original row
+    G = data.draw(st.sampled_from(small_corpus))
+    n = G.order
+    perm = [0, *data.draw(st.permutations(range(1, n)))]
+    back = [0] * n
+    for a, p in enumerate(perm):
+        back[p] = a
+    relabelled = rs.from_table(
+        [[perm[G.mult[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+    )
+    want = {(tuple(row["H"]), tuple(row["A"])): row for row in rs.survey(G).rows}
+    got = rs.survey(relabelled).rows
+    assert len(got) == len(want)
+    for row in got:
+        H = tuple(sorted(back[h] for h in row["H"]))
+        A = tuple(sorted(back[a] for a in row["A"]))
+        assert {**row, "H": list(H), "A": list(A)} == want[(H, A)]
 
 
 def test_survey_workers_match_sequential():

@@ -4,7 +4,6 @@ import weakref
 import pytest
 
 import regsets as rs
-from regsets import regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
@@ -245,15 +244,26 @@ def test_sweep_matches_naive_enumeration(corpus):
 
 
 def test_pair_analysis_is_freed_with_the_pair():
-    # units and components live in the pair, not in the group's cache, so a
-    # survey of every pair leaves none of them behind in G
+    # the per-pair analysis lives in the pair, not in the group's cache, so
+    # a survey of every pair leaves none of it behind in G
     G = rs.symmetric(4)
     subs = rs.all_subgroups(G)
     pair = rs.PairSpec(G, subs[0], subs[-1])
     rs.decide_regular_set(pair, 0, 1)
-    ref = weakref.ref(regular_sets._pair_context(pair))
+    rs.check_normal_chain(pair, 0, 1)
+    rs.normalizer_reduction(pair, 0, 1)
+    refs = [weakref.ref(item) for item in (
+        pair._context, pair._chain, pair._certification, pair._quotient_pair
+    )]
     del pair
-    assert ref() is None
+    assert [ref() for ref in refs] == [None] * 4
+
+
+def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
+    # verify re-runs certify on a fresh pair: it needs the A-coset data only
+    pair = s3_a3_pair(s3)
+    rs.certify(pair, (), 0, 0, 0)
+    assert "_certification" in vars(pair) and "_context" not in vars(pair)
 
 
 def test_decide_range_validation():
