@@ -32,12 +32,6 @@ class CosetSpace:
     def size(self) -> int:
         return len(self.reps)
 
-    def members(self, i: int) -> tuple[int, ...]:
-        """Elements of coset ``i``."""
-        mult = self.group.mult
-        row = mult[self.reps[i]]
-        return tuple(sorted(row[h] for h in self.subgroup.members))
-
     def __repr__(self) -> str:
         return f"CosetSpace({self.size} cosets of |H|={self.subgroup.order})"
 
@@ -62,10 +56,6 @@ class DoubleCosetDecomp:
 
     def __len__(self) -> int:
         return len(self.reps)
-
-    @property
-    def closed_under_inverse(self) -> bool:
-        return all(j is not None for _, j in self.inverse_pairing)
 
 
 def mask_of(G: GroupTable, ids: Iterable[int]) -> int:
@@ -112,12 +102,6 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
                        tuple(inverse_masks))
     G._cache[("left_cosets", H.mask)] = space
     return space
-
-
-def left_transversal(G: GroupTable, A: Subgroup) -> list[int]:
-    """Minimum-element representatives, one per left coset of ``A``,
-    identity first."""
-    return list(left_cosets(G, A).reps)
 
 
 def _double_coset(space: CosetSpace, x: int) -> tuple[set[int], int]:

@@ -43,13 +43,28 @@ def _mask_of(members: Iterable[int]) -> int:
 
 def _members_of(mask: int) -> tuple[int, ...]:
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return tuple(out)
+
+
+def _generated(G: "GroupTable", gens: Sequence[int]) -> int:
+    """The mask of the elements reached from 0 by right multiplication by
+    ``gens``.  In a finite group every inverse is a positive power, so this
+    is the subgroup that ``gens`` generate."""
+    mult = G.mult
+    mask = 1
+    stack = [0]
+    while stack:
+        row = mult[stack.pop()]
+        for g in gens:
+            y = row[g]
+            if not (mask >> y) & 1:
+                mask |= 1 << y
+                stack.append(y)
+    return mask
 
 
 class GroupTable:
@@ -388,33 +403,11 @@ def from_table(
 
 def generate_subgroup(G: GroupTable, seed: Iterable[int]) -> Subgroup:
     """Smallest subgroup of ``G`` containing ``seed``."""
-    gens = {0}
-    for s in seed:
-        s = int(s)
+    gens = tuple(map(int, seed))
+    for s in gens:
         if not 0 <= s < G.order:
             raise ValueError(f"element {s} out of range")
-        gens.add(s)
-        gens.add(G.inv[s])
-    els = set(gens)
-    frontier = list(els)
-    mult = G.mult
-    while frontier:
-        new = []
-        for a in frontier:
-            row = mult[a]
-            for g in gens:
-                c = row[g]
-                if c not in els:
-                    els.add(c)
-                    new.append(c)
-        frontier = new
-    return Subgroup(G, els)
-
-
-def conjugate_subgroup(H: Subgroup, g: int) -> Subgroup:
-    """H^g = g^-1 H g."""
-    G = H.parent
-    return Subgroup(G, (G.conjugate(h, g) for h in H.members))
+    return Subgroup(G, _members_of(_generated(G, gens)))
 
 
 def _conjugate_mask(G: GroupTable, H: Subgroup, g: int) -> int:
@@ -514,46 +507,52 @@ def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
 
 
 def sylow_subgroup(A: Subgroup, p: int) -> Subgroup:
-    """A Sylow p-subgroup of ``A``, grown through its normalizer chain;
-    a ``p`` that is not a prime dividing ``|A|`` raises PNotDividing.
+    """A Sylow p-subgroup of ``A``; a ``p`` that is not a prime dividing
+    ``|A|`` raises PNotDividing.
 
-    Deterministic: at each step the minimum-id element of p-power order in
-    the current normalizer quotient is adjoined.
+    P grows from 1 by adjoining the least ``y`` of N_A(P) outside P with
+    ``y^p`` in P, so each step multiplies |P| by p.  While P is not Sylow, p
+    divides |N_A(P) : P|, and Cauchy's theorem in N_A(P)/P gives such a
+    ``y``.  The choice of ``y`` makes the result deterministic.
     """
     if p >= 2 and A.order % p != 0:
         raise PNotDividing(f"{p} does not divide {A.order}")
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):  # p <= |A| here
         raise PNotDividing(f"{p} is not a prime")
     G = A.parent
+    mult = G.mult
     target = 1
     rest = A.order
     while rest % p == 0:
         target *= p
         rest //= p
     P = trivial_subgroup(G)
+    gens: list[int] = []
     while P.order < target:
-        norm = Subgroup(
-            G, (a for a in A.members if _conjugate_mask(G, P, a) == P.mask)
-        )
-        Q = quotient(norm, P)
-        qt = Q.table
-        cand = next(
-            (c for c in range(1, qt.order) if qt.element_order(c) % p == 0), None
-        )
-        if cand is None:  # Cauchy guarantees one while P is not Sylow
-            raise ConstructionFailed("no p-element in normalizer quotient")
-        k = qt.element_order(cand) // p
-        y = cand
-        for _ in range(k - 1):
-            y = qt.mult[y][cand]
-        P = generate_subgroup(G, P.members + (Q.section[y],))
+        pm = P.mask
+        for y in A.members:
+            if (pm >> y) & 1:
+                continue
+            z = y
+            for _ in range(p - 1):
+                z = mult[z][y]
+            if (pm >> z) & 1 and _conjugate_mask(G, P, y) == pm:
+                break
+        else:  # Cauchy guarantees a y while P is not Sylow
+            raise ConstructionFailed("no y of N_A(P) outside P with y^p in P")
+        gens.append(y)
+        P = generate_subgroup(G, gens)
     return P
 
 
 def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgroup]:
     """Every subgroup of ``G``, sorted by (order, member list).
 
-    Closes all cyclic subgroups under pairwise joins until a fixed point.
+    Cyclic extension: every subgroup is generated by cyclic subgroups, so
+    starting from the distinct cyclic subgroups and extending each subgroup
+    found in the last layer by each cyclic subgroup not inside it reaches
+    them all.  The closure runs on masks, and one :class:`Subgroup` is built
+    per distinct mask at the end.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     if G.order > limits.enumeration_cap:
@@ -563,22 +562,23 @@ def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgro
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return list(cached)
-    masks: dict[int, tuple[int, ...]] = {}
+    cyclic: dict[int, int] = {}  # mask -> least generator
     for x in range(G.order):
-        sub = generate_subgroup(G, (x,))
-        masks.setdefault(sub.mask, sub.members)
-    queue = list(masks)
-    while queue:
-        m1 = queue.pop()
-        for m2 in list(masks):
-            joined = m1 | m2
-            if joined == m1 or joined == m2 or joined in masks:
-                continue
-            sub = generate_subgroup(G, _members_of(joined))
-            if sub.mask not in masks:
-                masks[sub.mask] = sub.members
-                queue.append(sub.mask)
-    ordered = sorted(masks.values(), key=lambda mem: (len(mem), mem))
+        cyclic.setdefault(_generated(G, (x,)), x)
+    found = {m: (x,) for m, x in cyclic.items()}  # mask -> generators
+    layer = list(found)
+    while layer:
+        extended = []
+        for m in layer:
+            gens = found[m]
+            for c, x in cyclic.items():
+                if c & ~m:
+                    j = _generated(G, gens + (x,))
+                    if j not in found:
+                        found[j] = gens + (x,)
+                        extended.append(j)
+        layer = extended
+    ordered = sorted(map(_members_of, found), key=lambda mem: (len(mem), mem))
     result = [Subgroup(G, mem) for mem in ordered]
     G._cache["all_subgroups"] = result
     return list(result)

@@ -29,6 +29,7 @@ from .presets import preset
 from .regular_sets import (
     PairSpec,
     RegSetCertificate,
+    _CHECK_NAMES,
     achievable_profiles,
     cayley_normal_criterion,
     certify,
@@ -192,14 +193,16 @@ def write_certificate(cert: RegSetCertificate, path) -> None:
 
 _CERT_FIELDS = ("group", "H", "A", "r", "s", "double_coset_reps", "U", "X", "checks")
 _CERT_ID_FIELDS = ("H", "A", "double_coset_reps", "U", "X")
+_PASSING_CHECKS = [{"name": name, "pass": True} for name in _CHECK_NAMES]
 
 
 def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     """Re-check a stored certificate: the group order, the double-coset
     reconstruction of U, XH = U, and then :func:`certify`, the same checks
-    that issued it.  Parse failures raise :class:`ParseError`, as does a
-    negative element id; a well-formed but wrong certificate returns
-    False."""
+    that issued it.  Parse failures raise :class:`ParseError`, as do a
+    negative element id, an ``r`` or ``s`` that is not an int, and
+    ``checks`` other than the five named checks, each passing; a
+    well-formed but wrong certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -210,6 +213,12 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     group = data["group"]
     if not isinstance(group, dict) or "spec" not in group:
         raise ParseError("certificate group has no reconstructible spec")
+    r, s = data["r"], data["s"]
+    if not _is_int(r) or not _is_int(s):
+        raise ParseError("r and s must be integers")
+    checks = data["checks"]
+    if checks != _PASSING_CHECKS or any(c["pass"] is not True for c in checks):
+        raise ParseError("certificate 'checks' must be the five named checks, each passing")
     for field in _CERT_ID_FIELDS:
         ids = data[field]
         if isinstance(ids, list) and any(_is_int(x) and x < 0 for x in ids):
@@ -223,9 +232,6 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         pair = PairSpec(G, H, A)
     except ValueError:
         return False
-    r, s = data["r"], data["s"]
-    if not isinstance(r, int) or not isinstance(s, int):
-        raise ParseError("r and s must be integers")
     uset = frozenset(int(u) for u in data["U"])
     xset = frozenset(int(x) for x in data["X"])
     reps = [int(rep) for rep in data["double_coset_reps"]]

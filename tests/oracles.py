@@ -122,6 +122,46 @@ def all_subgroup_sets(G):
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
+def subgroup_closure(G, seed):
+    """The subgroup generated by ``seed``: the seed, its inverses and the
+    identity, closed under products."""
+    gens = {0}
+    for x in seed:
+        gens.add(x)
+        gens.add(G.inv[x])
+    els = set(gens)
+    frontier = list(els)
+    while frontier:
+        new = []
+        for a in frontier:
+            row = G.mult[a]
+            for g in gens:
+                c = row[g]
+                if c not in els:
+                    els.add(c)
+                    new.append(c)
+        frontier = new
+    return frozenset(els)
+
+
+def join_closure_subgroups(G):
+    """Every subgroup as a member tuple, sorted by (order, members): the
+    cyclic subgroups closed under pairwise joins until a fixed point."""
+    found = {subgroup_closure(G, (x,)) for x in range(G.order)}
+    queue = list(found)
+    while queue:
+        s1 = queue.pop()
+        for s2 in list(found):
+            joined = s1 | s2
+            if joined == s1 or joined == s2 or joined in found:
+                continue
+            sub = subgroup_closure(G, joined)
+            if sub not in found:
+                found.add(sub)
+                queue.append(sub)
+    return sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
+
+
 def left_coset_sets(G, hset):
     hs = sorted(hset)
     seen = set()

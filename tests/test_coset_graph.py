@@ -128,8 +128,9 @@ def test_inverse_masks_are_inverse_cosets(small_corpus):
         for H in rs.all_subgroups(G):
             space = rs.left_cosets(G, H)
             assert len(space.inverse_masks) == space.size
+            cosets = oracles.left_coset_sets(G, H.members)  # ascending minima
             for i in range(space.size):
-                inverses = {G.inv[g] for g in space.members(i)}
+                inverses = {G.inv[g] for g in cosets[i]}
                 assert space.inverse_masks[i] == sum(1 << g for g in inverses)
 
 
@@ -177,8 +178,9 @@ def test_adjacency_is_representative_independent(s3):
     U = rs.double_coset(H, x)
     graph = rs.build(s3, H, rs.validate_connection_set(H, rs.mask_of(s3, U)))
     space = graph.space
+    cosets = [sorted(c) for c in oracles.left_coset_sets(s3, H.members)]
     for _ in range(10):
-        reps = [rng.choice(space.members(i)) for i in range(space.size)]
+        reps = [rng.choice(cosets[i]) for i in range(space.size)]
         edges = set()
         for i in range(space.size):
             for j in range(space.size):

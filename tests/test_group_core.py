@@ -17,7 +17,14 @@ from regsets.errors import (
     OrderExceedsCap,
     PNotDividing,
 )
-from regsets.group_core import product_is_group, square_roots_lift
+from regsets.group_core import (
+    _conjugate_mask,
+    _generated,
+    _mask_of,
+    _members_of,
+    product_is_group,
+    square_roots_lift,
+)
 
 import oracles
 
@@ -170,7 +177,32 @@ def test_from_generators_table_is_the_composition_table(case):
     assert (g.perms, g.mult) == oracles.perm_table_all_pairs(degree, gens)
 
 
-# -- generate_subgroup --------------------------------------------------------
+# -- masks and generate_subgroup ----------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.sets(st.integers(0, 200)),
+    st.sets(st.integers(0, 1 << 14), max_size=8),  # sparse, with high ids
+))
+def test_members_of_lists_a_mask_in_order(S):
+    assert _members_of(_mask_of(S)) == tuple(sorted(S))
+
+
+def test_generated_matches_the_set_closure(small_corpus):
+    rng = random.Random(5)
+    for G in small_corpus:
+        for _ in range(10):
+            seed = [rng.randrange(G.order) for _ in range(rng.randrange(3))]
+            want = oracles.subgroup_closure(G, seed)
+            assert _generated(G, seed) == _mask_of(want)
+            assert rs.generate_subgroup(G, seed).members == tuple(sorted(want))
+
+
+def test_generate_rejects_ids_out_of_range(s3):
+    for bad in (-1, s3.order):
+        with pytest.raises(ValueError, match=f"element {bad} out of range"):
+            rs.generate_subgroup(s3, [1, bad])
 
 
 def test_generate_empty_seed():
@@ -202,13 +234,13 @@ def test_lagrange_on_random_seeds(small_corpus):
 
 def test_conjugate_by_identity(s3):
     H = rs.generate_subgroup(s3, [find_elem(s3, (1, 0, 2))])
-    assert rs.conjugate_subgroup(H, 0) == H
+    assert _conjugate_mask(s3, H, 0) == H.mask
 
 
 def test_conjugate_of_normal_subgroup(s3):
     A3 = rs.generate_subgroup(s3, [find_elem(s3, (1, 2, 0))])
     for g in range(6):
-        assert rs.conjugate_subgroup(A3, g) == A3
+        assert _conjugate_mask(s3, A3, g) == A3.mask
 
 
 def test_conjugate_transposition_subgroup(s3):
@@ -217,13 +249,13 @@ def test_conjugate_transposition_subgroup(s3):
     t = find_elem(s3, (1, 0, 2))
     c = find_elem(s3, (1, 2, 0))
     H = rs.generate_subgroup(s3, [t])
-    got = rs.conjugate_subgroup(H, c)
+    got = _conjugate_mask(s3, H, c)
     expected_perm = oracles.perm_compose(
         oracles.perm_compose(oracles.perm_inverse(s3.perms[c]), s3.perms[t]),
         s3.perms[c],
     )
     assert expected_perm == (0, 2, 1)
-    assert got.members == rs.generate_subgroup(s3, [find_elem(s3, expected_perm)]).members
+    assert got == rs.generate_subgroup(s3, [find_elem(s3, expected_perm)]).mask
 
 
 def test_normalizer_of_normal_is_whole_group(s3):
@@ -399,10 +431,15 @@ def test_sylow_rejects_a_p_that_is_not_prime():
 
 
 def test_sylow_order_is_p_part(corpus):
-    for G in corpus:
-        if G.order > 16:
-            continue
-        for A in rs.all_subgroups(G):
+    # S5 and A5 are there because in them the least y outside P with y^2 in
+    # P does not always normalize P, and adjoining it would leave the 2-groups
+    cases = [(G, rs.all_subgroups(G)) for G in corpus if G.order <= 16]
+    cases += [(G, rs.all_subgroups(G)) for G in (
+        rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
+        rs.direct_product(rs.sl23(), rs.cyclic(2)))]
+    cases += [(G, [G.full_subgroup()]) for G in (rs.symmetric(5), rs.alternating(5))]
+    for G, subs in cases:
+        for A in subs:
             for p in (2, 3, 5, 7):
                 if A.order % p != 0:
                     continue
@@ -414,6 +451,7 @@ def test_sylow_order_is_p_part(corpus):
                     rest //= p
                 assert P.order == part
                 assert P.is_subset_of(A)
+                assert all(G.element_order(x) % p == 0 for x in P.members[1:])
 
 
 # -- subgroup enumeration ----------------------------------------------------------
@@ -437,6 +475,34 @@ def test_all_subgroups_matches_naive_filter(small_corpus):
     for G in small_corpus:
         got = [frozenset(s.members) for s in rs.all_subgroups(G)]
         assert got == oracles.all_subgroup_sets(G)
+
+
+def test_all_subgroups_matches_join_closure_oracle(corpus):
+    # the cyclic extension against the pairwise join closure, order and all
+    groups = [G for G in corpus if G.order <= 16]
+    groups += [rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
+               rs.direct_product(rs.sl23(), rs.cyclic(2))]
+    for G in groups:
+        got = [s.members for s in rs.all_subgroups(G)]
+        assert got == oracles.join_closure_subgroups(G), G.label
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_all_subgroups_of_a_relabelled_table(corpus, data):
+    # relabelling by a permutation fixing 0 changes which element generates
+    # each cyclic subgroup first, and the order in which layers are found
+    G = data.draw(st.sampled_from([G for G in corpus if G.order <= 16]))
+    n = G.order
+    perm = [0, *data.draw(st.permutations(range(1, n)))]
+    back = [0] * n
+    for a, p in enumerate(perm):
+        back[p] = a
+    relabelled = rs.from_table(
+        [[perm[G.mult[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+    )
+    got = [s.members for s in rs.all_subgroups(relabelled)]
+    assert got == oracles.join_closure_subgroups(relabelled)
 
 
 def test_all_subgroups_cap():

@@ -125,11 +125,17 @@ def test_certificate_round_trip(tmp_path):
     assert rs.verify_certificate_file(path) is True
 
 
+PASSING_CHECKS = [{"name": name, "pass": True} for name in (
+    "inverse_symmetry", "disjoint_from_subgroup", "inside_count",
+    "outside_counts", "graph_profile")]
+
+
 def test_certificate_schema_fields(tmp_path):
     cert = make_cert()
     data = cert.to_json_dict()
     assert list(data) == ["group", "H", "A", "r", "s", "double_coset_reps", "U", "X", "checks"]
     assert data["U"] == [1, 3] and data["r"] == 0 and data["s"] == 2
+    assert data["checks"] == PASSING_CHECKS
 
 
 # D8 = dihedral(4) with H = {0, 2} central, A = {0, 2, 4, 6}: (1,1) is
@@ -184,6 +190,42 @@ def test_certificate_negative_id_is_a_parse_error(tmp_path, capsys, field):
         rs.verify_certificate_file(path)
     assert main(["verify", str(path)]) == 2
     assert "valid" not in capsys.readouterr().out
+
+
+def _tampered_cyclic4_cert(tmp_path, **fields):
+    path = tmp_path / "cert.json"
+    rs.write_certificate(make_cert(), path)
+    data = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(data, **fields)))
+    return path
+
+
+@pytest.mark.parametrize("field", ["r", "s"])
+def test_cli_verify_bool_r_or_s_is_an_error(tmp_path, capsys, field):
+    # a bool is an int to Python; "r": true used to verify as INVALID (exit 1)
+    path = _tampered_cyclic4_cert(tmp_path, **{field: True})
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "r and s must be integers" in captured.err
+
+
+BAD_CHECKS = {
+    "int": 5,
+    "empty": [],
+    "four": PASSING_CHECKS[:4],
+    "reordered": PASSING_CHECKS[::-1],
+    "failing": PASSING_CHECKS[:4] + [{"name": "graph_profile", "pass": False}],
+    "pass-1": PASSING_CHECKS[:4] + [{"name": "graph_profile", "pass": 1}],
+}
+
+
+@pytest.mark.parametrize("checks", list(BAD_CHECKS))
+def test_cli_verify_checks_must_be_the_five_passing_checks(tmp_path, capsys, checks):
+    # each of these used to verify as valid (exit 0): checks was never read
+    path = _tampered_cyclic4_cert(tmp_path, checks=BAD_CHECKS[checks])
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'checks'" in captured.err
 
 
 def test_certificate_missing_field(tmp_path):
