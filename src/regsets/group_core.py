@@ -8,6 +8,7 @@ minimum element id, so all outputs are deterministic.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -67,13 +68,63 @@ def _generated(G: "GroupTable", gens: Sequence[int]) -> int:
     return mask
 
 
+def _checked_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """The inverse of every element of a table that passes the first four
+    checks of :class:`GroupTable`, each made on whole rows or columns;
+    any other table raises :func:`_first_violation`."""
+    n = len(rows)
+    ident = tuple(range(n))
+    full = set(ident)
+    if n and set(map(len, rows)) == {n} and all(map(full.__eq__, map(set, rows))):
+        columns = tuple(zip(*rows))
+        if all(map(full.__eq__, map(set, columns))) and rows[0] == ident == columns[0]:
+            inv = tuple(map(tuple.index, rows, repeat(0)))
+            # a*inv[a] = 0; that inv[a]*a = 0 too says inv is an involution
+            if tuple(map(inv.__getitem__, inv)) == ident:
+                return inv
+    raise _first_violation(rows)
+
+
+def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Exception:
+    """The error for a table that fails one of the first four checks of
+    :class:`GroupTable`: those checks in order, one row, column or element
+    at a time, naming the first row, column, entry or element at fault."""
+    n = len(rows)
+    if n == 0:
+        return ValueError("multiplication table is empty")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not 0 <= x < n:
+                return ValueError(f"entry {x} out of range 0..{n - 1}")
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if frozenset(row) != full:
+            return NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
+    for j, column in enumerate(zip(*rows)):
+        if frozenset(column) != full:
+            return NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+    for a in range(n):
+        if rows[0][a] != a or rows[a][0] != a:
+            return NoIdentity("index 0 does not act as the identity")
+    for a in range(n):
+        if rows[rows[a].index(0)][a] != 0:
+            return NoInverse(f"element {a} has no two-sided inverse")
+    raise AssertionError("the whole-row checks rejected a group table")
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    The constructor validates all group axioms exactly, at every order:
-    rows/columns must be permutations, index 0 must act as identity,
-    inverses must exist, and associativity is proved by Light's test on a
-    generating set in O(n^2 log n).
+    The constructor validates all group axioms exactly, at every order, in
+    this order: every row has n entries in 0..n-1, the rows and then the
+    columns are permutations, index 0 acts as the identity, every element
+    has a two-sided inverse, and associativity holds, by Light's test on a
+    generating set in O(n^2 log n).  Each entry goes through ``int`` once.
+    The first four checks compare whole rows and columns; a table that fails
+    one goes to :func:`_first_violation`, which repeats them one row, column
+    or element at a time and names the first violation.
     """
 
     identity = 0
@@ -85,50 +136,15 @@ class GroupTable:
         spec: Optional[dict] = None,
     ):
         rows = tuple(tuple(map(int, row)) for row in mult)
-        n = len(rows)
-        if n == 0:
-            raise ValueError("multiplication table is empty")
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                x = next(x for x in row if not 0 <= x < n)
-                raise ValueError(f"entry {x} out of range 0..{n - 1}")
-        self.order = n
+        self.order = len(rows)
         self.mult = rows
         self.label = label
         self.spec = spec
         self._cache: dict = {}
-        self._check_latin()
-        self._check_identity()
-        self.inv = self._build_inverses()
+        self.inv = _checked_inverses(rows)
         self._check_associative()
 
     # -- validation -----------------------------------------------------
-
-    def _check_latin(self) -> None:
-        n = self.order
-        full = frozenset(range(n))
-        for i, row in enumerate(self.mult):
-            if frozenset(row) != full:
-                raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-        for j, column in enumerate(zip(*self.mult)):
-            if frozenset(column) != full:
-                raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
-
-    def _check_identity(self) -> None:
-        for a in range(self.order):
-            if self.mult[0][a] != a or self.mult[a][0] != a:
-                raise NoIdentity("index 0 does not act as the identity")
-
-    def _build_inverses(self) -> tuple[int, ...]:
-        inv = []
-        for a in range(self.order):
-            b = self.mult[a].index(0)
-            if self.mult[b][a] != 0:
-                raise NoInverse(f"element {a} has no two-sided inverse")
-            inv.append(b)
-        return tuple(inv)
 
     def _check_associative(self) -> None:
         """Light's associativity test on a greedily chosen generating set.
@@ -140,8 +156,8 @@ class GroupTable:
         in B (with b for x) in turn.  So once every generator passes, B
         contains every element reachable from 0 by right multiplication by
         generators, and the generators are picked until that is the whole
-        table.  Each generator b costs one row comparison per a, row
-        (a*b) against a*(b*y) over all y.
+        table.  Each generator b costs one comparison of row a*b with
+        a*(b*y) over all y per a, made for all a at once.
 
         A generator is tested before the next is picked.  While all tested
         generators pass, the reached set R is a subgroup (its elements lie
@@ -163,13 +179,13 @@ class GroupTable:
                 candidate += 1
             b = candidate
             rowb = mult[b]
-            times_b = itemgetter(*rowb)  # n >= 2 here, so this yields tuples
-            for a in range(n):
-                rowa = mult[a]
-                rowab = mult[rowa[b]]
-                if rowab != times_b(rowa):
-                    c = next(c for c in range(n) if rowab[c] != rowa[rowb[c]])
-                    raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+            # row a*(b*y) over all y, then row (a*b)*y, for every a
+            times_b = list(map(itemgetter(*rowb), mult))  # n >= 2: tuples
+            then_b = list(map(mult.__getitem__, map(itemgetter(b), mult)))
+            if then_b != times_b:
+                a = next(a for a in range(n) if then_b[a] != times_b[a])
+                c = next(c for c in range(n) if then_b[a][c] != times_b[a][c])
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
             gens.append(b)
             stack = list(reached)
             while stack:
@@ -299,6 +315,42 @@ def trivial_subgroup(G: GroupTable) -> Subgroup:
 # -- constructors --------------------------------------------------------
 
 
+def _bfs_table(identity, generators: Sequence, multiply, cap: int) -> tuple[tuple, tuple]:
+    """Close ``generators`` under the associative ``multiply``, numbering
+    the elements in BFS discovery order from ``identity`` with the
+    generators in input order.  Returns the elements and the rows of their
+    multiplication table.  An element beyond the first ``cap`` raises
+    ClosureExceedsCap."""
+    index = {identity: 0}
+    elements = [identity]
+    # right[k][i] = index of elements[i]*generators[k];
+    # spanning tree y = parent[y]*generators[via[y]]
+    right: list[list[int]] = [[] for _ in generators]
+    parent = [0]
+    via = [0]
+    for i, x in enumerate(elements):  # grows while iterating: a BFS queue
+        for k, g in enumerate(generators):
+            y = multiply(x, g)
+            j = index.get(y)
+            if j is None:
+                if len(elements) >= cap:
+                    raise ClosureExceedsCap(f"closure exceeded cap {cap}")
+                j = index[y] = len(elements)
+                elements.append(y)
+                parent.append(i)
+                via.append(k)
+            right[k].append(j)
+
+    # Column y of the table is the map i -> elements[i]*elements[y].  With
+    # elements[y] = elements[x]*g this is column x followed by right[g], so
+    # each column after the first costs one composition of index maps.
+    n = len(elements)
+    columns = [tuple(range(n))]
+    for y in range(1, n):
+        columns.append(tuple(map(right[via[y]].__getitem__, columns[parent[y]])))
+    return tuple(elements), tuple(zip(*columns))
+
+
 def from_generators(
     degree: int,
     generators: Sequence[Sequence[int]],
@@ -321,37 +373,9 @@ def from_generators(
             raise InvalidPermutation(f"{list(g)} is not a permutation of 0..{degree - 1}")
         gens.append(p)
 
-    identity = tuple(range(degree))
-    index = {identity: 0}
-    perms = [identity]
-    # right[k][i] = index of perms[i]*gens[k]; spanning tree y = parent[y]*gens[via[y]]
-    right: list[list[int]] = [[] for _ in gens]
-    parent = [0]
-    via = [0]
-    for i, x in enumerate(perms):  # grows while iterating: a BFS queue
-        for k, g in enumerate(gens):
-            y = _compose(x, g)
-            j = index.get(y)
-            if j is None:
-                if len(perms) >= limits.closure_cap:
-                    raise ClosureExceedsCap(
-                        f"closure exceeded cap {limits.closure_cap}"
-                    )
-                j = index[y] = len(perms)
-                perms.append(y)
-                parent.append(i)
-                via.append(k)
-            right[k].append(j)
-
-    # Column y of the table is the map i -> perms[i]*perms[y].  With
-    # perms[y] = perms[x]*g this is column x followed by right[g], so each
-    # column after the first costs one composition of index maps.
-    n = len(perms)
-    columns = [tuple(range(n))]
-    for y in range(1, n):
-        columns.append(tuple(map(right[via[y]].__getitem__, columns[parent[y]])))
-    table = GroupTable(tuple(zip(*columns)), label=label or f"perm{degree}<{n}>")
-    table.perms = tuple(perms)
+    perms, rows = _bfs_table(tuple(range(degree)), gens, _compose, limits.closure_cap)
+    table = GroupTable(rows, label=label or f"perm{degree}<{len(perms)}>")
+    table.perms = perms
     return table
 
 
@@ -361,41 +385,29 @@ def from_table(
     limits: Optional[Limits] = None,
 ) -> GroupTable:
     """Validate an explicit multiplication table, relabelling so the
-    identity sits at index 0."""
+    identity sits at index 0.  :class:`GroupTable` makes every check; a
+    Latin square that it rejects only because 0 is not the identity has its
+    two-sided identity, if any, swapped with 0 and is validated again."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    if len(matrix) > limits.closure_cap:
-        raise OrderExceedsCap(
-            f"table order {len(matrix)} exceeds cap {limits.closure_cap}"
-        )
-    rows = [list(int(x) for x in row) for row in matrix]
-    n = len(rows)
-    if n == 0:
-        raise ValueError("multiplication table is empty")
-    for i, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if not 0 <= x < n:
-                raise ValueError(f"entry {x} out of range 0..{n - 1}")
-    full = frozenset(range(n))
-    for i, row in enumerate(rows):
-        if frozenset(row) != full:
-            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if frozenset(row[j] for row in rows) != full:
-            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
-    e = next(
-        (c for c in range(n) if all(rows[c][a] == a and rows[a][c] == a for a in range(n))),
-        None,
-    )
+    n = len(matrix)
+    if n > limits.closure_cap:
+        raise OrderExceedsCap(f"table order {n} exceeds cap {limits.closure_cap}")
+    label = label or f"table<{n}>"
+    try:
+        return GroupTable(matrix, label=label)
+    except NoIdentity:
+        pass  # rows and columns are permutations of 0..n-1
+    rows = [tuple(map(int, row)) for row in matrix]
+    ident = tuple(range(n))
+    e = next((c for c, column in enumerate(zip(*rows)) if column == ident == rows[c]), None)
     if e is None:
         raise NoIdentity("table has no two-sided identity")
-    if e != 0:
-        # swap labels 0 <-> e
-        sigma = list(range(n))
-        sigma[0], sigma[e] = e, 0
-        rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
-    return GroupTable(rows, label=label or f"table<{n}>")
+    sigma = list(ident)
+    sigma[0], sigma[e] = e, 0
+    swapped = itemgetter(*sigma)  # n >= 2 here, so this yields tuples
+    return GroupTable(
+        [tuple(map(sigma.__getitem__, swapped(rows[a]))) for a in sigma], label=label
+    )
 
 
 # -- subgroup operations --------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 from pathlib import Path
 from typing import Optional
@@ -49,6 +50,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _all_ints(values) -> bool:
+    """:func:`_is_int` of every value, tested once per distinct type."""
+    return all(t is not bool and issubclass(t, int) for t in set(map(type, values)))
+
+
 def _check_preset_fields(spec: dict) -> None:
     """Type-check a preset spec and, recursively, its product factors."""
     n, factors = spec.get("n"), spec.get("factors")
@@ -85,8 +91,12 @@ def _cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
 
 
 def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTable:
+    """Build the group of a parsed spec.  Each size (a preset's order, a
+    permutation degree, a table's row count) is checked against
+    ``closure_cap`` before anything of that size is built or read."""
     if not isinstance(spec, dict):
         raise ParseError("group spec must be a JSON object")
+    limits = limits if limits is not None else DEFAULT_LIMITS
     kind = spec.get("kind")
     label = spec.get("label")
     if kind == "preset":
@@ -100,17 +110,24 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
         gens_raw = spec.get("generators")
         if not _is_int(degree) or not isinstance(gens_raw, list):
             raise ParseError("permutation spec needs integer 'degree' and list 'generators'")
-        cap = (limits if limits is not None else DEFAULT_LIMITS).closure_cap
-        if degree > cap:
-            raise ParseError(f"permutation degree {degree} exceeds cap {cap}")
+        if degree > limits.closure_cap:
+            raise ParseError(
+                f"permutation degree {degree} exceeds cap {limits.closure_cap}"
+            )
         gens = [_cycles_to_perm(degree, g) for g in gens_raw]
         g = from_generators(degree, gens, label=label, limits=limits)
         g.spec = {"kind": "permutation", "degree": degree, "generators": gens_raw}
         return g
     if kind == "table":
         matrix = spec.get("matrix")
-        if not isinstance(matrix, list) or not all(
-            isinstance(row, list) and all(_is_int(x) for x in row) for row in matrix
+        if not isinstance(matrix, list):
+            raise ParseError("table spec needs a 'matrix' list of integer rows")
+        if len(matrix) > limits.closure_cap:
+            raise OrderExceedsCap(
+                f"table order {len(matrix)} exceeds cap {limits.closure_cap}"
+            )
+        if not all(isinstance(row, list) for row in matrix) or not _all_ints(
+            chain.from_iterable(matrix)
         ):
             raise ParseError("table spec needs a 'matrix' list of integer rows")
         g = from_table(matrix, label=label, limits=limits)
@@ -200,9 +217,10 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     """Re-check a stored certificate: the group order, the double-coset
     reconstruction of U, XH = U, and then :func:`certify`, the same checks
     that issued it.  Parse failures raise :class:`ParseError`, as do a
-    negative element id, an ``r`` or ``s`` that is not an int, and
-    ``checks`` other than the five named checks, each passing; a
-    well-formed but wrong certificate returns False."""
+    negative element id, an id in ``H``, ``A`` or ``X`` that is not an int,
+    an id in ``X`` that is not below the group order, an ``r`` or ``s``
+    that is not an int, and ``checks`` other than the five named checks,
+    each passing; a well-formed but wrong certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -221,9 +239,18 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         raise ParseError("certificate 'checks' must be the five named checks, each passing")
     for field in _CERT_ID_FIELDS:
         ids = data[field]
-        if isinstance(ids, list) and any(_is_int(x) and x < 0 for x in ids):
+        if not isinstance(ids, list):
+            continue
+        if field in ("H", "A", "X") and not _all_ints(ids):
+            raise ParseError(f"certificate field {field!r} holds a non-integer element id")
+        if any(_is_int(x) and x < 0 for x in ids):
             raise ParseError(f"certificate field {field!r} holds a negative element id")
     G = group_from_spec_dict(group["spec"], limits=limits)
+    xs = data["X"]
+    if isinstance(xs, list) and xs and max(xs) >= G.order:
+        raise ParseError(
+            f"certificate element id {max(xs)} in 'X' is not below the group order {G.order}"
+        )
     if G.order != group.get("order"):
         return False
     try:

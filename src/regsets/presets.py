@@ -2,62 +2,52 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import ClosureExceedsCap, OrderExceedsCap, ParseError
-from .group_core import GroupTable, from_generators, generate_subgroup, quotient
+from .group_core import GroupTable, _bfs_table, from_generators, generate_subgroup, quotient
+
+
+def _turns_and_flips(m: int) -> tuple[list, list]:
+    """Rows ``((i + k) % m)_k`` and ``((i - k) % m)_k`` of Z_m, for each i."""
+    r = tuple(range(m))
+    return [r[i:] + r[:i] for i in range(m)], [r[i::-1] + r[:i:-1] for i in range(m)]
+
+
+def _shifted(row: tuple, by: int) -> tuple:
+    return tuple(map(by.__add__, row))
 
 
 def cyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic order must be positive")
-    mult = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return GroupTable(mult, f"cyclic({n})", {"kind": "preset", "name": "cyclic", "n": n})
+    turns, _ = _turns_and_flips(n)
+    return GroupTable(turns, f"cyclic({n})", {"kind": "preset", "name": "cyclic", "n": n})
 
 
 def dihedral(n: int, limits: Optional[Limits] = None) -> GroupTable:
-    """Symmetries of the n-gon, order 2n; elements r^i s^j with s r s = r^-1."""
+    """Symmetries of the n-gon, order 2n; element i + n*j is r^i s^j, with
+    s r s = r^-1, so r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
     if n < 1:
         raise ValueError("dihedral parameter must be positive")
-
-    def enc(i, j):
-        return i + n * j
-
-    order = 2 * n
-    mult = [[0] * order for _ in range(order)]
-    for i1 in range(n):
-        for j1 in range(2):
-            for i2 in range(n):
-                for j2 in range(2):
-                    i = (i1 + (i2 if j1 == 0 else -i2)) % n
-                    mult[enc(i1, j1)][enc(i2, j2)] = enc(i, j1 ^ j2)
+    turns, flips = _turns_and_flips(n)
+    mult = ([t + _shifted(t, n) for t in turns]
+            + [_shifted(f, n) + f for f in flips])
     return GroupTable(mult, f"dihedral({n})", {"kind": "preset", "name": "dihedral", "n": n})
 
 
 def dicyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
     """Order 4n; a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1.  dicyclic(2) is the
-    quaternion group."""
+    quaternion group.  Element i + 2n*j is a^i b^j."""
     if n < 1:
         raise ValueError("dicyclic parameter must be positive")
     m = 2 * n
-
-    def enc(i, j):
-        return i + m * j
-
-    order = 4 * n
-    mult = [[0] * order for _ in range(order)]
-    for i1 in range(m):
-        for j1 in range(2):
-            for i2 in range(m):
-                for j2 in range(2):
-                    if j1 == 0:
-                        i, j = (i1 + i2) % m, j2
-                    elif j2 == 0:
-                        i, j = (i1 - i2) % m, 1
-                    else:
-                        i, j = (i1 - i2 + n) % m, 0
-                    mult[enc(i1, j1)][enc(i2, j2)] = enc(i, j)
+    turns, flips = _turns_and_flips(m)
+    # a^i b * a^k = a^(i-k) b and a^i b * a^k b = a^(i-k+n)
+    mult = ([t + _shifted(t, m) for t in turns]
+            + [_shifted(flips[i], m) + flips[(i + n) % m] for i in range(m)])
     return GroupTable(mult, f"dicyclic({n})", {"kind": "preset", "name": "dicyclic", "n": n})
 
 
@@ -172,6 +162,8 @@ def sl23(limits: Optional[Limits] = None) -> GroupTable:
     """SL(2,3): 2x2 matrices of determinant 1 over the 3-element field,
     enumerated by BFS from the identity and tabulated."""
     limits = limits if limits is not None else DEFAULT_LIMITS
+    if limits.closure_cap < 24:  # |SL(2,3)| = 24
+        raise ClosureExceedsCap("matrix closure exceeded cap")
 
     def mat_mul(x, y):
         a1, b1, c1, d1 = x
@@ -183,46 +175,20 @@ def sl23(limits: Optional[Limits] = None) -> GroupTable:
             (c1 * b2 + d1 * d2) % 3,
         )
 
-    gens = [(1, 1, 0, 1), (0, 2, 1, 0)]
-    identity = (1, 0, 0, 1)
-    index = {identity: 0}
-    mats = [identity]
-    queue = [identity]
-    while queue:
-        x = queue.pop(0)
-        for g in gens:
-            y = mat_mul(x, g)
-            if y not in index:
-                if len(mats) >= limits.closure_cap:
-                    raise ClosureExceedsCap("matrix closure exceeded cap")
-                index[y] = len(mats)
-                mats.append(y)
-                queue.append(y)
-    n = len(mats)
-    mult = [[index[mat_mul(p, q)] for q in mats] for p in mats]
+    mats, mult = _bfs_table((1, 0, 0, 1), [(1, 1, 0, 1), (0, 2, 1, 0)], mat_mul, 24)
     g = GroupTable(mult, label="sl23", spec={"kind": "preset", "name": "sl23"})
-    g.mats = tuple(mats)
+    g.mats = mats
     return g
 
 
 def direct_product(G1: GroupTable, G2: GroupTable,
                    limits: Optional[Limits] = None) -> GroupTable:
     """Direct product with element ids packed as a*|G2| + b."""
-    n1, n2 = G1.order, G2.order
-    m1, m2 = G1.mult, G2.mult
-    order = n1 * n2
-    mult = [[0] * order for _ in range(order)]
-    for a1 in range(n1):
-        for b1 in range(n2):
-            e1 = a1 * n2 + b1
-            row = mult[e1]
-            ra = m1[a1]
-            rb = m2[b1]
-            for a2 in range(n1):
-                base = ra[a2] * n2
-                col = a2 * n2
-                for b2 in range(n2):
-                    row[col + b2] = base + rb[b2]
+    n2 = G2.order
+    # blocks[b][c] = (c*|G2| + b*y)_y; row (a, b) is the blocks of b at row a of G1
+    blocks = [[_shifted(rb, c * n2) for c in range(G1.order)] for rb in G2.mult]
+    mult = [tuple(chain.from_iterable(map(blocks[b].__getitem__, ra)))
+            for ra in G1.mult for b in range(n2)]
     spec = None
     if G1.spec is not None and G2.spec is not None:
         spec = {"kind": "preset", "name": "product", "factors": [G1.spec, G2.spec]}

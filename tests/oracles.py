@@ -409,3 +409,107 @@ def normal_chain_reports(G, hset, aset):
             parity = r % 2 == 0 or index % 2 == 0
             reports[(r, s)] = ((parity, div is None, selfp is None), (None, div, selfp))
     return reports
+
+
+def group_table_reference(mult):
+    """Table validation as ``GroupTable.__init__`` first did it, check by
+    check: entries through ``int``, row lengths and range row by row, the
+    rows and then the columns as permutations, 0 as the identity, a
+    two-sided inverse per element, and Light's test on greedily picked
+    generators.  Returns ``(rows, inv)`` or raises the first violation."""
+    from operator import itemgetter
+
+    from regsets.errors import NoIdentity, NoInverse, NotAssociative, NotLatinSquare
+
+    rows = tuple(tuple(map(int, row)) for row in mult)
+    n = len(rows)
+    if n == 0:
+        raise ValueError("multiplication table is empty")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        if min(row) < 0 or max(row) >= n:
+            x = next(x for x in row if not 0 <= x < n)
+            raise ValueError(f"entry {x} out of range 0..{n - 1}")
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if frozenset(row) != full:
+            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
+    for j, column in enumerate(zip(*rows)):
+        if frozenset(column) != full:
+            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+    for a in range(n):
+        if rows[0][a] != a or rows[a][0] != a:
+            raise NoIdentity("index 0 does not act as the identity")
+    inv = []
+    for a in range(n):
+        b = rows[a].index(0)
+        if rows[b][a] != 0:
+            raise NoInverse(f"element {a} has no two-sided inverse")
+        inv.append(b)
+    seen = [False] * n
+    seen[0] = True
+    reached = [0]
+    gens = []
+    candidate = 1
+    while len(reached) < n:
+        while seen[candidate]:
+            candidate += 1
+        b = candidate
+        rowb = rows[b]
+        times_b = itemgetter(*rowb)
+        for a in range(n):
+            rowa = rows[a]
+            rowab = rows[rowa[b]]
+            if rowab != times_b(rowa):
+                c = next(c for c in range(n) if rowab[c] != rowa[rowb[c]])
+                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        gens.append(b)
+        stack = list(reached)
+        while stack:
+            row = rows[stack.pop()]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+                    stack.append(y)
+    return rows, tuple(inv)
+
+
+def from_table_reference(matrix):
+    """``from_table`` as first written, under the default size cap: its own
+    range and Latin checks, a search for a two-sided identity, the swap of
+    its label with 0, then :func:`group_table_reference`."""
+    from regsets.errors import NoIdentity, NotLatinSquare, OrderExceedsCap
+
+    if len(matrix) > 5000:
+        raise OrderExceedsCap(f"table order {len(matrix)} exceeds cap 5000")
+    rows = [list(int(x) for x in row) for row in matrix]
+    n = len(rows)
+    if n == 0:
+        raise ValueError("multiplication table is empty")
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not 0 <= x < n:
+                raise ValueError(f"entry {x} out of range 0..{n - 1}")
+    full = frozenset(range(n))
+    for i, row in enumerate(rows):
+        if frozenset(row) != full:
+            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
+    for j in range(n):
+        if frozenset(row[j] for row in rows) != full:
+            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
+    e = next(
+        (c for c in range(n) if all(rows[c][a] == a and rows[a][c] == a for a in range(n))),
+        None,
+    )
+    if e is None:
+        raise NoIdentity("table has no two-sided identity")
+    if e != 0:
+        sigma = list(range(n))
+        sigma[0], sigma[e] = e, 0
+        rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
+    return group_table_reference(rows)

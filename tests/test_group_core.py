@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,7 @@ from regsets.errors import (
     NotNormal,
     OrderExceedsCap,
     PNotDividing,
+    RegsetError,
 )
 from regsets.group_core import (
     _conjugate_mask,
@@ -129,6 +131,87 @@ def test_from_table_not_associative():
 def test_from_table_order_cap():
     with pytest.raises(OrderExceedsCap):
         rs.from_table([[0, 1], [1, 0]], limits=Limits(closure_cap=1))
+
+
+def _latin_squares_without_group_law():
+    """Reduced Latin squares of order 5 and the first 3000 of order 6 that
+    are not groups, split into those where some element has no two-sided
+    inverse and those with all inverses that are not associative."""
+    out = {"no_inverse": [], "not_associative": []}
+    for n in (5, 6):
+        for t in islice(oracles.reduced_latin_squares(n), 3000):
+            if any(t[t[a].index(0)][a] != 0 for a in range(n)):
+                out["no_inverse"].append(t)
+            elif oracles.associativity_failure(t) is not None:
+                out["not_associative"].append(t)
+    return out
+
+
+LOOPS = _latin_squares_without_group_law()
+
+TABLE_DEFECTS = ("none", "short_row", "out_of_range", "repeated_in_row",
+                 "repeated_in_column", "no_identity", *LOOPS)
+
+
+def _relabel(mult, perm):
+    """The table of ``mult`` with each element a renamed perm[a]."""
+    n = len(mult)
+    back = [0] * n
+    for a, p in enumerate(perm):
+        back[p] = a
+    return [[perm[mult[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+
+
+@st.composite
+def tables_with_one_defect(draw, groups):
+    """A group table relabelled by a random permutation (fixing 0 or not)
+    with at most one defect, or a relabelled square of ``LOOPS``."""
+    defect = draw(st.sampled_from(TABLE_DEFECTS))
+    if defect in LOOPS:
+        base = draw(st.sampled_from(LOOPS[defect]))
+    else:
+        base = draw(st.sampled_from(groups)).mult
+    n = len(base)
+    perm = draw(st.permutations(range(n)))
+    if draw(st.booleans()):
+        perm = [0, *[p for p in perm if p]]  # the identity stays at 0
+    table = _relabel(base, perm)
+    i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+    if defect == "short_row":
+        table[i].pop()
+    elif defect == "out_of_range":
+        table[i][j] = draw(st.sampled_from([-1, n, n + 7]))
+    elif defect == "repeated_in_row" and j != k:
+        table[i][j] = table[i][k]
+    elif defect == "repeated_in_column" and j != k:
+        table[i][j], table[i][k] = table[i][k], table[i][j]
+    elif defect == "no_identity" and n >= 3:
+        # swapping two rows that are not the identity's leaves a Latin square
+        # whose only identity row has a column that is not the identity's
+        e = perm[0]
+        i, k = [a for a in range(n) if a != e][:2]
+        table[i], table[k] = table[k], table[i]
+    return table
+
+
+def _table_outcome(build, table):
+    try:
+        result = build(table)
+    except (ValueError, RegsetError) as exc:
+        return type(exc), str(exc)
+    return result if isinstance(result, tuple) else (result.mult, result.inv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_table_validation_matches_the_ordered_reference(small_corpus, data):
+    # the same first violation (class and message), or the same table and
+    # inverses, as the ordered checks of GroupTable and from_table
+    table = data.draw(tables_with_one_defect(small_corpus))
+    assert (_table_outcome(rs.GroupTable, table)
+            == _table_outcome(oracles.group_table_reference, table))
+    assert (_table_outcome(rs.from_table, table)
+            == _table_outcome(oracles.from_table_reference, table))
 
 
 # -- associativity (Light's test on a generating set) ------------------------

@@ -74,6 +74,16 @@ def test_permutation_degree_is_capped_before_anything_is_built(monkeypatch):
     assert built == [("perm", 10), ("group", 10)]
 
 
+def test_table_order_is_capped_before_the_entries_are_read():
+    # the non-integer entry would be a ParseError, but the size comes first
+    small = Limits(closure_cap=4)
+    matrix = [[0, 1, 2, 3, 4]] * 4 + [[0, 1, 2, 3, "4"]]
+    with pytest.raises(OrderExceedsCap, match="table order 5 exceeds cap 4"):
+        harness.group_from_spec_dict({"kind": "table", "matrix": matrix}, limits=small)
+    with pytest.raises(ParseError):
+        harness.group_from_spec_dict({"kind": "table", "matrix": matrix[1:]}, limits=small)
+
+
 def test_spec_round_trip_reproduces_table(corpus):
     # every corpus group carries a spec that rebuilds the identical table
     for G in corpus:
@@ -226,6 +236,28 @@ def test_cli_verify_checks_must_be_the_five_passing_checks(tmp_path, capsys, che
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "'checks'" in captured.err
+
+
+@pytest.mark.parametrize("field,ids", [
+    ("H", ["0"]), ("A", [0, "2"]), ("X", [True, 3]), ("A", [0, 2.0]),
+], ids=["H-str", "A-str", "X-bool", "A-float"])
+def test_cli_verify_non_int_id_is_an_error(tmp_path, capsys, field, ids):
+    # "H": ["0"] used to verify as valid (exit 0): Subgroup read "0" as 0
+    path = _tampered_cyclic4_cert(tmp_path, **{field: ids})
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "non-integer element id" in captured.err
+
+
+@pytest.mark.parametrize("x", [4, 99])
+def test_cli_verify_x_id_beyond_the_order_is_an_error(tmp_path, capsys, x):
+    # "X": [99] used to raise IndexError out of cli.main
+    path = _tampered_cyclic4_cert(tmp_path, X=[1, x])
+    with pytest.raises(ParseError):
+        rs.verify_certificate_file(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"id {x} in 'X' is not below the group order 4" in captured.err
 
 
 def test_certificate_missing_field(tmp_path):
