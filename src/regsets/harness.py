@@ -55,20 +55,6 @@ def _all_ints(values) -> bool:
     return all(t is not bool and issubclass(t, int) for t in set(map(type, values)))
 
 
-def _check_preset_fields(spec: dict) -> None:
-    """Type-check a preset spec and, recursively, its product factors."""
-    n, factors = spec.get("n"), spec.get("factors")
-    if not isinstance(spec.get("name"), str):
-        raise ParseError("preset spec needs a string 'name'")
-    if n is not None and not _is_int(n):
-        raise ParseError(f"preset parameter 'n' must be an integer, got {n!r}")
-    if factors is not None and not isinstance(factors, list):
-        raise ParseError("preset 'factors' must be a list of preset specs")
-    for f in factors or ():
-        if isinstance(f, dict):  # preset() rejects any other factor
-            _check_preset_fields(f)
-
-
 def _cycles_to_perm(degree: int, cycles) -> tuple[int, ...]:
     if not isinstance(cycles, list):
         raise ParseError("a permutation must be a list of cycles")
@@ -100,8 +86,10 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
     kind = spec.get("kind")
     label = spec.get("label")
     if kind == "preset":
-        _check_preset_fields(spec)
-        g = preset(spec.get("name"), spec.get("n"), spec.get("factors"), limits)
+        try:
+            g = preset(spec.get("name"), spec.get("n"), spec.get("factors"), limits)
+        except RecursionError as exc:
+            raise ParseError("preset spec is nested too deep") from exc
         if label:
             g.label = str(label)
         return g
@@ -140,7 +128,7 @@ def parse_group_spec(text: str, limits: Optional[Limits] = None) -> GroupTable:
     """Parse a JSON group spec (kinds: preset, permutation, table)."""
     try:
         spec = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return group_from_spec_dict(spec, limits=limits)
 
@@ -224,7 +212,7 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"cannot read certificate: {exc}") from exc
     if not isinstance(data, dict) or any(f not in data for f in _CERT_FIELDS):
         raise ParseError("certificate is missing required fields")

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import chain
+from math import prod
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .errors import ClosureExceedsCap, OrderExceedsCap, ParseError
+from .errors import OrderExceedsCap, ParseError
 from .group_core import GroupTable, _bfs_table, from_generators, generate_subgroup, quotient
 
 
@@ -20,14 +22,14 @@ def _shifted(row: tuple, by: int) -> tuple:
     return tuple(map(by.__add__, row))
 
 
-def cyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
+def cyclic(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("cyclic order must be positive")
     turns, _ = _turns_and_flips(n)
     return GroupTable(turns, f"cyclic({n})", {"kind": "preset", "name": "cyclic", "n": n})
 
 
-def dihedral(n: int, limits: Optional[Limits] = None) -> GroupTable:
+def dihedral(n: int) -> GroupTable:
     """Symmetries of the n-gon, order 2n; element i + n*j is r^i s^j, with
     s r s = r^-1, so r^i s^j * r^k s^l = r^(i + (-1)^j k) s^(j + l)."""
     if n < 1:
@@ -38,7 +40,7 @@ def dihedral(n: int, limits: Optional[Limits] = None) -> GroupTable:
     return GroupTable(mult, f"dihedral({n})", {"kind": "preset", "name": "dihedral", "n": n})
 
 
-def dicyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
+def dicyclic(n: int) -> GroupTable:
     """Order 4n; a^(2n) = 1, b^2 = a^n, b a b^-1 = a^-1.  dicyclic(2) is the
     quaternion group.  Element i + 2n*j is a^i b^j."""
     if n < 1:
@@ -51,14 +53,23 @@ def dicyclic(n: int, limits: Optional[Limits] = None) -> GroupTable:
     return GroupTable(mult, f"dicyclic({n})", {"kind": "preset", "name": "dicyclic", "n": n})
 
 
-def quaternion8(limits: Optional[Limits] = None) -> GroupTable:
-    g = dicyclic(2, limits=limits)
+def quaternion8() -> GroupTable:
+    g = dicyclic(2)
     g.label = "quaternion8"
     g.spec = {"kind": "preset", "name": "quaternion8"}
     return g
 
 
-def symmetric(n: int, limits: Optional[Limits] = None) -> GroupTable:
+def _permutation_preset(degree: int, gens: list, order: int, label: str,
+                        spec: dict) -> GroupTable:
+    """Close ``gens``, which generate a group of ``order``, with that order
+    as the closure cap: :func:`preset` has already checked it."""
+    g = from_generators(degree, gens, label=label, limits=Limits(closure_cap=order))
+    g.spec = spec
+    return g
+
+
+def symmetric(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("degree must be positive")
     gens = []
@@ -66,12 +77,11 @@ def symmetric(n: int, limits: Optional[Limits] = None) -> GroupTable:
         gens.append(tuple([1, 0] + list(range(2, n))))
     if n >= 3:
         gens.append(tuple(list(range(1, n)) + [0]))
-    g = from_generators(n, gens, label=f"symmetric({n})", limits=limits)
-    g.spec = {"kind": "preset", "name": "symmetric", "n": n}
-    return g
+    return _permutation_preset(n, gens, prod(range(2, n + 1)), f"symmetric({n})",
+                               {"kind": "preset", "name": "symmetric", "n": n})
 
 
-def alternating(n: int, limits: Optional[Limits] = None) -> GroupTable:
+def alternating(n: int) -> GroupTable:
     if n < 1:
         raise ValueError("degree must be positive")
     gens = []
@@ -82,88 +92,72 @@ def alternating(n: int, limits: Optional[Limits] = None) -> GroupTable:
             gens.append(tuple(list(range(1, n)) + [0]))
         else:
             gens.append(tuple([0] + list(range(2, n)) + [1]))
-    g = from_generators(max(n, 1), gens, label=f"alternating({n})", limits=limits)
-    g.spec = {"kind": "preset", "name": "alternating", "n": n}
-    return g
+    return _permutation_preset(n, gens, prod(range(3, n + 1)), f"alternating({n})",
+                               {"kind": "preset", "name": "alternating", "n": n})
 
 
-def klein4(limits: Optional[Limits] = None) -> GroupTable:
-    mult = [[i ^ j for j in range(4)] for i in range(4)]
-    return GroupTable(mult, "klein4", {"kind": "preset", "name": "klein4"})
+_XOR4 = [[v ^ w for w in range(4)] for v in range(4)]  # the table of C2 x C2
 
 
-def semidihedral16(limits: Optional[Limits] = None) -> GroupTable:
-    """Order 16; r of order 8 with s r s = r^3 (s reflects 0..7 by i -> 3i)."""
+def klein4() -> GroupTable:
+    return GroupTable(_XOR4, "klein4", {"kind": "preset", "name": "klein4"})
+
+
+def _metacyclic16(k: int, name: str) -> GroupTable:
+    """Order 16; r of order 8 with s r s = r^k (s maps 0..7 by i -> k*i)."""
     r = tuple((i + 1) % 8 for i in range(8))
-    s = tuple((3 * i) % 8 for i in range(8))
-    g = from_generators(8, [r, s], label="semidihedral16", limits=limits)
-    g.spec = {"kind": "preset", "name": "semidihedral16"}
-    return g
+    s = tuple((k * i) % 8 for i in range(8))
+    return _permutation_preset(8, [r, s], 16, name, {"kind": "preset", "name": name})
 
 
-def modular16(limits: Optional[Limits] = None) -> GroupTable:
-    """Order 16; r of order 8 with s r s = r^5."""
-    r = tuple((i + 1) % 8 for i in range(8))
-    s = tuple((5 * i) % 8 for i in range(8))
-    g = from_generators(8, [r, s], label="modular16", limits=limits)
-    g.spec = {"kind": "preset", "name": "modular16"}
-    return g
+def semidihedral16() -> GroupTable:
+    return _metacyclic16(3, "semidihedral16")
 
 
-def c4_semi_c4(limits: Optional[Limits] = None) -> GroupTable:
+def modular16() -> GroupTable:
+    return _metacyclic16(5, "modular16")
+
+
+def _extension_by_c4(vmul: list, act: tuple, name: str) -> GroupTable:
+    """Order 16; a group V of order 4 with table ``vmul``, extended by b of
+    order 4 acting on V as the involution ``act``.  Element v + 4j is
+    v b^j, and v b^j * w b^l = (v * act^j(w)) b^(j + l)."""
+    mult = []
+    for j in range(4):
+        twist = act if j % 2 else range(4)
+        for row in vmul:
+            base = tuple(map(row.__getitem__, twist))
+            mult.append(tuple(chain.from_iterable(
+                _shifted(base, 4 * ((j + l) % 4)) for l in range(4))))
+    return GroupTable(mult, name, {"kind": "preset", "name": name})
+
+
+def c4_semi_c4() -> GroupTable:
     """Order 16; a^4 = b^4 = 1 with b a b^-1 = a^-1."""
-
-    def enc(i, j):
-        return i + 4 * j
-
-    mult = [[0] * 16 for _ in range(16)]
-    for i1 in range(4):
-        for j1 in range(4):
-            for i2 in range(4):
-                for j2 in range(4):
-                    i = (i1 + (i2 if j1 % 2 == 0 else -i2)) % 4
-                    mult[enc(i1, j1)][enc(i2, j2)] = enc(i, (j1 + j2) % 4)
-    return GroupTable(mult, "c4_semi_c4", {"kind": "preset", "name": "c4_semi_c4"})
+    turns, _ = _turns_and_flips(4)
+    return _extension_by_c4(turns, (0, 3, 2, 1), "c4_semi_c4")
 
 
-def c22_semi_c4(limits: Optional[Limits] = None) -> GroupTable:
+def c22_semi_c4() -> GroupTable:
     """Order 16; C2 x C2 extended by C4 swapping the two factors."""
-
-    def swap(v):
-        return ((v & 1) << 1) | (v >> 1)
-
-    def enc(v, j):
-        return v + 4 * j
-
-    mult = [[0] * 16 for _ in range(16)]
-    for v1 in range(4):
-        for j1 in range(4):
-            for v2 in range(4):
-                for j2 in range(4):
-                    w = v2 if j1 % 2 == 0 else swap(v2)
-                    mult[enc(v1, j1)][enc(v2, j2)] = enc(v1 ^ w, (j1 + j2) % 4)
-    return GroupTable(mult, "c22_semi_c4", {"kind": "preset", "name": "c22_semi_c4"})
+    return _extension_by_c4(_XOR4, (0, 2, 1, 3), "c22_semi_c4")
 
 
-def pauli16(limits: Optional[Limits] = None) -> GroupTable:
+def pauli16() -> GroupTable:
     """Central product of the quaternion group with C4 (the order-16 group
     with cyclic center of order 4 and seven involutions)."""
-    base = direct_product(dicyclic(2, limits=limits), cyclic(4, limits=limits),
-                          limits=limits)
+    base = direct_product(dicyclic(2), cyclic(4))
     # identify the quaternion -1 (index 2) with the square of the C4 generator
     k = generate_subgroup(base, [2 * 4 + 2])
-    quo = quotient(base.full_subgroup(), k)
-    g = GroupTable(quo.table.mult, label="pauli16",
-                   spec={"kind": "preset", "name": "pauli16"})
+    g = quotient(base.full_subgroup(), k).table  # new with ``base``: ours to relabel
+    g.label = "pauli16"
+    g.spec = {"kind": "preset", "name": "pauli16"}
     return g
 
 
-def sl23(limits: Optional[Limits] = None) -> GroupTable:
+def sl23() -> GroupTable:
     """SL(2,3): 2x2 matrices of determinant 1 over the 3-element field,
     enumerated by BFS from the identity and tabulated."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
-    if limits.closure_cap < 24:  # |SL(2,3)| = 24
-        raise ClosureExceedsCap("matrix closure exceeded cap")
 
     def mat_mul(x, y):
         a1, b1, c1, d1 = x
@@ -181,8 +175,7 @@ def sl23(limits: Optional[Limits] = None) -> GroupTable:
     return g
 
 
-def direct_product(G1: GroupTable, G2: GroupTable,
-                   limits: Optional[Limits] = None) -> GroupTable:
+def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     """Direct product with element ids packed as a*|G2| + b."""
     n2 = G2.order
     # blocks[b][c] = (c*|G2| + b*y)_y; row (a, b) is the blocks of b at row a of G1
@@ -195,179 +188,131 @@ def direct_product(G1: GroupTable, G2: GroupTable,
     return GroupTable(mult, label=f"{G1.label}x{G2.label}", spec=spec)
 
 
-_NO_ARG_PRESETS = {
-    "klein4": klein4,
-    "quaternion8": quaternion8,
-    "sl23": sl23,
-    "semidihedral16": semidihedral16,
-    "modular16": modular16,
-    "pauli16": pauli16,
-    "c4_semi_c4": c4_semi_c4,
-    "c22_semi_c4": c22_semi_c4,
-}
-
-_N_ARG_PRESETS = {
-    "cyclic": cyclic,
-    "dihedral": dihedral,
-    "dicyclic": dicyclic,
-    "symmetric": symmetric,
-    "alternating": alternating,
-}
-
-
-# Orders of the presets, known before anything is built.
-_NO_ARG_ORDERS = {
-    "klein4": 4,
-    "quaternion8": 8,
-    "sl23": 24,
-    "semidihedral16": 16,
-    "modular16": 16,
-    "pauli16": 16,
-    "c4_semi_c4": 16,
-    "c22_semi_c4": 16,
+# Every preset but ``product``: name -> (builder, order).  The order is an
+# int, or for a family that takes ``n`` the function of n.
+_PRESETS = {
+    "cyclic": (cyclic, lambda n: n),
+    "dihedral": (dihedral, lambda n: 2 * n),
+    "dicyclic": (dicyclic, lambda n: 4 * n),
+    "symmetric": (symmetric, lambda n: prod(range(2, n + 1))),
+    "alternating": (alternating, lambda n: prod(range(3, n + 1))),
+    "klein4": (klein4, 4),
+    "quaternion8": (quaternion8, 8),
+    "sl23": (sl23, 24),
+    "semidihedral16": (semidihedral16, 16),
+    "modular16": (modular16, 16),
+    "pauli16": (pauli16, 16),
+    "c4_semi_c4": (c4_semi_c4, 16),
+    "c22_semi_c4": (c22_semi_c4, 16),
 }
 
 
 def _preset_order(name, n, factors, cap: int) -> int:
-    """The order of the group ``preset`` would build, or 0 when the
-    arguments are malformed (the builders report those).  Above ``cap`` the
-    result is only a lower bound, so no huge product is ever formed."""
+    """Check the arguments of :func:`preset`, and recursively the specs of a
+    product's factors, raising ParseError at the first malformed one.
+    Return the order of the group that would be built, or ``cap + 1`` if it
+    is larger."""
     if name == "product":
-        if not isinstance(factors, (list, tuple)):
-            return 0
+        if n is not None:
+            raise ParseError("preset 'product' takes no parameter")
+        if not isinstance(factors, list) or len(factors) < 2:
+            raise ParseError("product preset needs a list of at least two factors")
         order = 1
         for f in factors:
-            if isinstance(f, GroupTable):
-                order *= f.order
-            elif isinstance(f, dict):
-                order *= _preset_order(f.get("name"), f.get("n"), f.get("factors"), cap)
-            else:
-                return 0
-            if order > cap:
-                break
+            if not isinstance(f, dict) or f.get("kind") != "preset":
+                raise ParseError("product factors must be preset specs")
+            order *= _preset_order(f.get("name"), f.get("n"), f.get("factors"), cap)
+            order = min(order, cap + 1)
         return order
-    if name in _NO_ARG_ORDERS:
-        return _NO_ARG_ORDERS[name]
-    if name not in _N_ARG_PRESETS or n is None:
-        return 0
-    try:
-        n = int(n)
-    except (TypeError, ValueError):
-        return 0
-    if name == "cyclic":
-        return n
-    if name == "dihedral":
-        return 2 * n
-    if name == "dicyclic":
-        return 4 * n
-    order = 1  # symmetric: n!, alternating: n!/2
-    for k in range(2, n + 1):
-        order *= k
-        if order > 2 * cap:
-            break
-    return order // 2 if name == "alternating" and n >= 2 else order
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ParseError(f"unknown preset {name!r}")
+    if factors is not None:
+        raise ParseError(f"preset {name!r} takes no factors")
+    size = _PRESETS[name][1]
+    if not callable(size):
+        if n is not None:
+            raise ParseError(f"preset {name!r} takes no parameter")
+        return size
+    if n is None:
+        raise ParseError(f"preset {name!r} needs a parameter n")
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError(f"preset parameter 'n' must be an integer, got {n!r}")
+    # Each family's order grows with n and is above cap from n = cap + 2, so
+    # clamping n keeps a huge n cheap.  An n below 1 is the builder's error.
+    return min(size(min(max(n, 0), cap + 2)), cap + 1)
 
 
 def preset(name: str, n: Optional[int] = None, factors: Optional[list] = None,
            limits: Optional[Limits] = None) -> GroupTable:
-    """Build a preset group by name.  ``product`` takes ``factors``, the
-    parametric families take ``n``, the rest take no arguments.  The order
-    is checked against ``limits.closure_cap`` before any table is built."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
+    """Build a preset group by name.  ``product`` takes ``factors``, a list
+    of at least two preset specs; the families take ``n``; the rest take no
+    arguments.  Every argument is checked, and the order compared with
+    ``limits.closure_cap``, before any table is built: this is the one
+    place where a preset meets the cap."""
+    cap = (limits if limits is not None else DEFAULT_LIMITS).closure_cap
+    if _preset_order(name, n, factors, cap) > cap:
+        raise OrderExceedsCap(f"preset {name!r} has order above the cap {cap}")
+    return _build(name, n, factors)
+
+
+def _build(name, n, factors) -> GroupTable:
     if name == "product":
-        if not factors or len(factors) < 2:
-            raise ParseError("product preset needs at least two factors")
-    elif name in _NO_ARG_PRESETS:
-        if n is not None:
-            raise ParseError(f"preset {name!r} takes no parameter")
-    elif name in _N_ARG_PRESETS:
-        if n is None:
-            raise ParseError(f"preset {name!r} needs a parameter n")
-    else:
-        raise ParseError(f"unknown preset {name!r}")
-    order = _preset_order(name, n, factors, limits.closure_cap)
-    if order > limits.closure_cap:
-        raise OrderExceedsCap(
-            f"preset {name!r} has order at least {order}, above the cap {limits.closure_cap}"
-        )
-    if name == "product":
-        built = [
-            f if isinstance(f, GroupTable) else _factor_from_spec(f, limits)
-            for f in factors
-        ]
-        g = built[0]
-        for other in built[1:]:
-            g = direct_product(g, other, limits=limits)
-        return g
-    if name in _NO_ARG_PRESETS:
-        return _NO_ARG_PRESETS[name](limits=limits)
-    return _N_ARG_PRESETS[name](int(n), limits=limits)
+        return reduce(direct_product,
+                      [_build(f["name"], f.get("n"), f.get("factors")) for f in factors])
+    builder, size = _PRESETS[name]
+    return builder(n) if callable(size) else builder()
 
 
-def _factor_from_spec(spec: dict, limits: Optional[Limits]) -> GroupTable:
-    if not isinstance(spec, dict) or spec.get("kind") != "preset":
-        raise ParseError("product factors must be preset specs")
-    return preset(spec.get("name"), spec.get("n"), spec.get("factors"), limits)
-
-
-def groups_up_to_16(limits: Optional[Limits] = None) -> list[GroupTable]:
+def groups_up_to_16() -> list[GroupTable]:
     """One representative of every isomorphism class of order at most 16."""
-    L = limits
-    prod = direct_product
-
-    def c(n):
-        return cyclic(n, limits=L)
-
+    c = cyclic
+    times = direct_product
     out: list[GroupTable] = []
     out.extend([c(1), c(2), c(3)])
-    out.extend([c(4), klein4(limits=L)])
+    out.extend([c(4), klein4()])
     out.append(c(5))
-    out.extend([c(6), dihedral(3, limits=L)])
+    out.extend([c(6), dihedral(3)])
     out.append(c(7))
     out.extend([
         c(8),
-        prod(c(4), c(2), limits=L),
-        prod(prod(c(2), c(2), limits=L), c(2), limits=L),
-        dihedral(4, limits=L),
-        dicyclic(2, limits=L),
+        times(c(4), c(2)),
+        times(times(c(2), c(2)), c(2)),
+        dihedral(4),
+        dicyclic(2),
     ])
-    out.extend([c(9), prod(c(3), c(3), limits=L)])
-    out.extend([c(10), dihedral(5, limits=L)])
+    out.extend([c(9), times(c(3), c(3))])
+    out.extend([c(10), dihedral(5)])
     out.append(c(11))
     out.extend([
         c(12),
-        prod(c(6), c(2), limits=L),
-        dihedral(6, limits=L),
-        alternating(4, limits=L),
-        dicyclic(3, limits=L),
+        times(c(6), c(2)),
+        dihedral(6),
+        alternating(4),
+        dicyclic(3),
     ])
     out.append(c(13))
-    out.extend([c(14), dihedral(7, limits=L)])
+    out.extend([c(14), dihedral(7)])
     out.append(c(15))
     out.extend([
         c(16),
-        prod(c(4), c(4), limits=L),
-        c22_semi_c4(limits=L),
-        c4_semi_c4(limits=L),
-        prod(c(8), c(2), limits=L),
-        modular16(limits=L),
-        dihedral(8, limits=L),
-        semidihedral16(limits=L),
-        dicyclic(4, limits=L),
-        prod(prod(c(4), c(2), limits=L), c(2), limits=L),
-        prod(dihedral(4, limits=L), c(2), limits=L),
-        prod(dicyclic(2, limits=L), c(2), limits=L),
-        pauli16(limits=L),
-        prod(prod(prod(c(2), c(2), limits=L), c(2), limits=L), c(2), limits=L),
+        times(c(4), c(4)),
+        c22_semi_c4(),
+        c4_semi_c4(),
+        times(c(8), c(2)),
+        modular16(),
+        dihedral(8),
+        semidihedral16(),
+        dicyclic(4),
+        times(times(c(4), c(2)), c(2)),
+        times(dihedral(4), c(2)),
+        times(dicyclic(2), c(2)),
+        pauli16(),
+        times(times(times(c(2), c(2)), c(2)), c(2)),
     ])
     return out
 
 
-def standard_corpus(limits: Optional[Limits] = None) -> list[GroupTable]:
+def standard_corpus() -> list[GroupTable]:
     """The cross-validation corpus: everything up to order 16 plus S4, the
     order-24 dihedral group and SL(2,3) (A4 is already in the list)."""
-    out = groups_up_to_16(limits=limits)
-    out.append(symmetric(4, limits=limits))
-    out.append(dihedral(12, limits=limits))
-    out.append(sl23(limits=limits))
-    return out
+    return groups_up_to_16() + [symmetric(4), dihedral(12), sl23()]

@@ -92,6 +92,59 @@ def test_spec_round_trip_reproduces_table(corpus):
         assert again.mult == G.mult
 
 
+_FAMILIES = ["cyclic", "dihedral", "dicyclic", "symmetric", "alternating"]
+_FIXED = ["klein4", "quaternion8", "sl23", "semidihedral16", "modular16", "pauli16",
+          "c4_semi_c4", "c22_semi_c4"]
+_SPEC_NAMES = st.sampled_from(_FAMILIES + _FIXED + ["product", "nosuch", 5, None, ["cyclic"]])
+_SPEC_NS = st.one_of(
+    st.sampled_from([None, -3, 0, 10 ** 12, True, False, 2.0, "3", [2]]),
+    st.integers(1, 6),
+)
+_JUNK_FACTORS = st.sampled_from([5, "x", {"a": 1}, [], [3, 4], [None, {}]])
+_FAMILY_LEAVES = st.builds(lambda name, n: {"kind": "preset", "name": name, "n": n},
+                          st.sampled_from(_FAMILIES), _SPEC_NS)
+_GOOD_LEAVES = st.one_of(
+    st.builds(lambda name, n: {"kind": "preset", "name": name, "n": n},
+              st.sampled_from(_FAMILIES), st.integers(1, 4)),
+    st.sampled_from(_FIXED).map(lambda name: {"kind": "preset", "name": name}),
+)
+
+
+def _preset_specs(depth: int):
+    """Preset specs with products nested at most ``depth`` deep: well-formed
+    ones, and ones with any field of the wrong type or value."""
+    factors = _JUNK_FACTORS
+    if depth > 0:
+        inner = _preset_specs(depth - 1)
+        factors = st.one_of(factors, st.lists(inner, min_size=1, max_size=3))
+    spec = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["preset", "preset", "preset", "table"]), "name": _SPEC_NAMES},
+        optional={"n": _SPEC_NS, "factors": factors},
+    )
+    if depth == 0:
+        return st.one_of(spec, _FAMILY_LEAVES, _GOOD_LEAVES)
+    entry = st.one_of(inner, inner, inner, st.sampled_from([3, "x", None]))
+    product = st.fixed_dictionaries(
+        {"kind": st.just("preset"), "name": st.just("product"),
+         "factors": st.lists(entry, max_size=3)},
+        optional={"n": _SPEC_NS},
+    )
+    return st.one_of(spec, _FAMILY_LEAVES, _GOOD_LEAVES, product)
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec=_preset_specs(3))
+def test_preset_spec_boundary(spec):
+    # a malformed preset spec is an error of one of three kinds, never a
+    # crash; a spec that builds names a group that its own spec rebuilds
+    small = Limits(closure_cap=200)
+    try:
+        G = harness.group_from_spec_dict(spec, limits=small)
+    except (ParseError, ValueError, OrderExceedsCap):
+        return
+    assert rs.parse_group_spec(json.dumps(G.spec), limits=small).mult == G.mult
+
+
 def test_group_from_arg_shorthand():
     assert rs.group_from_arg("preset:cyclic:4").order == 4
     assert rs.group_from_arg("preset:sl23").order == 24
@@ -643,6 +696,16 @@ def test_cli_builds_the_parser_once(monkeypatch, capsys):
     assert outputs[0] == outputs[1] and "3 subgroups" in outputs[0].out
 
 
+_C1 = '{"kind":"preset","name":"cyclic","n":1}'
+
+
+def _nested_products_text(depth: int) -> str:
+    """A product spec with ``depth`` nested products (JSON about twice as
+    deep), built as text so that nothing here recurses."""
+    return ('{"kind":"preset","name":"product","factors":[' * depth + _C1
+            + ("," + _C1 + "]}") * depth)
+
+
 @pytest.mark.parametrize("spec", [
     '{"kind":"preset","name":"cyclic","n":[1]}',
     '{"kind":"preset","name":[1]}',
@@ -656,12 +719,37 @@ def test_cli_builds_the_parser_once(monkeypatch, capsys):
     '{"kind":"permutation","degree":3,"generators":[[[[0],1]]]}',
     '{"kind":"table","matrix":[5]}',
     '{"kind":"table","matrix":[[0,"1"],[1,0]]}',
+    '{"kind":"preset","name":"product","n":3,"factors":[%s,%s]}' % (_C1, _C1),
+    # json.loads raised RecursionError out of cli.main on this one
+    pytest.param(_nested_products_text(600), id="products-nested-600"),
 ])
 def test_cli_malformed_group_spec_exits_2(spec, capsys):
     assert main(["show", spec]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_cli_show_deeply_nested_product(capsys):
+    # the spec walk used to raise RecursionError at 400 levels
+    assert main(["show", _nested_products_text(400)]) == 0
+    assert "order 1\n" in capsys.readouterr().out
+
+
+def test_cli_verify_certificate_too_deep_for_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("[" * 5000 + "]" * 5000)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: cannot read certificate")
+
+
+def test_preset_spec_too_deep_to_walk_is_a_parse_error():
+    c1 = spec = {"kind": "preset", "name": "cyclic", "n": 1}
+    for _ in range(5000):
+        spec = {"kind": "preset", "name": "product", "factors": [spec, c1]}
+    with pytest.raises(ParseError, match="nested too deep"):
+        harness.group_from_spec_dict(spec)
 
 
 def test_cli_bad_inputs_exit_2():

@@ -124,6 +124,22 @@ def test_pauli16_structure():
     assert max(g.element_order(a) for a in z) == 4
 
 
+def test_pauli16_validates_each_table_once(monkeypatch):
+    # C4, Q8, their product and the quotient: the quotient's own table is
+    # relabelled, not copied into a fifth
+    built = []
+    init = rs.GroupTable.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rs.GroupTable, "__init__", counting)
+    g = rs.pauli16()
+    assert len(built) == 4
+    assert (g.label, g.spec) == ("pauli16", {"kind": "preset", "name": "pauli16"})
+
+
 def test_direct_product():
     g = rs.direct_product(rs.cyclic(2), rs.cyclic(3))
     assert g.order == 6 and is_abelian(g)
@@ -149,21 +165,27 @@ def test_preset_errors():
         rs.preset("cyclic")
     with pytest.raises(ParseError):
         rs.preset("klein4", 3)
+    c2 = {"kind": "preset", "name": "cyclic", "n": 2}
     with pytest.raises(ParseError):
-        rs.preset("product", factors=[{"kind": "preset", "name": "cyclic", "n": 2}])
+        rs.preset("product", factors=[c2])
+    with pytest.raises(ParseError, match="'product' takes no parameter"):
+        rs.preset("product", 3, factors=[c2, c2])
+    with pytest.raises(ParseError, match="takes no parameter"):
+        rs.preset("product", factors=[c2, {**c2, "name": "klein4"}])
+    with pytest.raises(ParseError, match="takes no factors"):
+        rs.preset("cyclic", 2, factors=[c2, c2])
 
 
 def _every_preset():
     """(name, n) for every preset, with the parametric ones at n = 1..5."""
-    out = [(name, None) for name in presets._NO_ARG_PRESETS]
-    out += [(name, n) for name in presets._N_ARG_PRESETS for n in range(1, 6)]
-    return out
+    return [(name, n)
+            for name, (_, order) in presets._PRESETS.items()
+            for n in (range(1, 6) if callable(order) else [None])]
 
 
 def test_preset_order_is_known_before_building():
     for name, n in _every_preset():
         assert presets._preset_order(name, n, None, 5000) == rs.preset(name, n).order, name
-    assert set(presets._NO_ARG_ORDERS) == set(presets._NO_ARG_PRESETS)
 
 
 def test_permutation_presets_match_the_all_pairs_tables(monkeypatch):
