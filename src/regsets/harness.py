@@ -204,11 +204,13 @@ _PASSING_CHECKS = [{"name": name, "pass": True} for name in _CHECK_NAMES]
 def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     """Re-check a stored certificate: the group order, the double-coset
     reconstruction of U, XH = U, and then :func:`certify`, the same checks
-    that issued it.  Parse failures raise :class:`ParseError`, as do a
-    negative element id, an id in ``H``, ``A`` or ``X`` that is not an int,
-    an id in ``X`` that is not below the group order, an ``r`` or ``s``
-    that is not an int, and ``checks`` other than the five named checks,
-    each passing; a well-formed but wrong certificate returns False."""
+    that issued it.  Parse failures raise :class:`ParseError`, as do an
+    ``A``, ``U``, ``X`` or ``double_coset_reps`` that is not a list, a
+    negative element id, an id in ``H``, ``A``, ``X`` or
+    ``double_coset_reps`` that is not an int, an id in ``X`` that is not
+    below the group order, an ``r`` or ``s`` that is not an int, and
+    ``checks`` other than the five named checks, each passing; a
+    well-formed but wrong certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -227,9 +229,13 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         raise ParseError("certificate 'checks' must be the five named checks, each passing")
     for field in _CERT_ID_FIELDS:
         ids = data[field]
+        # a non-list H and a non-int id in U are still unchecked: the verify
+        # benchmark counts them as crashes until ROADMAP item 4(a)
         if not isinstance(ids, list):
-            continue
-        if field in ("H", "A", "X") and not _all_ints(ids):
+            if field == "H":
+                continue
+            raise ParseError(f"certificate field {field!r} must be a list of element ids")
+        if field != "U" and not _all_ints(ids):
             raise ParseError(f"certificate field {field!r} holds a non-integer element id")
         if any(_is_int(x) and x < 0 for x in ids):
             raise ParseError(f"certificate field {field!r} holds a negative element id")
@@ -249,7 +255,7 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         return False
     uset = frozenset(int(u) for u in data["U"])
     xset = frozenset(int(x) for x in data["X"])
-    reps = [int(rep) for rep in data["double_coset_reps"]]
+    reps = data["double_coset_reps"]
     rebuilt = 0
     for rep in reps:
         rebuilt |= double_coset_mask(H, rep)

@@ -374,9 +374,12 @@ _ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
 
 
 class _CertifyData:
-    """The left A-coset masks (coset 0 is A) and the blocks b != 0 of
-    g^-1 A over the H-coset representatives g, the only blocks that
-    ``graph_profile`` reads outside A."""
+    """The left A-coset masks (coset 0 is A), the blocks b != 0 of g^-1 A
+    over the H-coset representatives g, the only blocks that
+    ``graph_profile`` reads outside A, and the halves of every U that
+    :func:`certify` has passed: ``inside`` maps U meet A to its count r|H|,
+    ``outside`` maps U minus A to its count s|H| on every block outside A,
+    or to None (any s) when A = G leaves no such block."""
 
     def __init__(self, pair: PairSpec):
         G = pair.G
@@ -385,6 +388,8 @@ class _CertifyData:
         reached = {acos[inv[g]] for g in left_cosets(G, pair.H).reps}
         self.amasks = aspace.masks
         self.blocks = tuple(sorted(reached - {0}))
+        self.inside: dict[int, int] = {}
+        self.outside: dict[int, Optional[int]] = {}
 
 
 def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
@@ -402,10 +407,26 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
     when that block is 0, so the check compares the count of each distinct
     block g^-1 A once (:class:`_CertifyData`); those blocks are among the
     ones ``outside_counts`` reads.  Failure raises ConstructionFailed.
+
+    U is checked through its halves U meet A and U minus A.  A and G minus
+    A are unions of left H-cosets and closed under inverses, so U is a
+    connection set (in range, missing H, a union of left H-cosets, equal to
+    U^-1) exactly when each half is; ``inside_count`` reads only the
+    inside half, ``outside_counts`` only the outside half, and
+    ``graph_profile`` follows from those two.  So a U whose halves both
+    come from sets that passed, with the counts r|H| and s|H|, passes
+    without a walk; any other U is checked in full, and its halves are
+    recorded when it passes.
     """
-    conn = validate_connection_set(pair.H, U)
     data = pair._certification
     hord = pair.H.order
+    inside = U & data.amasks[0]
+    outside = U ^ inside
+    if data.inside.get(inside) == r * hord and outside in data.outside \
+            and data.outside[outside] in (None, s * hord):
+        return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)),
+                                 ConnectionSet(pair.H, U), _ALL_PASS)
+    conn = validate_connection_set(pair.H, U)
     counts = [(U & m).bit_count() for m in data.amasks]  # coset 0 is A
     want_in, want_out = r * hord, s * hord
     inside_ok = counts[0] == want_in
@@ -416,14 +437,9 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
                            (True, True, inside_ok, outside_ok, profile_ok)))
         failed = [c.name for c in checks if not c.passed]
         raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
+    data.inside[inside] = counts[0]
+    data.outside[outside] = counts[1] if len(counts) > 1 else None
     return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, _ALL_PASS)
-
-
-def _certify_units(pair: PairSpec, units: list[_Unit], r: int, s: int) -> RegSetCertificate:
-    mask = 0
-    for u in units:
-        mask |= u.mask
-    return certify(pair, [rep for u in units for rep in u.reps], mask, r, s)
 
 
 # -- exact decision -----------------------------------------------------------
@@ -493,6 +509,14 @@ def _witness(comp: _Component, parent: dict, state: int) -> list[_Unit]:
     return units
 
 
+def _union(units: list[_Unit]) -> tuple[list[int], int]:
+    """The double-coset representatives and the mask of a set of units."""
+    mask = 0
+    for u in units:
+        mask |= u.mask
+    return [rep for u in units for rep in u.reps], mask
+
+
 def decide_regular_set(pair: PairSpec, r: int, s: int,
                        limits: Optional[Limits] = None) -> Optional[RegSetCertificate]:
     """Exact decision of the profile (r, s), with a certificate when it is
@@ -520,7 +544,8 @@ def decide_regular_set(pair: PairSpec, r: int, s: int,
         if target * comp.ones not in parent:
             return None
         chosen += _witness(comp, parent, target * comp.ones)
-    return _certify_units(pair, chosen, r, s)
+    reps, mask = _union(chosen)
+    return certify(pair, reps, mask, r, s)
 
 
 def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
@@ -536,7 +561,10 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     the achievable profiles are exactly R x (S_1 meet S_2 ...), with every s
     in 0..|A:H| when A = G leaves no other component.  One sweep per
     component finds every S_k with one witness per value, and the witness
-    of (r, s) is the union of its components' witnesses.
+    of (r, s) is the union of its components' witnesses.  The units of each
+    r and of each s are united once, so a profile costs one OR and one
+    :func:`certify`, and certify walks a connection set only when an r or
+    an s is new to it: at most |R| + |S| walks for the |R| x |S| profiles.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     index = pair.code_index
@@ -551,11 +579,11 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
         })
     inside, outside = reached[0], reached[1:]
     svalues = [s for s in range(index + 1) if all(s in S for S in outside)]
-    for r in range(index):
-        if r in inside:
-            for s in svalues:
-                units = inside[r] + [u for S in outside for u in S[s]]
-                yield _certify_units(pair, units, r, s)
+    rhalves = [(r, _union(inside[r])) for r in range(index) if r in inside]
+    shalves = [(s, _union([u for S in outside for u in S[s]])) for s in svalues]
+    for r, (rreps, rmask) in rhalves:
+        for s, (sreps, smask) in shalves:
+            yield certify(pair, rreps + sreps, rmask | smask, r, s)
 
 
 # -- normal-chain criteria and construction ---------------------------------

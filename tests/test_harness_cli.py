@@ -293,13 +293,27 @@ def test_cli_verify_checks_must_be_the_five_passing_checks(tmp_path, capsys, che
 
 @pytest.mark.parametrize("field,ids", [
     ("H", ["0"]), ("A", [0, "2"]), ("X", [True, 3]), ("A", [0, 2.0]),
-], ids=["H-str", "A-str", "X-bool", "A-float"])
+    ("double_coset_reps", [1.0, 3.0]), ("double_coset_reps", [True, 3]),
+    ("double_coset_reps", ["1", "3"]),
+], ids=["H-str", "A-str", "X-bool", "A-float", "reps-float", "reps-bool", "reps-str"])
 def test_cli_verify_non_int_id_is_an_error(tmp_path, capsys, field, ids):
-    # "H": ["0"] used to verify as valid (exit 0): Subgroup read "0" as 0
+    # "H": ["0"] used to verify as valid (exit 0): Subgroup read "0" as 0;
+    # so did each of the double_coset_reps, read through int()
     path = _tampered_cyclic4_cert(tmp_path, **{field: ids})
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "non-integer element id" in captured.err
+
+
+@pytest.mark.parametrize("field", ["A", "U", "X", "double_coset_reps"])
+def test_cli_verify_non_list_id_field_is_an_error(tmp_path, capsys, field):
+    # each of these used to raise TypeError out of cli.main
+    path = _tampered_cyclic4_cert(tmp_path, **{field: 5})
+    with pytest.raises(ParseError):
+        rs.verify_certificate_file(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{field!r} must be a list of element ids" in captured.err
 
 
 @pytest.mark.parametrize("x", [4, 99])

@@ -2,8 +2,10 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regsets as rs
+from regsets import regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
@@ -264,6 +266,95 @@ def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
     pair = s3_a3_pair(s3)
     rs.certify(pair, (), 0, 0, 0)
     assert "_certification" in vars(pair) and "_context" not in vars(pair)
+
+
+def _certify_outcome(pair, reps, U, r, s):
+    try:
+        cert = rs.certify(pair, reps, U, r, s)
+    except Exception as exc:  # the class, message and checks must agree
+        return type(exc), str(exc), getattr(exc, "checks", None)
+    return cert.r, cert.s, cert.double_coset_reps, cert.connection.mask, cert.checks
+
+
+@pytest.fixture(scope="module")
+def small_pairs(small_corpus):
+    """Every pair H <= A of every group of order <= 12, with the masks of
+    its inverse-closed units (from the oracle) and of its A-cosets."""
+    pairs = []
+    for G in small_corpus:
+        subs = rs.all_subgroups(G)
+        for H in subs:
+            units = [rs.mask_of(G, u) for u in oracles.inverse_closed_units(G, set(H.members))]
+            for A in subs:
+                if H.is_subset_of(A):
+                    pairs.append((G, H, A, units, rs.left_cosets(G, A).masks))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_warm_certify_agrees_with_cold(small_pairs, data):
+    # one warm pair certifies a stream of masks: valid connection sets and
+    # mixes of their halves, with their own (r,s) or a wrong one, and sets
+    # that break an invariant; each outcome must be the outcome of certify
+    # on a fresh pair, whatever halves the warm pair has recorded
+    G, H, A, units, amasks = data.draw(st.sampled_from(small_pairs))
+    warm = rs.PairSpec(G, H, A)
+    idx = warm.code_index
+    seen = [0]
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["valid", "mix", "repeat", "bit", "range", "negative"]))
+        if kind == "valid":
+            U = 0
+            for u in units:
+                if data.draw(st.booleans()):
+                    U |= u
+        elif kind == "mix":  # the inside half of one set, the outside of another
+            U = data.draw(st.sampled_from(seen)) & A.mask | data.draw(st.sampled_from(seen)) & ~A.mask
+        elif kind == "repeat":
+            U = data.draw(st.sampled_from(seen))
+        elif kind == "bit":  # misses an inverse, splits an H-coset or meets H
+            U = data.draw(st.sampled_from(seen)) ^ (1 << data.draw(st.integers(0, G.order - 1)))
+        elif kind == "range":
+            U = data.draw(st.sampled_from(seen)) | 1 << data.draw(st.integers(G.order, G.order + 3))
+        else:
+            U = -1 - data.draw(st.sampled_from(seen))
+        if U >= 0 and not U >> G.order:
+            seen.append(U)
+        counts = [(U & m).bit_count() // H.order for m in amasks]
+        if data.draw(st.booleans()):  # the set's own counts, when it has them
+            r, s = counts[0], counts[-1]
+        else:
+            r, s = data.draw(st.integers(-1, idx)), data.draw(st.integers(-1, idx + 1))
+        reps = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
+        fresh = rs.PairSpec(G, H, A)
+        assert _certify_outcome(warm, reps, U, r, s) == _certify_outcome(fresh, reps, U, r, s)
+
+
+def test_achievable_profiles_walks_each_r_and_s_once(monkeypatch):
+    # |R| x |S| certificates from at most |R| + |S| connection-set walks
+    walks = []
+    real = regular_sets.validate_connection_set
+
+    def counting(H, U):
+        walks.append(U)
+        return real(H, U)
+
+    monkeypatch.setattr(regular_sets, "validate_connection_set", counting)
+    G = rs.symmetric(4)
+    subs = rs.all_subgroups(G)
+    saved = 0
+    for H in subs:
+        for A in subs:
+            if not H.is_subset_of(A):
+                continue
+            walks.clear()
+            certs = list(rs.achievable_profiles(rs.PairSpec(G, H, A)))
+            R, S = {c.r for c in certs}, {c.s for c in certs}
+            assert len(certs) == len(R) * len(S)
+            assert len(walks) <= len(R) + len(S)
+            saved = max(saved, len(R) * len(S) - len(R) - len(S))
+    assert saved > 0
 
 
 def test_decide_range_validation():
