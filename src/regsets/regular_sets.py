@@ -39,6 +39,7 @@ from .group_core import (
     GroupTable,
     Subgroup,
     _conjugate_mask,
+    _members_of,
     intersect,
     is_normal,
     normalizer,
@@ -57,7 +58,9 @@ class PairSpec:
 
     The per-pair analysis is built on first use and kept in the cached
     properties below, so it lives exactly as long as the pair: a group
-    keeps no pair's data after the pair is gone.
+    keeps no pair's data after the pair is gone.  What depends on H alone
+    (the double-coset units of :class:`_SubgroupUnits`) is cached with the
+    group and shared by every pair over H.
     """
 
     G: GroupTable
@@ -77,7 +80,7 @@ class PairSpec:
 
     @cached_property
     def _context(self) -> _PairContext:
-        """Cosets, double cosets, units and components of the decision."""
+        """The A-cosets and the components of the decision."""
         return _PairContext(self)
 
     @cached_property
@@ -197,8 +200,49 @@ class _Unit(NamedTuple):
 
     class_ids: tuple[int, ...]
     reps: tuple[int, ...]
-    vector: tuple[int, ...]  # H-coset count per A-coset block
     mask: int  # the union of the classes, bit g for each member g
+    cosets: tuple[int, ...]  # one element of each left H-coset in the union
+
+
+class _SubgroupUnits:
+    """The half of a pair's analysis that depends on H alone: G minus H
+    split into (H,H)-double cosets, one element of each left H-coset of
+    each class (``class_cosets``), and the units.  The group caches it
+    (:func:`_subgroup_units`), so every A over the same H reads one copy."""
+
+    def __init__(self, G: GroupTable, H: Subgroup):
+        self.decomp = decompose_into_double_cosets(
+            [g for g in range(G.order) if not (H.mask >> g) & 1], H)
+        hspace = left_cosets(G, H)
+        hmasks, hcos = hspace.masks, hspace.coset_of
+        class_cosets = []
+        for mask in self.decomp.masks:  # one H-coset at a time
+            cosets = []
+            while mask:
+                g = (mask & -mask).bit_length() - 1
+                cosets.append(g)
+                mask &= ~hmasks[hcos[g]]
+            class_cosets.append(tuple(cosets))
+        self.class_cosets = tuple(class_cosets)
+        units = []
+        for (i, j) in self.decomp.inverse_pairing:
+            assert j is not None  # complement of H is inverse closed
+            if i <= j:
+                ids = (i,) if i == j else (i, j)
+                units.append(_Unit(
+                    ids, tuple(sorted(self.decomp.reps[c] for c in ids)),
+                    sum(self.decomp.masks[c] for c in ids),  # disjoint classes
+                    sum((class_cosets[c] for c in ids), ())))
+        self.units = tuple(units)
+
+
+def _subgroup_units(G: GroupTable, H: Subgroup) -> _SubgroupUnits:
+    """The :class:`_SubgroupUnits` of H, built once per group."""
+    key = ("subgroup_units", H.mask)
+    cached = G._cache.get(key)
+    if cached is None:
+        cached = G._cache[key] = _SubgroupUnits(G, H)
+    return cached
 
 
 class _Component(NamedTuple):
@@ -215,105 +259,78 @@ class _Component(NamedTuple):
     width: int
 
 
-def _component(blocks: list[int], units: list[_Unit], index: int) -> _Component:
-    """Order the units so that blocks close early: repeatedly take the open
-    block touched by the fewest remaining units and sweep all of them."""
-    pending = {b: [k for k, u in enumerate(units) if u.vector[b]] for b in blocks}
-    order: list[int] = []
-    while len(order) < len(units):
-        first = min((b for b in blocks if pending[b]), key=lambda b: len(pending[b]))
-        taken = pending[first]
-        order.extend(taken)
-        for b in blocks:
-            pending[b] = [k for k in pending[b] if k not in taken]
+def _component(blocks: int, units: list[_Unit], touched: list[list[int]],
+               supports: list[int], index: int) -> _Component:
+    """Pack one component, given the mask of its blocks and, per unit, the
+    block of each of its H-cosets and the mask of those blocks.  Units are
+    ordered so that blocks close early: repeatedly take the open block
+    touched by the fewest remaining units and sweep all of them."""
     # a field holds at most 2*index (a state plus one unit), below its top bit
     width = index.bit_length() + 2
     fmask = (1 << width) - 1
-    vectors = tuple(
-        sum(units[k].vector[b] << (width * i) for i, b in enumerate(blocks))
-        for k in order
-    )
-    closes = [0] * len(order)
-    for i, b in enumerate(blocks):
-        touching = [pos for pos, k in enumerate(order) if units[k].vector[b]]
-        if touching:  # only block 0, when A = H, has no unit
-            closes[touching[-1]] |= fmask << (width * i)
-    ones = sum(1 << (width * i) for i in range(len(blocks)))
-    return _Component(tuple(units[k] for k in order), vectors, tuple(closes), ones, width)
+    if not blocks & (blocks - 1):  # one block: every unit touches it, in order
+        closes = (0,) * (len(units) - 1) + (fmask,) if units else ()
+        return _Component(tuple(units), tuple(map(len, touched)), closes, 1, width)
+    ids = _members_of(blocks)
+    pending = [sum(1 << k for k, sup in enumerate(supports) if sup >> b & 1) for b in ids]
+    order: list[int] = []
+    while len(order) < len(units):
+        taken = min((p for p in pending if p), key=int.bit_count)
+        order += _members_of(taken)
+        pending = [p & ~taken for p in pending]
+    shift = {b: width * i for i, b in enumerate(ids)}
+    vectors = tuple(sum(1 << shift[b] for b in touched[k]) for k in order)
+    closes = []
+    still_open = blocks
+    for k in reversed(order):  # a block closes at the last unit touching it
+        closing = supports[k] & still_open
+        still_open ^= closing
+        closes.append(sum(fmask << shift[b] for b in _members_of(closing)))
+    ones = sum(1 << s for s in shift.values())
+    return _Component(tuple(units[k] for k in order), vectors, tuple(closes[::-1]),
+                      ones, width)
 
 
 class _PairContext:
-    """Cosets, double cosets and units of a pair, and the units split into
-    components.  ``components[0]`` is block 0 (A itself) with the units
-    inside A; the others are the union-find components of blocks 1.. under
-    "some unit touches both"."""
+    """The half of a pair's analysis that depends on A: the left A-cosets
+    (the blocks) and the units of H split into components.
+    ``components[0]`` is block 0 (A itself) with the units inside A; the
+    others are the classes of blocks 1.. under "some unit touches both",
+    in order of their least block."""
 
     def __init__(self, pair: PairSpec):
-        G, H, A = pair.G, pair.H, pair.A
-        self.hspace = left_cosets(G, H)
-        self.aspace = left_cosets(G, A)
-        self.nblocks = self.aspace.size
-        self.block_inv = tuple(
-            self.aspace.coset_of[G.inv[rep]] for rep in self.aspace.reps
-        )
-        outside = [g for g in range(G.order) if not (H.mask >> g) & 1]
-        self.decomp = decompose_into_double_cosets(outside, H)
-        hmasks, hcos = self.hspace.masks, self.hspace.coset_of
-        acos = self.aspace.coset_of
-        vectors = []
-        for mask in self.decomp.masks:  # one H-coset at a time
-            vec = [0] * self.nblocks
-            while mask:
-                g = (mask & -mask).bit_length() - 1
-                vec[acos[g]] += 1
-                mask &= ~hmasks[hcos[g]]
-            vectors.append(tuple(vec))
-        self.class_vectors = tuple(vectors)
-        units = []
-        for (i, j) in self.decomp.inverse_pairing:
-            assert j is not None  # complement of H is inverse closed
-            if j == i:
-                units.append(self._make_unit((i,)))
-            elif i < j:
-                units.append(self._make_unit((i, j)))
-        root = list(range(self.nblocks))
-
-        def find(b: int) -> int:
-            while root[b] != b:
-                root[b] = root[root[b]]
-                b = root[b]
-            return b
-
-        firsts = []
-        for u in units:
-            touched = [b for b, c in enumerate(u.vector) if c]
-            for b in touched[1:]:
-                root[find(b)] = find(touched[0])
-            firsts.append(touched[0])
+        hunits = _subgroup_units(pair.G, pair.H)
+        aspace = left_cosets(pair.G, pair.A)
+        acos = aspace.coset_of
+        touched = [[acos[g] for g in u.cosets] for u in hunits.units]
+        supports = []
+        comps = [1]  # masks of the components found so far
+        for blocks in touched:
+            sup = 0
+            for b in blocks:
+                sup |= 1 << b
+            supports.append(sup)
+            joined = sup
+            for m in comps:
+                if m & sup:
+                    joined |= m
+            comps = [m for m in comps if not m & sup] + [joined]
+        comps.sort(key=lambda m: m & -m)
         # x outside A puts HxH and Hx^-1H outside A, so block 0 stays alone
-        assert all(find(b) != find(0) for b in range(1, self.nblocks))
-        blocks_of: dict[int, list[int]] = {}
-        for b in range(self.nblocks):
-            blocks_of.setdefault(find(b), []).append(b)
-        units_of: dict[int, list[_Unit]] = {root_b: [] for root_b in blocks_of}
-        for u, first in zip(units, firsts):
-            units_of[find(first)].append(u)
+        assert comps[0] == 1
+        where = [0] * aspace.size
+        for c, m in enumerate(comps):
+            for b in _members_of(m):
+                where[b] = c
+        members: list[list[int]] = [[] for _ in comps]
+        for k, sup in enumerate(supports):
+            members[where[(sup & -sup).bit_length() - 1]].append(k)
         index = pair.code_index
         self.components = tuple(
-            _component(blocks, units_of[root_b], index)
-            for root_b, blocks in blocks_of.items()
+            _component(m, [hunits.units[k] for k in ks], [touched[k] for k in ks],
+                       [supports[k] for k in ks], index)
+            for m, ks in zip(comps, members)
         )
-
-    def _make_unit(self, class_ids: tuple[int, ...]) -> _Unit:
-        vec = [0] * self.nblocks
-        mask = 0
-        reps = []
-        for c in class_ids:
-            for b, x in enumerate(self.class_vectors[c]):
-                vec[b] += x
-            mask |= self.decomp.masks[c]
-            reps.append(self.decomp.reps[c])
-        return _Unit(class_ids, tuple(sorted(reps)), tuple(vec), mask)
 
 
 def _validate_range(pair: PairSpec, r: int, s: int) -> None:
@@ -417,15 +434,21 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
     come from sets that passed, with the counts r|H| and s|H|, passes
     without a walk; any other U is checked in full, and its halves are
     recorded when it passes.
+
+    An r or s out of range raises ValueError.  The recorded counts of a
+    passing U rule out every such r, and every such s when A != G; when
+    A = G no block outside A tests s, so the walk-free path checks it.
     """
     data = pair._certification
     hord = pair.H.order
     inside = U & data.amasks[0]
     outside = U ^ inside
-    if data.inside.get(inside) == r * hord and outside in data.outside \
-            and data.outside[outside] in (None, s * hord):
-        return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)),
-                                 ConnectionSet(pair.H, U), _ALL_PASS)
+    if data.inside.get(inside) == r * hord and outside in data.outside:
+        want = data.outside[outside]  # None when A = G
+        if want == s * hord or want is None and 0 <= s <= pair.code_index:
+            return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)),
+                                     ConnectionSet(pair.H, U), _ALL_PASS)
+    _validate_range(pair, r, s)
     conn = validate_connection_set(pair.H, U)
     counts = [(U & m).bit_count() for m in data.amasks]  # coset 0 is A
     want_in, want_out = r * hord, s * hord
@@ -555,11 +578,12 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     For x outside A the unit of HxH lies inside AxA u Ax^-1A, so its vector
     is zero on A and on every block outside those double cosets.  The
     blocks therefore split into independent components: block 0, whose
-    reachable sums R are the achievable r, and the union-find components of
-    blocks 1.. , each giving the set S_k of values s it reaches on all of
-    its blocks at once.  Choices in different components never interact, so
-    the achievable profiles are exactly R x (S_1 meet S_2 ...), with every s
-    in 0..|A:H| when A = G leaves no other component.  One sweep per
+    reachable sums R are the achievable r, and the components of blocks
+    1.. under "some unit touches both", each giving the set S_k of values s
+    it reaches on all of its blocks at once.  Choices in different
+    components never interact, so the achievable profiles are exactly
+    R x (S_1 meet S_2 ...), with every s in 0..|A:H| when A = G leaves no
+    other component.  One sweep per
     component finds every S_k with one witness per value, and the witness
     of (r, s) is the union of its components' witnesses.  The units of each
     r and of each s are united once, so a profile costs one OR and one
@@ -597,29 +621,32 @@ class _ChainContext:
     depend on r."""
 
     def __init__(self, pair: PairSpec):
-        ctx = pair._context
-        nb = ctx.nblocks
-        self.block_inv = ctx.block_inv
+        G = pair.G
+        hunits = _subgroup_units(G, pair.H)
+        aspace = left_cosets(G, pair.A)
+        acos = aspace.coset_of
+        nb = aspace.size
+        self.block_inv = tuple(acos[G.inv[rep]] for rep in aspace.reps)
         self.classes_by_block: list[list[int]] = [[] for _ in range(nb)]
         self.block_ci: list[Optional[int]] = [None] * nb
         block_of = []
-        for c, vec in enumerate(ctx.class_vectors):
-            (b,) = (b for b, n in enumerate(vec) if n)  # guaranteed by the normal chain
-            assert self.block_ci[b] in (None, vec[b])  # classes of one block share their size
-            self.block_ci[b] = vec[b]
+        for c, cosets in enumerate(hunits.class_cosets):
+            (b,) = {acos[g] for g in cosets}  # guaranteed by the normal chain
+            assert self.block_ci[b] in (None, len(cosets))  # classes of one block share their size
+            self.block_ci[b] = len(cosets)
             self.classes_by_block[b].append(c)
             block_of.append(b)
+        decomp = hunits.decomp
         self.selfs_by_block = [
-            [c for c in ids if ctx.decomp.self_inverse_flags[c]]
+            [c for c in ids if decomp.self_inverse_flags[c]]
             for ids in self.classes_by_block
         ]
-        self.partner = dict(ctx.decomp.inverse_pairing)
+        self.partner = dict(decomp.inverse_pairing)
         self.pairs_by_block: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
-        for c, j in ctx.decomp.inverse_pairing:
+        for c, j in decomp.inverse_pairing:
             if c < j and block_of[j] == block_of[c]:
                 self.pairs_by_block[block_of[c]].append((c, j))
-        reps = ctx.aspace.reps
-        self.conditions = tuple(self._conditions_at(reps, s)
+        self.conditions = tuple(self._conditions_at(aspace.reps, s)
                                 for s in range(pair.code_index + 1))
 
     def _conditions_at(self, reps: tuple[int, ...], s: int) -> tuple:
@@ -696,9 +723,9 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
         raise PreconditionViolated(
             f"normal-chain conditions fail: {report!r}"
         )
-    ctx, cctx = pair._context, pair._chain
+    cctx = pair._chain
     chosen = _select_in_block(cctx, 0, r)
-    for b in range(1, ctx.nblocks):
+    for b in range(1, len(cctx.block_inv)):
         binv = cctx.block_inv[b]
         if binv < b:
             continue
@@ -714,10 +741,11 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
             chosen.extend(cctx.partner[c] for c in ids)
         else:
             chosen.extend(_select_in_block(cctx, b, lt))
+    decomp = _subgroup_units(pair.G, pair.H).decomp
     mask = 0
     for c in chosen:
-        mask |= ctx.decomp.masks[c]
-    return certify(pair, [ctx.decomp.reps[c] for c in chosen], mask, r, s)
+        mask |= decomp.masks[c]
+    return certify(pair, [decomp.reps[c] for c in chosen], mask, r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------
@@ -868,31 +896,21 @@ def perfect_code_sylow_criterion(G: GroupTable, A: Subgroup, p: int) -> bool:
 
 def necessary_conjugate_intersection(pair: PairSpec) -> bool:
     """Necessary for a perfect code: every g admits a in A with
-    A^(ga) meet H equal to H^(ga) meet H."""
+    A^(ga) meet H equal to H^(ga) meet H.
+
+    Conjugating by c^-1, where c = ga, the condition says that cHc^-1 meets
+    A only inside H.  cHc^-1 depends on the left H-coset cH alone, so the
+    condition is tested once per H-coset, and it must pass somewhere in
+    every left A-coset gA, a union of H-cosets."""
     G, H, A = pair.G, pair.H, pair.A
-    mult = G.mult
-    inv = G.inv
-    amask = A.mask
-    hmask = H.mask
-    for g in range(G.order):
-        row = mult[g]
-        found = False
-        for a in A.members:
-            c = row[a]
-            ci = inv[c]
-            crow = mult[c]
-            ok = True
-            for u in H.members:
-                t = mult[crow[u]][ci]  # u in H^c iff c u c^-1 in H
-                if bool((amask >> t) & 1) != bool((hmask >> t) & 1):
-                    ok = False
-                    break
-            if ok:
-                found = True
-                break
-        if not found:
-            return False
-    return True
+    acos = left_cosets(G, A).coset_of
+    outside = A.mask & ~H.mask
+    passed: set[int] = set()
+    for c in left_cosets(G, H).reps:
+        block = acos[c]
+        if block not in passed and not _conjugate_mask(G, H, G.inv[c]) & outside:
+            passed.add(block)
+    return len(passed) == G.order // A.order
 
 
 def necessary_divisibility(pair: PairSpec) -> bool:

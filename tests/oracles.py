@@ -324,6 +324,95 @@ def pair_class_representatives(G, pairs):
     return reps
 
 
+def conjugate_intersection_elementwise(G, hset, aset):
+    """The necessary conjugate-intersection condition element by element,
+    as the library first tested it: every g has some a in A such that, with
+    c = ga, each t = c u c^-1 (u in H) lies in A exactly when it lies in H."""
+    mult, inv = G.mult, G.inv
+    for g in range(G.order):
+        if not any(
+            all((t in aset) == (t in hset)
+                for t in (mult[mult[c][u]][inv[c]] for u in hset))
+            for c in (mult[g][a] for a in aset)
+        ):
+            return False
+    return True
+
+
+def pair_components(G, hset, aset):
+    """The components of the pair (G, H, A) as the library first built
+    them, from element sets: the units of G minus H with their H-coset
+    counts per left A-coset, the blocks joined by a list-based union-find
+    under "some unit touches both", and each component's units ordered by
+    repeatedly sweeping every remaining unit of the open block touched by
+    the fewest.  Classes are numbered by least element, A-cosets likewise
+    (block 0 is A), units by their first class, components by their least
+    block.  Per component: (class ids of each unit in sweep order, packed
+    vectors, closes, ones, width), the fields of :class:`_Component`."""
+    classes = []
+    seen = set(hset)
+    for x in range(G.order):
+        if x not in seen:
+            classes.append(double_coset_set(G, hset, x))
+            seen |= classes[-1]
+    class_of = {g: i for i, d in enumerate(classes) for g in d}
+    cosets = left_coset_sets(G, aset)
+    block_of = {g: b for b, c in enumerate(cosets) for g in c}
+    nblocks, hord = len(cosets), len(hset)
+    units = []  # (class ids, H-coset count per block)
+    for i, d in enumerate(classes):
+        j = class_of[G.inv[min(d)]]
+        if j >= i:
+            ids = (i,) if j == i else (i, j)
+            vec = [0] * nblocks
+            for c in ids:
+                for g in classes[c]:
+                    vec[block_of[g]] += 1
+            units.append((ids, [v // hord for v in vec]))
+    root = list(range(nblocks))
+
+    def find(b):
+        while root[b] != b:
+            b = root[b]
+        return b
+
+    firsts = []
+    for _, vec in units:
+        touched = [b for b, c in enumerate(vec) if c]
+        for b in touched[1:]:
+            root[find(b)] = find(touched[0])
+        firsts.append(touched[0])
+    blocks_of = {}
+    for b in range(nblocks):
+        blocks_of.setdefault(find(b), []).append(b)
+    units_of = {r: [] for r in blocks_of}
+    for u, first in zip(units, firsts):
+        units_of[find(first)].append(u)
+    index = len(aset) // hord
+    out = []
+    for r, blocks in blocks_of.items():
+        comp = units_of[r]
+        pending = {b: [k for k, (_, vec) in enumerate(comp) if vec[b]] for b in blocks}
+        order = []
+        while len(order) < len(comp):
+            first = min((b for b in blocks if pending[b]), key=lambda b: len(pending[b]))
+            taken = pending[first]
+            order.extend(taken)
+            for b in blocks:
+                pending[b] = [k for k in pending[b] if k not in taken]
+        width = index.bit_length() + 2
+        vectors = tuple(sum(comp[k][1][b] << (width * i) for i, b in enumerate(blocks))
+                        for k in order)
+        closes = [0] * len(order)
+        for i, b in enumerate(blocks):
+            touching = [pos for pos, k in enumerate(order) if comp[k][1][b]]
+            if touching:
+                closes[touching[-1]] |= ((1 << width) - 1) << (width * i)
+        ones = sum(1 << (width * i) for i in range(len(blocks)))
+        out.append((tuple(comp[k][0] for k in order), vectors, tuple(closes), ones, width))
+    return out
+
+
 def normalizer_set(G, hset):
     return frozenset(g for g in range(G.order) if conjugate_set(G, hset, g) == hset)
 

@@ -272,6 +272,21 @@ def test_cli_verify_bool_r_or_s_is_an_error(tmp_path, capsys, field):
     assert captured.out == "" and "r and s must be integers" in captured.err
 
 
+@pytest.mark.parametrize("s", [99, -5, 5])
+def test_cli_verify_s_out_of_range_with_a_whole_group_is_invalid(tmp_path, capsys, s):
+    # with A = G no block outside A tests s, so these used to verify as valid
+    G = rs.cyclic(4)
+    cert = rs.decide_regular_set(rs.PairSpec(G, rs.trivial_subgroup(G), G.full_subgroup()), 0, 0)
+    path = tmp_path / "cert.json"
+    rs.write_certificate(cert, path)
+    assert main(["verify", str(path)]) == 0
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), s=s)))
+    assert rs.verify_certificate_file(path) is False
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 1
+    assert "INVALID" in capsys.readouterr().out
+
+
 BAD_CHECKS = {
     "int": 5,
     "empty": [],

@@ -261,6 +261,64 @@ def test_pair_analysis_is_freed_with_the_pair():
     assert [ref() for ref in refs] == [None] * 4
 
 
+def test_components_match_the_union_find_oracle(corpus):
+    # the components from block masks against the list-based union-find and
+    # greedy order: same components in the same order, same unit order
+    # inside each (the tie-break included), same packed fields
+    reordered = multi = 0
+    for G in corpus:
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                got = [(tuple(u.class_ids for u in c.units), c.vectors, c.closes, c.ones, c.width)
+                       for c in rs.PairSpec(G, H, A)._context.components]
+                want = oracles.pair_components(G, frozenset(H.members), frozenset(A.members))
+                assert got == want, (G.label, H.members, A.members)
+                multi += sum(ones.bit_count() > 1 for _, _, _, ones, _ in want)
+                reordered += sum(list(ids) != sorted(ids) for ids, *_ in want)
+    assert multi and reordered
+
+
+def test_survey_builds_each_subgroups_units_once(monkeypatch):
+    # the double-coset units of H are cached with the group: a survey
+    # builds them once per (group, H), quotient tables of the normalizer
+    # reduction included, however many A lie over H
+    built = []
+    contexts = []
+    real_units, real_context = regular_sets._SubgroupUnits, regular_sets._PairContext
+
+    def counting_units(G, H):
+        built.append((id(G), H.mask))
+        return real_units(G, H)
+
+    def counting_context(pair):
+        contexts.append(pair)
+        return real_context(pair)
+
+    monkeypatch.setattr(regular_sets, "_SubgroupUnits", counting_units)
+    monkeypatch.setattr(regular_sets, "_PairContext", counting_context)
+    G = rs.symmetric(4)
+    rs.survey(G)
+    assert len(built) == len(set(built))
+    on_g = sum(gid == id(G) for gid, _ in built)
+    assert 0 < on_g < sum(pair.G is G for pair in contexts)
+    assert len(built) > on_g  # quotient tables too
+
+
+def test_certify_range_checks_s_when_a_is_the_whole_group():
+    # A = G leaves no block outside A to test s, even on a warm pair
+    G = rs.cyclic(4)
+    pair = rs.PairSpec(G, rs.trivial_subgroup(G), G.full_subgroup())
+    U = rs.decide_regular_set(pair, 0, 0).connection.mask
+    for s in range(5):
+        assert rs.certify(pair, (), U, 0, s).s == s
+    for r, s in ((0, 5), (0, -1), (4, 0), (-1, 0)):
+        with pytest.raises(ValueError, match="out of range"):
+            rs.certify(pair, (), U, r, s)
+
+
 def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
     # verify re-runs certify on a fresh pair: it needs the A-coset data only
     pair = s3_a3_pair(s3)
@@ -787,6 +845,21 @@ def test_conjugate_intersection_trivial_cases(s3):
     H2 = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     pair_trivial_h = rs.PairSpec(s3, rs.trivial_subgroup(s3), H2)
     assert rs.necessary_conjugate_intersection(pair_trivial_h)
+
+
+def test_conjugate_intersection_matches_elementwise_oracle(corpus):
+    outcomes = set()
+    for G in corpus:
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if H.is_subset_of(A):
+                    got = rs.necessary_conjugate_intersection(rs.PairSpec(G, H, A))
+                    want = oracles.conjugate_intersection_elementwise(
+                        G, frozenset(H.members), frozenset(A.members))
+                    assert got == want, (G.label, H.members, A.members)
+                    outcomes.add(got)
+    assert outcomes == {True, False}
 
 
 def test_divisibility_trivial_cases(s3):
