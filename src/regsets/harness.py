@@ -313,34 +313,32 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     h_norm = is_normal(H, A)
     a_norm = is_normal(A, G.full_subgroup())
     degenerate = A.order == G.order
-    profiles = {(c.r, c.s) for c in achievable_profiles(pair, limits=limits)}
-    achievable = [[r, s] for r in range(idx) for s in range(idx + 1) if (r, s) in profiles]
+    R, S = achievable_profiles(pair, limits=limits)
+    achievable = [[r, s] for r in R for s in S]
     anomalies: list[str] = []
     agreements: dict[str, str] = {}
     chain = h_norm and a_norm
     cayley = a_norm and H.order == 1
-    chain_ok = True
-    cayley_ok = True
+    # each criterion's verdict is a condition on r and a condition on s
+    if chain:
+        chain_r = [check_normal_chain(pair, r, 0).outcomes[0] for r in range(idx)]
+        chain_s = [all(check_normal_chain(pair, 0, s).outcomes[1:]) for s in range(idx + 1)]
+    if cayley:
+        cayley_s = [cayley_normal_criterion(G, A, 0, s) for s in range(idx + 1)]
+    chain_ok = cayley_ok = True
     for r in range(idx):
         for s in range(idx + 1):
-            present = (r, s) in profiles
-            if chain:
-                verdict = check_normal_chain(pair, r, s).verdict
-                if verdict != present:
-                    chain_ok = False
-                    anomalies.append(
-                        f"normal-chain criteria disagree with search at ({r},{s})"
-                    )
-            if cayley and r % gcd(2, A.order - 1) == 0:
-                if cayley_normal_criterion(G, A, r, s) != present:
-                    cayley_ok = False
-                    anomalies.append(
-                        f"cayley criterion disagrees with search at ({r},{s})"
-                    )
+            present = r in R and s in S
+            if chain and (chain_r[r] and chain_s[s]) != present:
+                chain_ok = False
+                anomalies.append(f"normal-chain criteria disagree with search at ({r},{s})")
+            if cayley and r % gcd(2, A.order - 1) == 0 and cayley_s[s] != present:
+                cayley_ok = False
+                anomalies.append(f"cayley criterion disagrees with search at ({r},{s})")
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"
     agreements["cayley_normal"] = ("ok" if cayley_ok else "fail") if cayley else "n/a"
 
-    present01 = (0, 1) in profiles
+    present01 = 0 in R and 1 in S
     # For normal A, perfect_code_pair decides through the normalizer
     # reduction, an independent criterion; otherwise it would only repeat the
     # decision of (0,1) that achievable_profiles has already made.

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .coset_graph import ConnectionSet, validate_connection_set
@@ -572,8 +572,9 @@ def decide_regular_set(pair: PairSpec, r: int, s: int,
 
 
 def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
-                        ) -> Iterator[RegSetCertificate]:
-    """Yield a certificate for every achievable (r, s), in (r, s) order.
+                        ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The achievable r values R and s values S, each ascending: the
+    achievable profiles are exactly R x S.
 
     For x outside A the unit of HxH lies inside AxA u Ax^-1A, so its vector
     is zero on A and on every block outside those double cosets.  The
@@ -583,12 +584,12 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     it reaches on all of its blocks at once.  Choices in different
     components never interact, so the achievable profiles are exactly
     R x (S_1 meet S_2 ...), with every s in 0..|A:H| when A = G leaves no
-    other component.  One sweep per
-    component finds every S_k with one witness per value, and the witness
-    of (r, s) is the union of its components' witnesses.  The units of each
-    r and of each s are united once, so a profile costs one OR and one
-    :func:`certify`, and certify walks a connection set only when an r or
-    an s is new to it: at most |R| + |S| walks for the |R| x |S| profiles.
+    other component.  One sweep per component finds every S_k with one
+    witness per value.  The witness of (r, s) is the union of its r-half
+    (block 0's witness of r) and its s-half (the others' witnesses of s).
+    Each half is certified once, as (r, 0) or (0, s), since the halves of 0
+    are empty; by :func:`certify`'s halves argument every profile in R x S
+    then passes without a walk.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     index = pair.code_index
@@ -602,12 +603,13 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
             for c in range(index + 1) if c * comp.ones in parent
         })
     inside, outside = reached[0], reached[1:]
-    svalues = [s for s in range(index + 1) if all(s in S for S in outside)]
-    rhalves = [(r, _union(inside[r])) for r in range(index) if r in inside]
-    shalves = [(s, _union([u for S in outside for u in S[s]])) for s in svalues]
-    for r, (rreps, rmask) in rhalves:
-        for s, (sreps, smask) in shalves:
-            yield certify(pair, rreps + sreps, rmask | smask, r, s)
+    R = tuple(r for r in range(index) if r in inside)
+    S = tuple(s for s in range(index + 1) if all(s in S_k for S_k in outside))
+    for r in R:
+        certify(pair, *_union(inside[r]), r, 0)
+    for s in S[1:]:
+        certify(pair, *_union([u for S_k in outside for u in S_k[s]]), 0, s)
+    return R, S
 
 
 # -- normal-chain criteria and construction ---------------------------------

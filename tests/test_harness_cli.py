@@ -489,27 +489,30 @@ def test_survey_decides_each_query_once(monkeypatch):
 
 
 def test_survey_certifies_every_achievable_profile(monkeypatch):
-    # every achievable (r,s) of every class representative is certified on
-    # that representative's own pair during the survey
+    # every achievable r and every achievable s of each class
+    # representative is certified, within one set, on that representative's
+    # own pair during the survey; by certify's halves argument those sets
+    # back every (r,s) of the row
     certified = set()
     real_certify = regular_sets.certify
 
     def recording_certify(pair, class_reps, U, r, s):
         cert = real_certify(pair, class_reps, U, r, s)
-        certified.add((frozenset(pair.H.members), frozenset(pair.A.members), r, s))
+        certified.add((pair.G, frozenset(pair.H.members), frozenset(pair.A.members), r, s))
         return cert
 
     monkeypatch.setattr(regular_sets, "certify", recording_certify)
     G = rs.symmetric(4)
     report = rs.survey(G)
     rows = {(frozenset(row["H"]), frozenset(row["A"])): row for row in report.rows}
-    wanted = {
-        (h, a, r, s)
-        for h, a in _class_representatives(G)
-        for r, s in rows[(h, a)]["achievable"]
-    }
-    assert len(wanted) > len(_class_representatives(G))
-    assert wanted <= certified
+    profiles = 0
+    for h, a in _class_representatives(G):
+        achievable = rows[(h, a)]["achievable"]
+        mine = [(r, s) for g, hh, aa, r, s in certified if g is G and (hh, aa) == (h, a)]
+        assert {r for r, _ in achievable} == {r for r, _ in mine}
+        assert {s for _, s in achievable} == {s for _, s in mine}
+        profiles += len(achievable)
+    assert profiles > len(certified) > len(_class_representatives(G))
 
 
 class _RecordingPool:

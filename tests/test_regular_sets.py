@@ -153,11 +153,42 @@ def test_certify_rejects_invalid_connection_sets(s3):
         rs.certify(pair, (), rs.mask_of(s3, {t}), 0, 0)  # not inverse closed
 
 
-def test_certificates_built_from_masks_materialise(small_corpus):
-    # certify sees U only as a mask; the members read back from it must be
-    # the union of the units (element sets from the oracle) that the
-    # reported representatives name, and both JSON fields list them
-    materialised = 0
+def _record_certificates(monkeypatch):
+    """The list that every certificate regular_sets.certify issues from
+    now on is appended to."""
+    issued = []
+    real = regular_sets.certify
+
+    def recording(*args):
+        cert = real(*args)
+        issued.append(cert)
+        return cert
+
+    monkeypatch.setattr(regular_sets, "certify", recording)
+    return issued
+
+
+def _count_walks(monkeypatch):
+    """The list that every connection set regular_sets walks from now on is
+    appended to."""
+    walks = []
+    real = regular_sets.validate_connection_set
+
+    def counting(H, U):
+        walks.append(U)
+        return real(H, U)
+
+    monkeypatch.setattr(regular_sets, "validate_connection_set", counting)
+    return walks
+
+
+def test_certificates_built_from_masks_materialise(small_corpus, monkeypatch):
+    # certify sees U only as a mask; the members read back from each set
+    # that achievable_profiles certifies (one per r, one per s) must be the
+    # union of the units (element sets from the oracle) that the reported
+    # representatives name, and both JSON fields list them
+    issued = _record_certificates(monkeypatch)
+    materialised = profiles = 0
     for G in small_corpus:
         for bad in (-1, G.order):
             with pytest.raises(ValueError):
@@ -168,7 +199,11 @@ def test_certificates_built_from_masks_materialise(small_corpus):
                 if not H.is_subset_of(A):
                     continue
                 units = oracles.inverse_closed_units(G, set(H.members))
-                for cert in rs.achievable_profiles(rs.PairSpec(G, H, A)):
+                issued.clear()
+                R, S = rs.achievable_profiles(rs.PairSpec(G, H, A))
+                profiles += len(R) * len(S)
+                assert {c.r for c in issued} == set(R) and {c.s for c in issued} == set(S)
+                for cert in issued:
                     reps = set(cert.double_coset_reps)
                     want = frozenset().union(*(u for u in units if u & reps))
                     members = cert.connection.members
@@ -178,7 +213,44 @@ def test_certificates_built_from_masks_materialise(small_corpus):
                     data = cert.to_json_dict()
                     assert data["U"] == data["X"] == sorted(members)
                     materialised += 1
-    assert materialised == 5160  # every achievable (r,s), as the search finds them
+    assert profiles == 5160  # every achievable (r,s), as the search finds them
+    assert materialised == 2137  # |R| + |S| - 1 per pair: the (0,0) set is both halves
+
+
+def test_halves_certify_every_profile_without_a_walk(small_corpus, monkeypatch):
+    # achievable_profiles certifies each r-half as (r, 0) and each s-half as
+    # (0, s); the union of any r-half and any s-half must then pass all five
+    # checks as (r, s) with no further connection-set walk, and count as
+    # (r, s) in the coset graph built from the definitions
+    issued = _record_certificates(monkeypatch)
+    walks = _count_walks(monkeypatch)
+    backed = 0
+    for G in small_corpus + [rs.symmetric(4)]:
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pair = rs.PairSpec(G, H, A)
+                issued.clear()
+                R, S = rs.achievable_profiles(pair)
+                rhalf = {c.r: c for c in issued if c.s == 0}
+                shalf = {c.s: c for c in issued if c.r == 0}
+                assert sorted(rhalf) == list(R) and sorted(shalf) == list(S)
+                walks.clear()
+                for r in R:
+                    for s in S:
+                        reps = rhalf[r].double_coset_reps + shalf[s].double_coset_reps
+                        U = rhalf[r].connection.mask | shalf[s].connection.mask
+                        cert = rs.certify(pair, reps, U, r, s)
+                        assert cert.checks == regular_sets._ALL_PASS
+                        prof = oracles.graph_profile(G, set(H.members),
+                                                     set(cert.connection.members),
+                                                     set(A.members))
+                        assert prof in ((r, s), (r, None))
+                        backed += 1
+                assert walks == []
+    assert backed == 5160 + 3906  # every profile: corpus groups of order <= 12, then S4
 
 
 # -- exact decision --------------------------------------------------------------
@@ -215,10 +287,10 @@ def test_decide_matches_naive_enumeration_c4():
 
 
 def test_sweep_matches_naive_enumeration(corpus):
-    # every pair H <= A of every group of order <= 16: achievable_profiles
-    # yields exactly the profiles that enumerating every connection set
-    # finds, in (r,s) order, and decide_regular_set returns None exactly off
-    # that set
+    # every pair H <= A of every group of order <= 16: R x S from
+    # achievable_profiles, in (r,s) order, is exactly the set of profiles
+    # that enumerating every connection set finds, and decide_regular_set
+    # returns None exactly off that set
     for G in (G for G in corpus if G.order <= 16):
         subs = rs.all_subgroups(G)
         for H in subs:
@@ -234,15 +306,15 @@ def test_sweep_matches_naive_enumeration(corpus):
                             if (r, None) in profiles]
                 else:
                     want = sorted(profiles)
-                certs = list(rs.achievable_profiles(pair))
-                assert [(c.r, c.s) for c in certs] == want, (G.label, H.members, A.members)
-                assert all(all(c.passed for c in cert.checks) for cert in certs)
+                R, S = rs.achievable_profiles(pair)
+                assert [(r, s) for r in R for s in S] == want, (G.label, H.members, A.members)
                 for r in range(idx):
                     for s in range(idx + 1):
                         cert = rs.decide_regular_set(pair, r, s)
                         assert (cert is not None) == ((r, s) in want)
                         if cert is not None:
                             assert (cert.r, cert.s) == (r, s)
+                            assert all(c.passed for c in cert.checks)
 
 
 def test_pair_analysis_is_freed_with_the_pair():
@@ -390,15 +462,8 @@ def test_warm_certify_agrees_with_cold(small_pairs, data):
 
 
 def test_achievable_profiles_walks_each_r_and_s_once(monkeypatch):
-    # |R| x |S| certificates from at most |R| + |S| connection-set walks
-    walks = []
-    real = regular_sets.validate_connection_set
-
-    def counting(H, U):
-        walks.append(U)
-        return real(H, U)
-
-    monkeypatch.setattr(regular_sets, "validate_connection_set", counting)
+    # the |R| x |S| profiles from at most |R| + |S| connection-set walks
+    walks = _count_walks(monkeypatch)
     G = rs.symmetric(4)
     subs = rs.all_subgroups(G)
     saved = 0
@@ -407,9 +472,7 @@ def test_achievable_profiles_walks_each_r_and_s_once(monkeypatch):
             if not H.is_subset_of(A):
                 continue
             walks.clear()
-            certs = list(rs.achievable_profiles(rs.PairSpec(G, H, A)))
-            R, S = {c.r for c in certs}, {c.s for c in certs}
-            assert len(certs) == len(R) * len(S)
+            R, S = rs.achievable_profiles(rs.PairSpec(G, H, A))
             assert len(walks) <= len(R) + len(S)
             saved = max(saved, len(R) * len(S) - len(R) - len(S))
     assert saved > 0
@@ -435,9 +498,10 @@ def test_sweep_budget_counts_states():
     assert rs.decide_regular_set(pair, 1, 2, limits=Limits(search_node_budget=4))
     with pytest.raises(SearchBudgetExceeded):
         rs.decide_regular_set(pair, 1, 2, limits=Limits(search_node_budget=3))
-    assert len(list(rs.achievable_profiles(pair, limits=Limits(search_node_budget=4)))) == 4
+    R, S = rs.achievable_profiles(pair, limits=Limits(search_node_budget=4))
+    assert len(R) * len(S) == 4
     with pytest.raises(SearchBudgetExceeded):
-        list(rs.achievable_profiles(pair, limits=Limits(search_node_budget=3)))
+        rs.achievable_profiles(pair, limits=Limits(search_node_budget=3))
 
 
 def test_whole_group_as_code_is_degenerate(s3):
@@ -523,6 +587,38 @@ def test_chain_conditions_match_elementwise_oracle(corpus):
                     for k, ok in enumerate(outcomes):
                         failures[k] += not ok
     assert all(failures), failures
+
+
+def test_criteria_split_into_an_r_and_an_s_condition(corpus):
+    # the survey evaluates the normal-chain conditions once per r (parity)
+    # and once per s (divisibility, self_paired), and the Cayley criterion
+    # once per s; on every normal A of the corpus both verdicts factor so
+    from math import gcd
+
+    chains = cayleys = 0
+    for G in corpus:
+        subs = rs.all_subgroups(G)
+        full = G.full_subgroup()
+        for A in subs:
+            if not rs.is_normal(A, full):
+                continue
+            for H in subs:
+                if not H.is_subset_of(A) or not rs.is_normal(H, A):
+                    continue
+                pair = rs.PairSpec(G, H, A)
+                idx = pair.code_index
+                for r in range(idx):
+                    parity = rs.check_normal_chain(pair, r, 0).outcomes[0]
+                    for s in range(idx + 1):
+                        outside = all(rs.check_normal_chain(pair, 0, s).outcomes[1:])
+                        assert rs.check_normal_chain(pair, r, s).verdict == (parity and outside)
+                chains += 1
+            for s in range(A.order + 1):
+                want = rs.cayley_normal_criterion(G, A, 0, s)
+                for r in range(0, A.order, gcd(2, A.order - 1)):
+                    assert rs.cayley_normal_criterion(G, A, r, s) == want
+            cayleys += 1
+    assert chains > cayleys > 0
 
 
 # -- construction -----------------------------------------------------------------
