@@ -36,10 +36,9 @@ from .regular_sets import (
     certify,
     check_normal_chain,
     necessary_conjugate_intersection,
-    necessary_divisibility,
+    normalizer_reduction,
     perfect_code_normalizer_criterion,
     perfect_code_odd_order_criterion,
-    perfect_code_pair,
     perfect_code_quotient_criterion,
 )
 
@@ -207,10 +206,10 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     that issued it.  Parse failures raise :class:`ParseError`, as do an
     ``A``, ``U``, ``X`` or ``double_coset_reps`` that is not a list, a
     negative element id, an id in ``H``, ``A``, ``X`` or
-    ``double_coset_reps`` that is not an int, an id in ``X`` that is not
-    below the group order, an ``r`` or ``s`` that is not an int, and
-    ``checks`` other than the five named checks, each passing; a
-    well-formed but wrong certificate returns False."""
+    ``double_coset_reps`` that is not an int, an int id in ``H``, ``A``,
+    ``U`` or ``X`` that is not below the group order, an ``r`` or ``s``
+    that is not an int, and ``checks`` other than the five named checks,
+    each passing; a well-formed but wrong certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -240,11 +239,12 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         if any(_is_int(x) and x < 0 for x in ids):
             raise ParseError(f"certificate field {field!r} holds a negative element id")
     G = group_from_spec_dict(group["spec"], limits=limits)
-    xs = data["X"]
-    if isinstance(xs, list) and xs and max(xs) >= G.order:
-        raise ParseError(
-            f"certificate element id {max(xs)} in 'X' is not below the group order {G.order}"
-        )
+    for field in ("H", "A", "U", "X"):
+        ids = data[field]
+        big = [x for x in ids if _is_int(x) and x >= G.order] if isinstance(ids, list) else []
+        if big:
+            raise ParseError(f"certificate element id {max(big)} in {field!r} "
+                             f"is not below the group order {G.order}")
     if G.order != group.get("order"):
         return False
     try:
@@ -338,53 +338,33 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"
     agreements["cayley_normal"] = ("ok" if cayley_ok else "fail") if cayley else "n/a"
 
-    present01 = 0 in R and 1 in S
-    # For normal A, perfect_code_pair decides through the normalizer
-    # reduction, an independent criterion; otherwise it would only repeat the
-    # decision of (0,1) that achievable_profiles has already made.
-    pc = perfect_code_pair(pair, limits=limits)[0] if a_norm else present01
-    if pc != present01:
-        anomalies.append("perfect-code decision disagrees with search at (0,1)")
-    agreements["perfect_code"] = "ok" if pc == present01 else "fail"
-
-    if a_norm:
-        if perfect_code_normalizer_criterion(pair) != pc:
-            anomalies.append("normalizer criterion disagrees with perfect-code")
-            agreements["normalizer_criterion"] = "fail"
+    code = 0 in R and 1 in S  # the search's verdict: A is a perfect code
+    odd = A.order % 2 == 1 or (G.order // A.order) % 2 == 1
+    # (agreement key, applies, criterion, anomaly): each applicable verdict
+    # must equal the search's.  The reduction applies to normal A; for other
+    # A the perfect-code decision is the search itself.  The necessary
+    # condition holds for every perfect code, so it is checked on codes.
+    criteria = (
+        ("perfect_code", True,
+         lambda: normalizer_reduction(pair, 0, 1, limits=limits).verdict if a_norm else code,
+         "perfect-code decision disagrees with search at (0,1)"),
+        ("normalizer_criterion", a_norm, lambda: perfect_code_normalizer_criterion(pair),
+         "normalizer criterion disagrees with perfect-code"),
+        ("quotient_criterion", chain, lambda: perfect_code_quotient_criterion(pair),
+         "quotient criterion disagrees with perfect-code"),
+        ("odd_order", a_norm and odd, lambda: perfect_code_odd_order_criterion(pair),
+         "odd-order criterion disagrees with perfect-code"),
+        ("necessary", code, lambda: necessary_conjugate_intersection(pair),
+         "necessary conjugate-intersection condition violated"),
+    )
+    for key, applies, criterion, anomaly in criteria:
+        if not applies:
+            agreements[key] = "n/a"
+        elif criterion() == code:
+            agreements[key] = "ok"
         else:
-            agreements["normalizer_criterion"] = "ok"
-        if chain:
-            if perfect_code_quotient_criterion(pair) != pc:
-                anomalies.append("quotient criterion disagrees with perfect-code")
-                agreements["quotient_criterion"] = "fail"
-            else:
-                agreements["quotient_criterion"] = "ok"
-        else:
-            agreements["quotient_criterion"] = "n/a"
-        if A.order % 2 == 1 or (G.order // A.order) % 2 == 1:
-            if perfect_code_odd_order_criterion(pair) != pc:
-                anomalies.append("odd-order criterion disagrees with perfect-code")
-                agreements["odd_order"] = "fail"
-            else:
-                agreements["odd_order"] = "ok"
-        else:
-            agreements["odd_order"] = "n/a"
-    else:
-        agreements["normalizer_criterion"] = "n/a"
-        agreements["quotient_criterion"] = "n/a"
-        agreements["odd_order"] = "n/a"
-
-    if pc:
-        necessary_ok = True
-        if not necessary_conjugate_intersection(pair):
-            necessary_ok = False
-            anomalies.append("necessary conjugate-intersection condition violated")
-        if h_norm and not necessary_divisibility(pair):
-            necessary_ok = False
-            anomalies.append("necessary divisibility condition violated")
-        agreements["necessary"] = "ok" if necessary_ok else "fail"
-    else:
-        agreements["necessary"] = "n/a"
+            agreements[key] = "fail"
+            anomalies.append(anomaly)
 
     return {
         "H": list(H.members),

@@ -26,7 +26,6 @@ from .cosets import (
     double_coset,
     left_coset_count,
     left_cosets,
-    mask_of,
 )
 from .errors import (
     ConstructionFailed,
@@ -184,11 +183,35 @@ class NormalizerReduction:
     ``applicable`` records whether G equals N_G(H)*A; ``verdict`` is the
     conjunction with the quotient-level criterion.  For s = 1 the reduction
     is exact: a false verdict proves that no connection set exists.
+
+    ``certificate`` is lifted from a quotient-level connection set the first
+    time it is read, and is None when the verdict is false; a quotient-level
+    search that finds no witness raises ConstructionFailed on that read.
     """
 
     applicable: bool
     verdict: bool
-    certificate: Optional[RegSetCertificate]
+    pair: PairSpec
+    r: int
+    s: int
+    limits: Limits
+
+    @cached_property
+    def certificate(self) -> Optional[RegSetCertificate]:
+        if not self.verdict:
+            return None
+        pair = self.pair
+        qcert = decide_regular_set(pair._quotient_pair, self.r, self.s, limits=self.limits)
+        if qcert is None:  # the criterion guarantees existence
+            raise ConstructionFailed("quotient-level search found no witness")
+        # quotient element q is the coset section[q] H; U is the union of those
+        section = quotient(normalizer(pair.G, pair.H), pair.H).section
+        hspace = left_cosets(pair.G, pair.H)
+        class_reps = [section[q] for q in qcert.connection.members]
+        mask = 0
+        for g in class_reps:
+            mask |= hspace.masks[hspace.coset_of[g]]
+        return certify(pair, class_reps, mask, self.r, self.s)
 
 
 # -- shared per-pair analysis ---------------------------------------------
@@ -784,17 +807,14 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
     """Reduce the pair decision for a normal A to the quotient N_G(H)/H.
 
     Tests G = N_G(H) * A, then decides whether the image of N_A(H) is an
-    (r,s)-regular set of the quotient; when both hold a certificate for the
-    original pair is produced by lifting a quotient-level connection set
-    through the section.  For s = 1 the reduction is an equivalence.
+    (r,s)-regular set of the quotient; when both hold, the certificate for
+    the original pair is lifted from a quotient-level connection set
+    through the section when it is first read.  For s = 1 the reduction is
+    an equivalence.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
-    G, H, A = pair.G, pair.H, pair.A
-    full = G.full_subgroup()
-    if not is_normal(A, full):
+    if not is_normal(pair.A, pair.G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
-    N = normalizer(G, H)
-    quo = quotient(N, H)
     qpair = pair._quotient_pair  # keeps its analysis across (r, s)
     B = qpair.A
     border = B.order
@@ -804,25 +824,9 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
         )
     if r % gcd(2, border - 1) != 0:
         raise PreconditionViolated("gcd(2,|N_A(H)/H|-1) does not divide r")
-    applicable = product_is_group(N, A)
-    quotient_ok = cayley_normal_criterion(quo.table, B, r, s)
-    verdict = applicable and quotient_ok
-    certificate = None
-    if verdict:
-        qcert = decide_regular_set(qpair, r, s, limits=limits)
-        if qcert is None:  # criterion guarantees existence
-            raise ConstructionFailed("quotient-level search found no witness")
-        fibers: dict[int, list[int]] = {}
-        for m in N.members:
-            fibers.setdefault(quo.projection[m], []).append(m)
-        members: set[int] = set()
-        class_reps = []
-        for q in qcert.connection.members:
-            fib = fibers[q]
-            members.update(fib)
-            class_reps.append(min(fib))
-        certificate = certify(pair, class_reps, mask_of(G, members), r, s)
-    return NormalizerReduction(applicable, verdict, certificate)
+    applicable = product_is_group(normalizer(pair.G, pair.H), pair.A)
+    verdict = applicable and cayley_normal_criterion(qpair.G, B, r, s)
+    return NormalizerReduction(applicable, verdict, pair, r, s, limits)
 
 
 def perfect_code_pair(pair: PairSpec,
@@ -919,7 +923,12 @@ def necessary_divisibility(pair: PairSpec) -> bool:
     """Necessary for a perfect code when H is normal in A: |H * A^x| divides
     |A * A^x| for every x.  Both are products of two subgroups, so
     |XY| = |X||Y| / |X meet Y| gives their sizes from mask intersections,
-    once per distinct conjugate A^x."""
+    once per distinct conjugate A^x.
+
+    The condition holds for every such pair, so this never returns False:
+    with D = A meet A^x, H D is a subgroup of A (H is normal in A) of order
+    |H||D| / |H meet D|, and H meet A^x = H meet D, so
+    |A A^x| / |H A^x| = |A| |H meet D| / (|H| |D|) = |A : HD|, an integer."""
     G, H, A = pair.G, pair.H, pair.A
     if not is_normal(H, A):
         raise PreconditionViolated("H is not normal in A")

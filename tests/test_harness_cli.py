@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -342,6 +343,22 @@ def test_cli_verify_x_id_beyond_the_order_is_an_error(tmp_path, capsys, x):
     assert captured.out == "" and f"id {x} in 'X' is not below the group order 4" in captured.err
 
 
+@pytest.mark.parametrize("field,ids", [("H", [99]), ("A", [0, 99]), ("U", [99])])
+def test_cli_verify_id_beyond_the_order_is_an_error(tmp_path, capsys, field, ids):
+    # on the dihedral(4) certificate of test_certificate_tamper each of these
+    # used to verify as INVALID (exit 1)
+    g = rs.dihedral(4)
+    pair = rs.PairSpec(g, rs.Subgroup(g, [0, 2]), rs.Subgroup(g, [0, 2, 4, 6]))
+    path = tmp_path / "cert.json"
+    rs.write_certificate(rs.decide_regular_set(pair, 1, 1), path)
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{field: ids})))
+    with pytest.raises(ParseError):
+        rs.verify_certificate_file(path)
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"id 99 in {field!r} is not below the group order 8" in captured.err
+
+
 def test_certificate_missing_field(tmp_path):
     path = tmp_path / "cert.json"
     path.write_text('{"group": {}}')
@@ -470,9 +487,9 @@ def test_survey_decides_each_query_once(monkeypatch):
     G = rs.symmetric(4)
     report = rs.survey(G)
     # every (r,s) of a class representative comes from one achievable_profiles
-    # call; decide_regular_set runs only for the quotient-level search in
-    # normalizer_reduction, once per representative with A normal in G and
-    # (0,1) achievable (the reduction is exact at s = 1)
+    # call; the row reads only the normalizer reduction's verdict, so the
+    # representatives with A normal in G and (0,1) achievable, whose
+    # reduction would lift a certificate, run no quotient-level search
     reps = _class_representatives(G)
     assert len(sweeps) == len(set(sweeps)) == len(reps)
     codes = {
@@ -485,7 +502,7 @@ def test_survey_decides_each_query_once(monkeypatch):
         for h, a in reps
     )
     assert 0 < lifted < len(reps)
-    assert decides == [(0, 1)] * lifted
+    assert decides == []
 
 
 def test_survey_certifies_every_achievable_profile(monkeypatch):
@@ -513,6 +530,53 @@ def test_survey_certifies_every_achievable_profile(monkeypatch):
         assert {s for _, s in achievable} == {s for _, s in mine}
         profiles += len(achievable)
     assert profiles > len(certified) > len(_class_representatives(G))
+
+
+# each perfect-code column of a survey row: the name harness reads its
+# criterion under, and the anomaly it reports when it disagrees with the search
+PERFECT_CODE_CRITERIA = {
+    "perfect_code": ("normalizer_reduction",
+                     "perfect-code decision disagrees with search at (0,1)"),
+    "normalizer_criterion": ("perfect_code_normalizer_criterion",
+                             "normalizer criterion disagrees with perfect-code"),
+    "quotient_criterion": ("perfect_code_quotient_criterion",
+                           "quotient criterion disagrees with perfect-code"),
+    "odd_order": ("perfect_code_odd_order_criterion",
+                  "odd-order criterion disagrees with perfect-code"),
+    "necessary": ("necessary_conjugate_intersection",
+                  "necessary conjugate-intersection condition violated"),
+}
+
+
+@pytest.mark.parametrize("key", list(PERFECT_CODE_CRITERIA))
+def test_survey_fails_a_negated_criterion_alone(monkeypatch, key):
+    # each criterion is checked against the search, not against another
+    # criterion, so negating one fails its own column and no other
+    G = rs.symmetric(4)
+    clean = rs.survey(G).rows
+    name, anomaly = PERFECT_CODE_CRITERIA[key]
+    real = getattr(harness, name)
+
+    def negated(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        if name == "normalizer_reduction":
+            return dataclasses.replace(verdict, verdict=not verdict.verdict)
+        return not verdict
+
+    monkeypatch.setattr(harness, name, negated)
+    rows = rs.survey(G).rows
+    failed = 0
+    for before, after in zip(clean, rows):
+        assert list(after["agreements"]) == list(before["agreements"])
+        if before["agreements"][key] == "n/a" or (
+                key == "perfect_code" and not before["A_normal_in_G"]):
+            assert after == before
+            continue
+        failed += 1
+        assert before["agreements"][key] == "ok" and before["anomalies"] == []
+        assert after == dict(before, agreements=dict(before["agreements"], **{key: "fail"}),
+                             anomalies=[anomaly])
+    assert failed
 
 
 class _RecordingPool:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import weakref
 
@@ -355,8 +357,9 @@ def test_components_match_the_union_find_oracle(corpus):
 
 def test_survey_builds_each_subgroups_units_once(monkeypatch):
     # the double-coset units of H are cached with the group: a survey
-    # builds them once per (group, H), quotient tables of the normalizer
-    # reduction included, however many A lie over H
+    # builds them once per (group, H), however many A lie over H; lifting
+    # the normalizer reduction's certificates then builds those of each
+    # quotient table once, too
     built = []
     contexts = []
     real_units, real_context = regular_sets._SubgroupUnits, regular_sets._PairContext
@@ -376,6 +379,14 @@ def test_survey_builds_each_subgroups_units_once(monkeypatch):
     assert len(built) == len(set(built))
     on_g = sum(gid == id(G) for gid, _ in built)
     assert 0 < on_g < sum(pair.G is G for pair in contexts)
+    full = G.full_subgroup()
+    subs = rs.all_subgroups(G)
+    for A in subs:
+        if rs.is_normal(A, full):
+            for H in subs:
+                if H.is_subset_of(A):
+                    rs.perfect_code_pair(rs.PairSpec(G, H, A))
+    assert len(built) == len(set(built))
     assert len(built) > on_g  # quotient tables too
 
 
@@ -814,6 +825,56 @@ def test_reduction_sl23_zero_two_not_applicable_yet_search_succeeds(sl23_pair):
     red = rs.normalizer_reduction(sl23_pair, 0, 2)
     assert red.applicable is False and red.verdict is False
     assert rs.decide_regular_set(sl23_pair, 0, 2) is not None
+
+
+def test_reduction_lifts_its_certificate_on_first_read(monkeypatch, s3):
+    decides = []
+    real_decide = regular_sets.decide_regular_set
+
+    def counting_decide(pair, r, s, limits=None):
+        decides.append((pair.G, r, s))
+        return real_decide(pair, r, s, limits=limits)
+
+    monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
+    pair = s3_a3_pair(s3)
+    red = rs.normalizer_reduction(pair, 0, 1)
+    assert red.verdict and decides == []
+    cert = red.certificate
+    assert decides == [(pair._quotient_pair.G, 0, 1)]
+    assert red.certificate is cert and len(decides) == 1
+    assert_certificate_sound(cert)
+
+
+def test_reduction_raises_construction_failed_on_first_read(monkeypatch, s3):
+    monkeypatch.setattr(regular_sets, "decide_regular_set", lambda *args, **kwargs: None)
+    red = rs.normalizer_reduction(s3_a3_pair(s3), 0, 1)
+    assert red.verdict
+    with pytest.raises(ConstructionFailed, match="quotient-level search found no witness"):
+        red.certificate
+
+
+# SHA-256 of json.dumps of the list of perfect_code_pair certificates, each
+# as its JSON dict or None, of every pair H <= A with A normal in G, A and
+# then H in all_subgroups order, over the corpus groups of order <= 12:
+# 363 pairs, 337 of them perfect codes, each certificate lifted through the
+# normalizer quotient
+LIFTED_CERTIFICATES_DIGEST = "17736ed67ff5e0180adb2d4d8f78f281a416bd6362f8db44f9c8b8b69864a452"
+
+
+def test_lifted_perfect_code_certificates_are_pinned(small_corpus):
+    certs = []
+    for G in small_corpus:
+        full = G.full_subgroup()
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            if rs.is_normal(A, full):
+                for H in subs:
+                    if H.is_subset_of(A):
+                        _, cert = rs.perfect_code_pair(rs.PairSpec(G, H, A))
+                        certs.append(None if cert is None else cert.to_json_dict())
+    assert (len(certs), sum(c is not None for c in certs)) == (363, 337)
+    digest = hashlib.sha256(json.dumps(certs).encode()).hexdigest()
+    assert digest == LIFTED_CERTIFICATES_DIGEST
 
 
 # -- perfect_code_pair ---------------------------------------------------------------------
