@@ -124,7 +124,8 @@ class GroupTable:
     generating set in O(n^2 log n).  Each entry goes through ``int`` once.
     The first four checks compare whole rows and columns; a table that fails
     one goes to :func:`_first_violation`, which repeats them one row, column
-    or element at a time and names the first violation.
+    or element at a time and names the first violation.  ``generators``
+    keeps the generating set that Light's test picked.
     """
 
     identity = 0
@@ -142,12 +143,13 @@ class GroupTable:
         self.spec = spec
         self._cache: dict = {}
         self.inv = _checked_inverses(rows)
-        self._check_associative()
+        self.generators = self._check_associative()
 
     # -- validation -----------------------------------------------------
 
-    def _check_associative(self) -> None:
-        """Light's associativity test on a greedily chosen generating set.
+    def _check_associative(self) -> tuple[int, ...]:
+        """Light's associativity test on a greedily chosen generating set,
+        which it returns.
 
         Let B be the set of b with (x*b)*y = x*(b*y) for all x, y.  B holds
         the identity 0, and it is closed under products: for b, c in B,
@@ -196,6 +198,7 @@ class GroupTable:
                         seen[y] = 1
                         reached.append(y)
                         stack.append(y)
+        return tuple(gens)
 
     # -- basic arithmetic -----------------------------------------------
 
@@ -594,6 +597,128 @@ def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgro
     result = [Subgroup(G, mem) for mem in ordered]
     G._cache["all_subgroups"] = result
     return list(result)
+
+
+# -- automorphisms ---------------------------------------------------------
+
+
+def _extend_map(mult, gens: Sequence[int], images: Sequence[int], phi: list[int],
+                domain: list[int], image: int) -> Optional[tuple[list[int], list[int], int]]:
+    """Extend ``phi``, an injective homomorphism on ``domain`` =
+    <gens[:i]> with image mask ``image``, to <gens[:i+1]> by
+    gens[j] -> images[j] (j <= i).  Elements are mapped by BFS along the
+    edges y -> y*gens[j], phi(y*gens[j]) = phi(y)*images[j]; the map is
+    rejected (None) at the first edge that conflicts with an assigned image
+    or collides with another element's.  ``phi`` passed every edge of the
+    old generators on ``domain``, so there only the new generator's edges
+    are walked; every new element walks all of them."""
+    i = len(images) - 1
+    phi = phi.copy()
+    edges = tuple(zip(gens[:i + 1], images))
+    new_edges = edges[i:]
+    old = len(domain)
+    queue = list(domain)
+    for k, y in enumerate(queue):  # grows while iterating: a BFS queue
+        row, image_row = mult[y], mult[phi[y]]
+        for g, x in new_edges if k < old else edges:
+            z = row[g]
+            w = image_row[x]
+            f = phi[z]
+            if f < 0:
+                if (image >> w) & 1:
+                    return None
+                phi[z] = w
+                image |= 1 << w
+                queue.append(z)
+            elif f != w:
+                return None
+    return phi, queue, image
+
+
+def _orbit_mask(x: int, maps: Sequence[Sequence[int]]) -> int:
+    """The mask of the orbit of ``x`` under the group the permutations
+    ``maps`` generate."""
+    mask = 1 << x
+    stack = [x]
+    while stack:
+        y = stack.pop()
+        for phi in maps:
+            z = phi[y]
+            if not (mask >> z) & 1:
+                mask |= 1 << z
+                stack.append(z)
+    return mask
+
+
+def automorphism_generators(G: GroupTable) -> tuple[tuple[int, ...], ...]:
+    """A generating set of Aut(G), each automorphism as the tuple of the
+    images of 0..n-1.  Memoized in ``G._cache``.
+
+    An automorphism is fixed by the images of the generators g_1..g_k that
+    Light's test picked (``G.generators``).  Each g_i may only go to an
+    element with the same order and centralizer order.  A partial map is
+    extended over <g_1..g_i> by :func:`_extend_map` and dropped at its first
+    conflict or collision, so a map that reaches all of G satisfies
+    phi(y*g_j) = phi(y)*phi(g_j) for every y and j, hence is a homomorphism,
+    and it is injective: every returned map is a verified automorphism.
+
+    The generating set comes from the stabilizer chain Aut(G) = A_0 >= A_1
+    >= ... >= A_k = 1, where A_i fixes g_1..g_i, walked from i = k up.  At
+    level i every automorphism found so far lies in A_(i-1), and those
+    found at deeper levels generate A_i.  A candidate image x of g_i
+    already in the orbit of g_i under the maps found so far is skipped;
+    for any other x the search looks for one map of A_(i-1) with
+    g_i -> x.  One found is added; none found rules out the whole orbit of
+    x under A_i.  The maps found then reach the whole A_(i-1)-orbit of g_i
+    and generate a group containing A_i, the stabilizer of g_i in A_(i-1),
+    so they generate A_(i-1).  The search is deterministic (candidates in ascending order).
+    """
+    cached = G._cache.get("automorphism_generators")
+    if cached is not None:
+        return cached
+    n = G.order
+    mult = G.mult
+    gens = G.generators
+    k = len(gens)
+    columns = tuple(zip(*mult))
+    invariant = [
+        (G.element_order(x), sum(map(int.__eq__, mult[x], columns[x]))) for x in range(n)
+    ]
+    candidates = [[x for x in range(n) if invariant[x] == invariant[g]] for g in gens]
+    # identity[i]: the identity map on <g_1..g_i>, as (phi, domain, image mask)
+    identity = [([0] + [-1] * (n - 1), [0], 1)]
+    for i in range(k):
+        identity.append(_extend_map(mult, gens, gens[:i + 1], *identity[i]))
+
+    def search(images: list[int], state) -> Optional[list[int]]:
+        """The first automorphism, in candidate order, that extends the map
+        ``state`` by ``images``, the images of the first generators."""
+        extended = _extend_map(mult, gens, images, *state)
+        if extended is None or len(images) == k:
+            return extended and extended[0]
+        for x in candidates[len(images)]:
+            found = search(images + [x], extended)
+            if found is not None:
+                return found
+        return None
+
+    found: list[tuple[int, ...]] = []
+    for i in reversed(range(k)):  # gens[i] is g_(i+1)
+        stabilizer = found[:]  # generates A_(i+1), which fixes gens[i]
+        orbit = 1 << gens[i]
+        ruled_out = 0
+        for x in candidates[i]:
+            if ((orbit | ruled_out) >> x) & 1:
+                continue
+            phi = search([*gens[:i], x], identity[i])
+            if phi is None:
+                ruled_out |= _orbit_mask(x, stabilizer)
+            else:
+                found.append(tuple(phi))
+                orbit = _orbit_mask(gens[i], found)
+    result = tuple(found)
+    G._cache["automorphism_generators"] = result
+    return result
 
 
 def involution_exists_in_coset(G: GroupTable, x: int, A: Subgroup,

@@ -17,9 +17,9 @@ from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
     Subgroup,
-    _conjugate_mask,
     _members_of,
     all_subgroups,
+    automorphism_generators,
     from_generators,
     from_table,
     generate_subgroup,
@@ -394,30 +394,38 @@ def _worker_row(masks: tuple[int, int]) -> dict:
     return _survey_row(G, H, A, _WORKER_STATE["limits"])
 
 
-def _class_representatives(G: GroupTable,
+def _class_representatives(G: GroupTable, subs: list[Subgroup],
                            pairs: list[tuple[Subgroup, Subgroup]]) -> list[int]:
     """For each pair, the index in ``pairs`` of its class representative
-    under simultaneous conjugation (H, A) -> (H^g, A^g): the first pair of
-    the class in ``pairs`` order.  Each subgroup is conjugated by each g
-    once, however many pairs it lies in."""
-    conj: dict[int, list[int]] = {}  # subgroup mask -> mask of S^g per g
+    under (H, A) -> (phi(H), phi(A)) for phi in Aut(G): the first pair of
+    its orbit in ``pairs`` order.  Each generator of Aut(G)
+    (:func:`automorphism_generators`) permutes ``subs``, found by member
+    lookup, and the orbits of pairs are closed under those permutations."""
+    index = {S.mask: i for i, S in enumerate(subs)}
+    moves = []
+    for phi in automorphism_generators(G):
+        bits = [1 << y for y in phi]  # bits[x]: the bit of phi(x)
+        moves.append([index[sum(map(bits.__getitem__, S.members))] for S in subs])
     rep_of: dict[tuple[int, int], int] = {}
     reps = []
     for i, (H, A) in enumerate(pairs):
-        rep = rep_of.get((H.mask, A.mask))
+        key = (index[H.mask], index[A.mask])
+        rep = rep_of.get(key)
         if rep is None:
-            rep = i
-            for S in (H, A):
-                if S.mask not in conj:
-                    conj[S.mask] = [_conjugate_mask(G, S, g) for g in range(G.order)]
-            for key in zip(conj[H.mask], conj[A.mask]):
-                rep_of[key] = i
+            rep = rep_of[key] = i
+            orbit = [key]
+            for h, a in orbit:  # grows while iterating
+                for move in moves:
+                    image = (move[h], move[a])
+                    if image not in rep_of:
+                        rep_of[image] = i
+                        orbit.append(image)
         reps.append(rep)
     return reps
 
 
 def _member_row(row: dict, H: Subgroup, A: Subgroup) -> dict:
-    """The representative's ``row`` for the conjugate pair (H, A), sharing
+    """The representative's ``row`` for the pair (H, A) of its class, sharing
     no list or dict with it."""
     return {
         **row,
@@ -435,10 +443,10 @@ def survey(G: GroupTable, limits: Optional[Limits] = None,
     subgroup pairs H <= A of ``G``.  Rows are sorted by (H, A) members, so
     assembly order does not matter.
 
-    Conjugation by g maps Cos(G,H,U) onto Cos(G,H^g,U^g) and the A-cosets
-    onto the A^g-cosets, so every answer in a row is the same for all pairs
-    in a class under simultaneous conjugation.  One representative per class
-    is decided and its row is copied to the other members."""
+    An automorphism phi of G maps Cos(G,H,U) onto Cos(G,phi(H),phi(U)) and
+    the A-cosets onto the phi(A)-cosets, so every answer in a row is the same
+    for all pairs in an Aut(G)-orbit.  One representative per orbit is
+    decided and its row is copied to the other members."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     if G.order > limits.enumeration_cap:
         raise OrderExceedsCap(
@@ -448,7 +456,7 @@ def survey(G: GroupTable, limits: Optional[Limits] = None,
         raise ValueError(f"workers must be at least 1, got {workers}")
     subs = all_subgroups(G, limits=limits)
     pairs = [(H, A) for A in subs for H in subs if H.is_subset_of(A)]
-    rep_index = _class_representatives(G, pairs)
+    rep_index = _class_representatives(G, subs, pairs)
     rep_ids = [i for i, rep in enumerate(rep_index) if rep == i]
     reps = [pairs[i] for i in rep_ids]
     workers = min(workers, os.cpu_count() or 1, len(reps))

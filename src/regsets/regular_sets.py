@@ -39,7 +39,6 @@ from .group_core import (
     Subgroup,
     _conjugate_mask,
     _members_of,
-    intersect,
     is_normal,
     normalizer,
     product_is_group,
@@ -102,7 +101,7 @@ class PairSpec:
         """The pair (N_G(H)/H, 1, N_A(H)/H) of :func:`normalizer_reduction`."""
         N = normalizer(self.G, self.H)
         quo = quotient(N, self.H)
-        image = {quo.projection[m] for m in intersect(self.A, N).members}
+        image = {quo.projection[m] for m in _members_of(self.A.mask & N.mask)}
         return PairSpec(quo.table, trivial_subgroup(quo.table), Subgroup(quo.table, sorted(image)))
 
     def __repr__(self) -> str:

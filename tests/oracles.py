@@ -7,7 +7,7 @@ raw multiplication table with the code under test.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 def perm_compose(p, q):
@@ -310,17 +310,71 @@ def conjugate_set(G, subset, g):
     return frozenset(mult[mult[G.inv[g]][s]][g] for s in subset)
 
 
-def pair_class_representatives(G, pairs):
-    """The first pair of each class of ``pairs`` (given as (H, A) element
-    sets) under simultaneous conjugation, in ``pairs`` order."""
+def automorphisms_brute_force(G):
+    """Every automorphism of ``G``, as the tuple of the images of 0..n-1.
+    A generating set is picked greedily (the least element outside the
+    subgroup generated so far), every tuple of images of it is extended
+    along words in the generators, and a tuple is kept when the map is a
+    bijection that preserves all n^2 products of the table."""
+    n = G.order
+    mult = G.mult
+    gens = []
+    reached = frozenset({0})
+    while len(reached) < n:
+        gens.append(min(set(range(n)) - reached))
+        reached = subgroup_closure(G, gens)
+    word = {0: None}  # y -> (x, j) with y = x * gens[j]
+    order = [0]
+    for y in order:
+        for j, g in enumerate(gens):
+            z = mult[y][g]
+            if z not in word:
+                word[z] = (y, j)
+                order.append(z)
+    out = []
+    for images in product(range(n), repeat=len(gens)):
+        phi = [0] * n
+        for y in order[1:]:
+            x, j = word[y]
+            phi[y] = mult[phi[x]][images[j]]
+        # phi(a*b) = phi(a)*phi(b) for every b, one row a at a time
+        if len(set(phi)) == n and all(
+            tuple(map(phi.__getitem__, mult[a])) == tuple(map(mult[phi[a]].__getitem__, phi))
+            for a in range(n)
+        ):
+            out.append(tuple(phi))
+    return out
+
+
+def permutation_group(maps, degree):
+    """The group generated by the permutations ``maps`` of 0..degree-1, as a
+    set of tuples: the identity closed under composition with each map."""
+    identity = tuple(range(degree))
+    els = {identity}
+    stack = [identity]
+    while stack:
+        p = stack.pop()
+        for m in maps:
+            q = perm_compose(p, m)
+            if q not in els:
+                els.add(q)
+                stack.append(q)
+    return els
+
+
+def pair_orbit_representatives(pairs, automorphisms):
+    """The first pair of each orbit of ``pairs`` (given as (H, A) element
+    sets) under (H, A) -> (phi(H), phi(A)) for every phi in
+    ``automorphisms``, which must be a whole group, in ``pairs`` order."""
     seen = set()
     reps = []
     for hset, aset in pairs:
         if (hset, aset) in seen:
             continue
         reps.append((hset, aset))
-        for g in range(G.order):
-            seen.add((conjugate_set(G, hset, g), conjugate_set(G, aset, g)))
+        for phi in automorphisms:
+            seen.add((frozenset(map(phi.__getitem__, hset)),
+                      frozenset(map(phi.__getitem__, aset))))
     return reps
 
 

@@ -593,6 +593,25 @@ def test_all_subgroups_cap():
         rs.all_subgroups(rs.cyclic(8), limits=Limits(enumeration_cap=6))
 
 
+# -- automorphisms ---------------------------------------------------------------
+
+
+def test_group_table_keeps_lights_generators(corpus):
+    # the generators Light's test picked generate G, each outside the
+    # subgroup the earlier ones generate, so there are at most log2 |G|
+    for G in corpus:
+        gens = G.generators
+        assert _generated(G, gens) == (1 << G.order) - 1
+        for i, g in enumerate(gens):
+            assert not (_generated(G, gens[:i]) >> g) & 1
+        assert 2 ** len(gens) <= G.order
+
+
+def test_automorphism_generators_are_cached():
+    G = rs.quaternion8()
+    assert rs.automorphism_generators(G) is rs.automorphism_generators(G)
+
+
 # -- involutions in cosets -----------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 
 import pytest
@@ -400,13 +401,30 @@ def test_survey_degenerate_flag():
     assert full_row["degenerate_s"] is True
 
 
+def _survey_counting_rows(G):
+    """The survey of ``G`` and the number of rows it decided."""
+    calls = []
+    real = harness._survey_row
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_survey_row", counting)
+        report = rs.survey(G)
+    return report, len(calls)
+
+
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
-def test_survey_answers_survive_relabelling(small_corpus, data):
+def test_survey_answers_survive_relabelling(corpus, data):
     # relabel the table by a permutation fixing 0: representatives (least
-    # elements) and the grouping of pairs by conjugacy are chosen on the
-    # new labels, yet every row must map back onto the original row
-    G = data.draw(st.sampled_from(small_corpus))
+    # elements), Light's generators, the automorphism search's candidates
+    # and the grouping of pairs into Aut(G)-orbits are chosen on the new
+    # labels, yet |Aut(G)| and the number of classes stay the same, and
+    # every row must map back onto the original row
+    G = data.draw(st.sampled_from(corpus))
     n = G.order
     perm = [0, *data.draw(st.permutations(range(1, n)))]
     back = [0] * n
@@ -415,8 +433,13 @@ def test_survey_answers_survive_relabelling(small_corpus, data):
     relabelled = rs.from_table(
         [[perm[G.mult[back[i]][back[j]]] for j in range(n)] for i in range(n)]
     )
-    want = {(tuple(row["H"]), tuple(row["A"])): row for row in rs.survey(G).rows}
-    got = rs.survey(relabelled).rows
+    assert len(oracles.permutation_group(rs.automorphism_generators(relabelled), n)) == len(
+        oracles.permutation_group(rs.automorphism_generators(G), n))
+    report, decided = _survey_counting_rows(G)
+    want = {(tuple(row["H"]), tuple(row["A"])): row for row in report.rows}
+    relabelled_report, relabelled_decided = _survey_counting_rows(relabelled)
+    assert relabelled_decided == decided
+    got = relabelled_report.rows
     assert len(got) == len(want)
     for row in got:
         H = tuple(sorted(back[h] for h in row["H"]))
@@ -432,22 +455,20 @@ def test_survey_workers_match_sequential():
 
 
 def _class_representatives(G):
-    """The first pair of each conjugacy class of subgroup pairs H <= A, in
+    """The first pair of each Aut(G)-orbit of subgroup pairs H <= A, in
     the survey's pair order, as (H, A) element sets."""
     subs = rs.all_subgroups(G)
     pairs = [
         (frozenset(H.members), frozenset(A.members))
         for A in subs for H in subs if H.is_subset_of(A)
     ]
-    return oracles.pair_class_representatives(G, pairs)
+    return oracles.pair_orbit_representatives(pairs, oracles.automorphisms_brute_force(G))
 
 
 def test_survey_matches_a_row_for_every_pair(corpus):
-    # Abelian groups are left out, as conjugation fixes each of their pairs,
-    # and so is order 16, to keep the test short.
-    for spec in (G.spec for G in corpus if G.order != 16 and any(
-        G.mult[a][b] != G.mult[b][a] for a in range(G.order) for b in range(a)
-    )):
+    # Order 16 is left out to keep the test short; the abelian groups stay
+    # in, as Aut(G) merges their pairs where conjugation merged none.
+    for spec in (G.spec for G in corpus if G.order != 16):
         rows = rs.survey(rs.parse_group_spec(json.dumps(spec))).rows
         G = rs.parse_group_spec(json.dumps(spec))
         subs = rs.all_subgroups(G)
@@ -456,6 +477,46 @@ def test_survey_matches_a_row_for_every_pair(corpus):
             for A in subs for H in subs if H.is_subset_of(A)
         ]
         assert rows == sorted(every, key=lambda row: (row["H"], row["A"])), G.label
+
+
+def test_automorphism_search_matches_brute_force(corpus):
+    # the maps found generate the whole of Aut(G), each is a bijection that
+    # preserves every product, and the survey decides one row per Aut-orbit
+    sizes = {}
+    for G in (G for G in corpus if G.order <= 16 or G.order == 24):
+        n = G.order
+        found = rs.automorphism_generators(G)
+        brute = sizes[G.label] = oracles.automorphisms_brute_force(G)
+        assert oracles.permutation_group(found, n) == set(brute), G.label
+        for phi in found:
+            assert sorted(phi) == list(range(n))
+            assert all(phi[G.mult[a][b]] == G.mult[phi[a]][phi[b]]
+                       for a in range(n) for b in range(n)), G.label
+        subs = rs.all_subgroups(G)
+        pairs = [(frozenset(H.members), frozenset(A.members))
+                 for A in subs for H in subs if H.is_subset_of(A)]
+        classes = len(oracles.pair_orbit_representatives(pairs, brute))
+        assert _survey_counting_rows(G)[1] == classes, G.label
+    c2 = "xcyclic(2)"
+    assert {label: len(sizes[label]) for label in (
+        "dicyclic(2)", "cyclic(2)" + 2 * c2, "cyclic(2)" + 3 * c2, "dihedral(12)"
+    )} == {"dicyclic(2)": 24, "cyclic(2)" + 2 * c2: 168, "cyclic(2)" + 3 * c2: 20160,
+           "dihedral(12)": 48}
+
+
+@pytest.mark.parametrize("build, classes", [
+    pytest.param(lambda: rs.symmetric(4), 45, id="S4"),
+    pytest.param(lambda: rs.sl23(), 23, id="SL(2,3)"),
+    pytest.param(lambda: rs.dihedral(12), 54, id="D24"),
+    pytest.param(lambda: rs.dihedral(24), 90, id="D48"),
+    pytest.param(lambda: rs.direct_product(rs.symmetric(4), rs.cyclic(2)), 171, id="S4xC2"),
+    pytest.param(lambda: functools.reduce(rs.direct_product, [rs.cyclic(2)] * 5), 21,
+                 id="C2^5"),
+])
+def test_survey_decides_one_row_per_automorphism_class(build, classes):
+    report, decided = _survey_counting_rows(build())
+    assert decided == classes
+    assert report.anomalies == []
 
 
 def test_survey_rows_share_no_lists():
