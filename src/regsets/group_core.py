@@ -8,7 +8,7 @@ minimum element id, so all outputs are deterministic.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from math import isqrt
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
@@ -69,26 +69,28 @@ def _generated(G: "GroupTable", gens: Sequence[int]) -> int:
 
 
 def _checked_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """The inverse of every element of a table that passes the first four
-    checks of :class:`GroupTable`, each made on whole rows or columns;
-    any other table raises :func:`_first_violation`."""
+    """The inverse of every element of a table whose rows are permutations
+    of 0..n-1, whose row 0 and column 0 are the identity and in which every
+    element has a two-sided inverse, each checked on whole rows; any other
+    table raises :func:`_first_violation`.  The columns are not checked
+    here: see :class:`GroupTable`."""
     n = len(rows)
     ident = tuple(range(n))
     full = set(ident)
     if n and set(map(len, rows)) == {n} and all(map(full.__eq__, map(set, rows))):
-        columns = tuple(zip(*rows))
-        if all(map(full.__eq__, map(set, columns))) and rows[0] == ident == columns[0]:
+        if rows[0] == ident == tuple(map(itemgetter(0), rows)):
             inv = tuple(map(tuple.index, rows, repeat(0)))
             # a*inv[a] = 0; that inv[a]*a = 0 too says inv is an involution
             if tuple(map(inv.__getitem__, inv)) == ident:
                 return inv
-    raise _first_violation(rows)
+    raise _first_violation(rows) or AssertionError("the whole-row checks rejected a group table")
 
 
-def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Exception:
+def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Optional[Exception]:
     """The error for a table that fails one of the first four checks of
     :class:`GroupTable`: those checks in order, one row, column or element
-    at a time, naming the first row, column, entry or element at fault."""
+    at a time, naming the first row, column, entry or element at fault.
+    None if the table passes all four."""
     n = len(rows)
     if n == 0:
         return ValueError("multiplication table is empty")
@@ -111,21 +113,32 @@ def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Exception:
     for a in range(n):
         if rows[rows[a].index(0)][a] != 0:
             return NoInverse(f"element {a} has no two-sided inverse")
-    raise AssertionError("the whole-row checks rejected a group table")
+    return None
 
 
 class GroupTable:
     """A finite group given by its full multiplication table.
 
-    The constructor validates all group axioms exactly, at every order, in
-    this order: every row has n entries in 0..n-1, the rows and then the
-    columns are permutations, index 0 acts as the identity, every element
-    has a two-sided inverse, and associativity holds, by Light's test on a
-    generating set in O(n^2 log n).  Each entry goes through ``int`` once.
-    The first four checks compare whole rows and columns; a table that fails
-    one goes to :func:`_first_violation`, which repeats them one row, column
-    or element at a time and names the first violation.  ``generators``
-    keeps the generating set that Light's test picked.
+    The constructor validates all group axioms exactly, at every order, and
+    reports the first failure in this order: every row has n entries in
+    0..n-1, the rows and then the columns are permutations, index 0 acts as
+    the identity, every element has a two-sided inverse, and associativity
+    holds, by Light's test on a generating set in O(n^2 log n).  Entries
+    that are not exact ints go through ``int`` once; rows of exact ints are
+    kept as they are.
+
+    Each check is made once.  The rows, the identity and the inverses are
+    compared as whole rows, and Light's test follows.  The columns get no
+    pass of their own: a table with permutation rows, a two-sided identity
+    and two-sided inverses that passes Light's test is associative, hence a
+    group, hence its columns are permutations too.  Light's test keeps its
+    O(n^2 log n) bound on such tables, since its doubling argument needs
+    only left cancellation, which the rows give.  So a table with a column
+    that is not a permutation fails a row check or Light's test.  A table
+    that fails any check goes to :func:`_first_violation`, which repeats
+    the first four checks one row, column or element at a time and names
+    the first violation; NotAssociative is raised only if those all pass.
+    ``generators`` keeps the generating set that Light's test picked.
     """
 
     identity = 0
@@ -136,14 +149,20 @@ class GroupTable:
         label: str = "G",
         spec: Optional[dict] = None,
     ):
-        rows = tuple(tuple(map(int, row)) for row in mult)
+        rows = tuple(map(tuple, mult))  # keeps rows that are tuples already
+        if not set(map(type, chain.from_iterable(rows))) <= {int}:
+            rows = tuple(tuple(map(int, row)) for row in rows)
         self.order = len(rows)
         self.mult = rows
         self.label = label
         self.spec = spec
         self._cache: dict = {}
         self.inv = _checked_inverses(rows)
-        self.generators = self._check_associative()
+        try:
+            self.generators = self._check_associative()
+        except NotAssociative as exc:
+            # a column that is not a permutation is reported as such
+            raise _first_violation(rows) or exc from None
 
     # -- validation -----------------------------------------------------
 
@@ -162,12 +181,15 @@ class GroupTable:
         a*(b*y) over all y per a, made for all a at once.
 
         A generator is tested before the next is picked.  While all tested
-        generators pass, the reached set R is a subgroup (its elements lie
-        in B, and a finite cancellative associative set with identity is a
-        group), and the next generator g lies outside R, so g*R is disjoint
-        from R and is reached too: R at least doubles.  Hence at most
-        ceil(log2 n) generators are ever tested, and the whole check costs
-        O(n^2 log n) for any table, group or not.
+        generators pass, the reached set R lies in B and is closed under
+        products, and every row is a permutation (left cancellation).  So
+        for r in R, y -> r*y maps R onto R, and the y with r*y = 0 lies in
+        R.  The next generator g lies outside R, so g*R is disjoint from R
+        (g*r = x in R would give g = (g*r)*y = x*y in R, as r lies in B),
+        has |R| elements, and is reached too: R at least doubles.  Hence
+        at most ceil(log2 n) generators are ever tested, and the whole
+        check costs O(n^2 log n) on any table with permutation rows, group
+        or not.
         """
         n = self.order
         mult = self.mult

@@ -206,10 +206,11 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     that issued it.  Parse failures raise :class:`ParseError`, as do an
     ``A``, ``U``, ``X`` or ``double_coset_reps`` that is not a list, a
     negative element id, an id in ``H``, ``A``, ``X`` or
-    ``double_coset_reps`` that is not an int, an int id in ``H``, ``A``,
-    ``U`` or ``X`` that is not below the group order, an ``r`` or ``s``
-    that is not an int, and ``checks`` other than the five named checks,
-    each passing; a well-formed but wrong certificate returns False."""
+    ``double_coset_reps`` that is not an int, a bool id in ``U``, an int
+    id in ``H``, ``A``, ``U`` or ``X`` that is not below the group order,
+    an ``r`` or ``s`` that is not an int, and ``checks`` other than the
+    five named checks, each passing; a well-formed but wrong certificate
+    returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -226,24 +227,27 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     checks = data["checks"]
     if checks != _PASSING_CHECKS or any(c["pass"] is not True for c in checks):
         raise ParseError("certificate 'checks' must be the five named checks, each passing")
+    int_ids: dict[str, list] = {}  # the int ids of each list field
     for field in _CERT_ID_FIELDS:
         ids = data[field]
-        # a non-list H and a non-int id in U are still unchecked: the verify
-        # benchmark counts them as crashes until ROADMAP item 4(a)
+        # a non-list H and a non-int, non-bool id in U are still unchecked:
+        # the verify benchmark counts them as crashes until ROADMAP item 4(a)
         if not isinstance(ids, list):
             if field == "H":
                 continue
             raise ParseError(f"certificate field {field!r} must be a list of element ids")
-        if field != "U" and not _all_ints(ids):
-            raise ParseError(f"certificate field {field!r} holds a non-integer element id")
-        if any(_is_int(x) and x < 0 for x in ids):
+        if not _all_ints(ids):
+            if field != "U" or bool in set(map(type, ids)):
+                raise ParseError(f"certificate field {field!r} holds a non-integer element id")
+            ids = [x for x in ids if _is_int(x)]
+        if ids and min(ids) < 0:
             raise ParseError(f"certificate field {field!r} holds a negative element id")
+        int_ids[field] = ids
     G = group_from_spec_dict(group["spec"], limits=limits)
     for field in ("H", "A", "U", "X"):
-        ids = data[field]
-        big = [x for x in ids if _is_int(x) and x >= G.order] if isinstance(ids, list) else []
-        if big:
-            raise ParseError(f"certificate element id {max(big)} in {field!r} "
+        ids = int_ids.get(field)
+        if ids and max(ids) >= G.order:
+            raise ParseError(f"certificate element id {max(ids)} in {field!r} "
                              f"is not below the group order {G.order}")
     if G.order != group.get("order"):
         return False
@@ -323,8 +327,8 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     if chain:
         chain_r = [check_normal_chain(pair, r, 0).outcomes[0] for r in range(idx)]
         chain_s = [all(check_normal_chain(pair, 0, s).outcomes[1:]) for s in range(idx + 1)]
-    if cayley:
-        cayley_s = [cayley_normal_criterion(G, A, 0, s) for s in range(idx + 1)]
+    if cayley:  # one verdict for even s and one for odd s
+        cayley_parity = [cayley_normal_criterion(G, A, 0, s) for s in (0, 1)]
     chain_ok = cayley_ok = True
     for r in range(idx):
         for s in range(idx + 1):
@@ -332,7 +336,7 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
             if chain and (chain_r[r] and chain_s[s]) != present:
                 chain_ok = False
                 anomalies.append(f"normal-chain criteria disagree with search at ({r},{s})")
-            if cayley and r % gcd(2, A.order - 1) == 0 and cayley_s[s] != present:
+            if cayley and r % gcd(2, A.order - 1) == 0 and cayley_parity[s % 2] != present:
                 cayley_ok = False
                 anomalies.append(f"cayley criterion disagrees with search at ({r},{s})")
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"

@@ -1,6 +1,6 @@
 import random
 import re
-from itertools import islice
+from itertools import islice, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -150,7 +150,8 @@ def _latin_squares_without_group_law():
 LOOPS = _latin_squares_without_group_law()
 
 TABLE_DEFECTS = ("none", "short_row", "out_of_range", "repeated_in_row",
-                 "repeated_in_column", "no_identity", *LOOPS)
+                 "repeated_in_column", "repeated_in_column_off_identity",
+                 "no_identity", *LOOPS)
 
 
 def _relabel(mult, perm):
@@ -185,6 +186,13 @@ def tables_with_one_defect(draw, groups):
         table[i][j] = table[i][k]
     elif defect == "repeated_in_column" and j != k:
         table[i][j], table[i][k] = table[i][k], table[i][j]
+    elif defect == "repeated_in_column_off_identity" and n >= 3:
+        # a swap in a row and columns other than the identity's keeps the
+        # rows Latin and the identity two-sided, but breaks two columns
+        others = [a for a in range(n) if a != perm[0]]
+        i = draw(st.sampled_from(others))
+        j, k = draw(st.permutations(others))[:2]
+        table[i][j], table[i][k] = table[i][k], table[i][j]
     elif defect == "no_identity" and n >= 3:
         # swapping two rows that are not the identity's leaves a Latin square
         # whose only identity row has a column that is not the identity's
@@ -212,6 +220,46 @@ def test_table_validation_matches_the_ordered_reference(small_corpus, data):
             == _table_outcome(oracles.group_table_reference, table))
     assert (_table_outcome(rs.from_table, table)
             == _table_outcome(oracles.from_table_reference, table))
+
+
+def _tables_with_reduced_rows(n):
+    """Every n x n table whose rows are permutations of 0..n-1 and whose
+    row 0 and column 0 are 0..n-1: 1, 1, 4 and 216 tables for n = 1..4."""
+    choices = [[p for p in permutations(range(n)) if p[0] == i] for i in range(1, n)]
+    for rest in product(*choices):
+        yield (tuple(range(n)), *rest)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_table_validation_matches_the_reference_on_every_small_table(n):
+    # these pass every check that GroupTable makes on whole rows, so the
+    # columns are checked only through Light's test and the first-violation
+    # pass after it; the outcome must still be the reference's
+    for table in _tables_with_reduced_rows(n):
+        assert (_table_outcome(rs.GroupTable, table)
+                == _table_outcome(oracles.group_table_reference, table)), table
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("entries", [
+    [[False, True], [True, False]],
+    [[0, 1], [1, _Int(0)]],
+    [(0, 1), (1, 0.0)],
+    [["0", "1"], ["1", "0"]],
+], ids=["bool", "int-subclass", "float", "str"])
+def test_table_entries_come_out_as_exact_ints(entries):
+    G = rs.GroupTable(entries)
+    assert G.mult == ((0, 1), (1, 0))
+    assert {type(x) for row in G.mult for x in row} == {int}
+
+
+def test_table_keeps_rows_of_exact_ints():
+    rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    G = rs.GroupTable(rows)
+    assert all(a is b for a, b in zip(G.mult, rows))
 
 
 # -- associativity (Light's test on a generating set) ------------------------
@@ -605,6 +653,18 @@ def test_group_table_keeps_lights_generators(corpus):
         for i, g in enumerate(gens):
             assert not (_generated(G, gens[:i]) >> g) & 1
         assert 2 ** len(gens) <= G.order
+
+
+def test_group_table_generators_are_the_greedy_generating_set(corpus):
+    # each generator is the least element outside the subgroup that the
+    # earlier ones generate; the automorphism search and the survey order
+    # depend on this choice
+    for G in corpus:
+        gens, reached = [], frozenset({0})
+        while len(reached) < G.order:
+            gens.append(min(set(range(G.order)) - reached))
+            reached = oracles.subgroup_closure(G, gens)
+        assert G.generators == tuple(gens), G.label
 
 
 def test_automorphism_generators_are_cached():

@@ -311,15 +311,25 @@ def test_cli_verify_checks_must_be_the_five_passing_checks(tmp_path, capsys, che
 @pytest.mark.parametrize("field,ids", [
     ("H", ["0"]), ("A", [0, "2"]), ("X", [True, 3]), ("A", [0, 2.0]),
     ("double_coset_reps", [1.0, 3.0]), ("double_coset_reps", [True, 3]),
-    ("double_coset_reps", ["1", "3"]),
-], ids=["H-str", "A-str", "X-bool", "A-float", "reps-float", "reps-bool", "reps-str"])
+    ("double_coset_reps", ["1", "3"]), ("U", [True, 3]),
+], ids=["H-str", "A-str", "X-bool", "A-float", "reps-float", "reps-bool", "reps-str",
+        "U-bool"])
 def test_cli_verify_non_int_id_is_an_error(tmp_path, capsys, field, ids):
     # "H": ["0"] used to verify as valid (exit 0): Subgroup read "0" as 0;
-    # so did each of the double_coset_reps, read through int()
+    # so did each of the double_coset_reps and "U": [true, 3], read
+    # through int()
     path = _tampered_cyclic4_cert(tmp_path, **{field: ids})
     assert main(["verify", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "non-integer element id" in captured.err
+
+
+def test_cli_verify_negative_int_id_in_a_u_with_other_ids_is_an_error(tmp_path, capsys):
+    # a U that holds non-int ids has its int ids bounded one at a time
+    path = _tampered_cyclic4_cert(tmp_path, U=["1", -1])
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "field 'U' holds a negative element id" in captured.err
 
 
 @pytest.mark.parametrize("field", ["A", "U", "X", "double_coset_reps"])
@@ -344,7 +354,9 @@ def test_cli_verify_x_id_beyond_the_order_is_an_error(tmp_path, capsys, x):
     assert captured.out == "" and f"id {x} in 'X' is not below the group order 4" in captured.err
 
 
-@pytest.mark.parametrize("field,ids", [("H", [99]), ("A", [0, 99]), ("U", [99])])
+@pytest.mark.parametrize("field,ids", [
+    ("H", [99]), ("A", [0, 99]), ("U", [99]), ("U", ["1", 99]),
+])
 def test_cli_verify_id_beyond_the_order_is_an_error(tmp_path, capsys, field, ids):
     # on the dihedral(4) certificate of test_certificate_tamper each of these
     # used to verify as INVALID (exit 1)
