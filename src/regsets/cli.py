@@ -115,7 +115,7 @@ def _cmd_perfect_code(args, limits: Limits) -> int:
     pair = PairSpec(G, subgroup_from_arg(G, args.H), subgroup_from_arg(G, args.A))
     ok, cert = perfect_code_pair(pair, limits=limits)
     print(f"perfect code: {'yes' if ok else 'no'}")
-    if ok and cert is not None:
+    if ok:
         _emit(cert, args.emit)
     return 0 if ok else 1
 

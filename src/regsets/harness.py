@@ -84,13 +84,15 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
     limits = limits if limits is not None else DEFAULT_LIMITS
     kind = spec.get("kind")
     label = spec.get("label")
+    if label is not None and not isinstance(label, str):
+        raise ParseError("group spec 'label' must be a string")
     if kind == "preset":
         try:
             g = preset(spec.get("name"), spec.get("n"), spec.get("factors"), limits)
         except RecursionError as exc:
             raise ParseError("preset spec is nested too deep") from exc
         if label:
-            g.label = str(label)
+            g.label = label
         return g
     if kind == "permutation":
         degree = spec.get("degree")
@@ -350,7 +352,7 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     # condition holds for every perfect code, so it is checked on codes.
     criteria = (
         ("perfect_code", True,
-         lambda: normalizer_reduction(pair, 0, 1, limits=limits).verdict if a_norm else code,
+         lambda: normalizer_reduction(pair, 0, 1).verdict if a_norm else code,
          "perfect-code decision disagrees with search at (0,1)"),
         ("normalizer_criterion", a_norm, lambda: perfect_code_normalizer_criterion(pair),
          "normalizer criterion disagrees with perfect-code"),

@@ -177,40 +177,15 @@ class ConditionReport(NamedTuple):
 
 @dataclass(frozen=True)
 class NormalizerReduction:
-    """Result of reducing a pair decision to the normalizer quotient.
+    """Verdict of the normalizer-quotient criterion.
 
     ``applicable`` records whether G equals N_G(H)*A; ``verdict`` is the
     conjunction with the quotient-level criterion.  For s = 1 the reduction
     is exact: a false verdict proves that no connection set exists.
-
-    ``certificate`` is lifted from a quotient-level connection set the first
-    time it is read, and is None when the verdict is false; a quotient-level
-    search that finds no witness raises ConstructionFailed on that read.
     """
 
     applicable: bool
     verdict: bool
-    pair: PairSpec
-    r: int
-    s: int
-    limits: Limits
-
-    @cached_property
-    def certificate(self) -> Optional[RegSetCertificate]:
-        if not self.verdict:
-            return None
-        pair = self.pair
-        qcert = decide_regular_set(pair._quotient_pair, self.r, self.s, limits=self.limits)
-        if qcert is None:  # the criterion guarantees existence
-            raise ConstructionFailed("quotient-level search found no witness")
-        # quotient element q is the coset section[q] H; U is the union of those
-        section = quotient(normalizer(pair.G, pair.H), pair.H).section
-        hspace = left_cosets(pair.G, pair.H)
-        class_reps = [section[q] for q in qcert.connection.members]
-        mask = 0
-        for g in class_reps:
-            mask |= hspace.masks[hspace.coset_of[g]]
-        return certify(pair, class_reps, mask, self.r, self.s)
 
 
 # -- shared per-pair analysis ---------------------------------------------
@@ -801,17 +776,17 @@ def normal_perfect_code_criterion(G: GroupTable, A: Subgroup) -> bool:
 # -- normalizer-quotient reduction ------------------------------------------
 
 
-def normalizer_reduction(pair: PairSpec, r: int, s: int,
-                         limits: Optional[Limits] = None) -> NormalizerReduction:
+def normalizer_reduction(pair: PairSpec, r: int, s: int) -> NormalizerReduction:
     """Reduce the pair decision for a normal A to the quotient N_G(H)/H.
 
-    Tests G = N_G(H) * A, then decides whether the image of N_A(H) is an
-    (r,s)-regular set of the quotient; when both hold, the certificate for
-    the original pair is lifted from a quotient-level connection set
-    through the section when it is first read.  For s = 1 the reduction is
-    an equivalence.
+    Tests G = N_G(H) * A, then decides on the quotient table whether the
+    image of N_A(H) is an (r,s)-regular set of N_G(H)/H.  For s = 1 the
+    reduction is an equivalence (the paper's theorem).  For s != 1 the
+    verdict equals the exact decision wherever G = N_G(H) * A on every
+    pair of the acceptance corpus; that is measured, not proved.  Where
+    G != N_G(H) * A, some s != 1 profiles are achievable though the
+    verdict is false.
     """
-    limits = limits if limits is not None else DEFAULT_LIMITS
     if not is_normal(pair.A, pair.G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
     qpair = pair._quotient_pair  # keeps its analysis across (r, s)
@@ -825,20 +800,14 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int,
         raise PreconditionViolated("gcd(2,|N_A(H)/H|-1) does not divide r")
     applicable = product_is_group(normalizer(pair.G, pair.H), pair.A)
     verdict = applicable and cayley_normal_criterion(qpair.G, B, r, s)
-    return NormalizerReduction(applicable, verdict, pair, r, s, limits)
+    return NormalizerReduction(applicable, verdict)
 
 
 def perfect_code_pair(pair: PairSpec,
                       limits: Optional[Limits] = None
                       ) -> tuple[bool, Optional[RegSetCertificate]]:
     """Decide whether A is a perfect code of the pair (G, H), i.e. a
-    (0,1)-regular set.  Normal A goes through the normalizer-quotient
-    criterion (with a lifted certificate); otherwise the exact decision
-    decides."""
-    limits = limits if limits is not None else DEFAULT_LIMITS
-    if is_normal(pair.A, pair.G.full_subgroup()):
-        red = normalizer_reduction(pair, 0, 1, limits=limits)
-        return red.verdict, red.certificate
+    (0,1)-regular set, by the exact decision at (0, 1)."""
     cert = decide_regular_set(pair, 0, 1, limits=limits)
     return cert is not None, cert
 

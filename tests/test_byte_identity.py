@@ -1,7 +1,7 @@
 """Byte-for-byte pins of the default outputs.
 
-The digests are SHA-256 sums of the files that ``survey --out`` and
-``check --emit`` write, of what ``show`` prints, of the subgroup member
+The digests are SHA-256 sums of the files that ``survey --out``,
+``check --emit`` and ``perfect-code --emit`` write, of what ``show`` prints, of the subgroup member
 lists that ``all_subgroups`` returns for a group of order 96, and of the
 multiplication tables that the preset builders make, which fix the element
 numbering of every other output.  A change that only makes the program
@@ -30,6 +30,16 @@ CHECK_DIGESTS = [
     (["check", "preset:sl23", "--H", "0,6", "--A", "0,2,6,12,13,15,20,21",
       "--r", "1", "--s", "2"],
      "f2be62b134c87c5b353f09a3410d4764fcccddd217a7473f0283f4fab1943441"),
+]
+
+# (argv without --emit, digest of the emitted certificate): A4 over a
+# non-normal C2 in S4, and Q8 over the centre of SL(2,3)
+PERFECT_CODE_DIGESTS = [
+    (["perfect-code", "preset:symmetric:4", "--H", "0,5",
+      "--A", "0,3,4,5,11,12,13,14,15,21,22,23"],
+     "4376a17200cff21874ef246bcdcd1c32f1c51c8407f144cfca4c9dce287d00c5"),
+    (["perfect-code", "preset:sl23", "--H", "0,6", "--A", "0,2,6,12,13,15,20,21"],
+     "f44e995f1f8521957832d6239177cfcd35b30c52872705f427e2c4d07d643a18"),
 ]
 
 SHOW_DIGESTS = {
@@ -162,6 +172,14 @@ def test_survey_report_bytes_are_pinned(tmp_path, capsys, group):
 
 @pytest.mark.parametrize("argv,digest", CHECK_DIGESTS, ids=["S4", "SL23"])
 def test_emitted_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "cert.json"
+    assert main(argv + ["--emit", str(out)]) == 0
+    assert _digest(out) == digest
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,digest", PERFECT_CODE_DIGESTS, ids=["A4", "Q8"])
+def test_emitted_perfect_code_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "cert.json"
     assert main(argv + ["--emit", str(out)]) == 0
     assert _digest(out) == digest

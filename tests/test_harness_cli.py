@@ -162,6 +162,30 @@ def test_group_from_arg_file(tmp_path):
         rs.group_from_arg("no/such/file.json")
 
 
+LABELLED_SPECS = {
+    "preset": {"kind": "preset", "name": "cyclic", "n": 2},
+    "permutation": {"kind": "permutation", "degree": 2, "generators": [[[0, 1]]]},
+    "table": {"kind": "table", "matrix": [[0, 1], [1, 0]]},
+}
+
+
+@pytest.mark.parametrize("label", [["x"], 0, {"a": 1}], ids=["list", "zero", "dict"])
+@pytest.mark.parametrize("kind", sorted(LABELLED_SPECS))
+def test_cli_non_string_label_is_an_error(capsys, kind, label):
+    # a preset used to str() the label and drop a falsy one; the other kinds
+    # kept it as it was, so it reached the certificate JSON and the report
+    spec = dict(LABELLED_SPECS[kind], label=label)
+    assert main(["check", json.dumps(spec), "--A", "all", "--r", "0", "--s", "1"]) == 2
+    assert "'label' must be a string" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", sorted(LABELLED_SPECS))
+def test_cli_string_label_names_the_group(capsys, kind):
+    spec = dict(LABELLED_SPECS[kind], label="two")
+    assert main(["survey", json.dumps(spec)]) == 0
+    assert "survey of two" in capsys.readouterr().out
+
+
 def test_subgroup_from_arg(s3):
     assert rs.subgroup_from_arg(s3, "trivial").order == 1
     assert rs.subgroup_from_arg(s3, "all").order == 6

@@ -809,10 +809,10 @@ def test_reduction_with_normal_h_matches_direct_search():
             if r % 2 != 0 and (border - 1) % 2 == 0:
                 continue
             red = rs.normalizer_reduction(pair, r, 1)
-            present = rs.decide_regular_set(pair, r, 1) is not None
-            assert red.verdict == present
+            cert = rs.decide_regular_set(pair, r, 1)
+            assert red.verdict == (cert is not None)
             if red.verdict:
-                assert_certificate_sound(red.certificate)
+                assert_certificate_sound(cert)
 
 
 def test_reduction_rejects_non_normal_a(s3):
@@ -827,37 +827,12 @@ def test_reduction_sl23_zero_two_not_applicable_yet_search_succeeds(sl23_pair):
     assert rs.decide_regular_set(sl23_pair, 0, 2) is not None
 
 
-def test_reduction_lifts_its_certificate_on_first_read(monkeypatch, s3):
-    decides = []
-    real_decide = regular_sets.decide_regular_set
-
-    def counting_decide(pair, r, s, limits=None):
-        decides.append((pair.G, r, s))
-        return real_decide(pair, r, s, limits=limits)
-
-    monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
-    pair = s3_a3_pair(s3)
-    red = rs.normalizer_reduction(pair, 0, 1)
-    assert red.verdict and decides == []
-    cert = red.certificate
-    assert decides == [(pair._quotient_pair.G, 0, 1)]
-    assert red.certificate is cert and len(decides) == 1
-    assert_certificate_sound(cert)
-
-
-def test_reduction_raises_construction_failed_on_first_read(monkeypatch, s3):
-    monkeypatch.setattr(regular_sets, "decide_regular_set", lambda *args, **kwargs: None)
-    red = rs.normalizer_reduction(s3_a3_pair(s3), 0, 1)
-    assert red.verdict
-    with pytest.raises(ConstructionFailed, match="quotient-level search found no witness"):
-        red.certificate
-
-
 # SHA-256 of json.dumps of the list of perfect_code_pair certificates, each
 # as its JSON dict or None, of every pair H <= A with A normal in G, A and
 # then H in all_subgroups order, over the corpus groups of order <= 12:
-# 363 pairs, 337 of them perfect codes, each certificate lifted through the
-# normalizer quotient
+# 363 pairs, 337 of them perfect codes.  The digest was taken when normal A
+# lifted its certificate through the normalizer quotient; the exact search
+# at (0,1) gives the same bytes.
 LIFTED_CERTIFICATES_DIGEST = "17736ed67ff5e0180adb2d4d8f78f281a416bd6362f8db44f9c8b8b69864a452"
 
 
@@ -893,6 +868,36 @@ def test_sl23_pair_is_not_perfect_code(sl23_pair):
 
 def test_s3_a3_is_perfect_code(s3):
     ok, cert = rs.perfect_code_pair(s3_a3_pair(s3))
+    assert ok
+    assert_certificate_sound(cert)
+
+
+@pytest.mark.parametrize("group", ["S3/A3", "SL(2,3)/Q8"])
+def test_perfect_code_pair_is_one_search_on_the_pair(monkeypatch, group):
+    # normal A takes the same path as any other A: one exact decision at
+    # (0,1) on the pair itself, and no quotient table
+    decides = []
+    real_decide = regular_sets.decide_regular_set
+
+    def counting_decide(pair, r, s, limits=None):
+        decides.append((pair, r, s))
+        return real_decide(pair, r, s, limits=limits)
+
+    def no_quotient(*args, **kwargs):
+        raise AssertionError("perfect_code_pair built a quotient")
+
+    if group == "S3/A3":
+        pair = s3_a3_pair(rs.symmetric(3))
+    else:
+        G = rs.sl23()
+        q8 = rs.sylow_subgroup(G.full_subgroup(), 2)
+        center = next(s for s in rs.all_subgroups(G) if s.order == 2)
+        pair = rs.PairSpec(G, center, q8)
+    assert rs.is_normal(pair.A, pair.G.full_subgroup())
+    monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
+    monkeypatch.setattr(regular_sets, "quotient", no_quotient)
+    ok, cert = rs.perfect_code_pair(pair)
+    assert decides == [(pair, 0, 1)]
     assert ok
     assert_certificate_sound(cert)
 
