@@ -678,11 +678,14 @@ def automorphism_generators(G: GroupTable) -> tuple[tuple[int, ...], ...]:
 
     An automorphism is fixed by the images of the generators g_1..g_k that
     Light's test picked (``G.generators``).  Each g_i may only go to an
-    element with the same order and centralizer order.  A partial map is
-    extended over <g_1..g_i> by :func:`_extend_map` and dropped at its first
-    conflict or collision, so a map that reaches all of G satisfies
-    phi(y*g_j) = phi(y)*phi(g_j) for every y and j, hence is a homomorphism,
-    and it is injective: every returned map is a verified automorphism.
+    element with the same order, centralizer order and number of square
+    roots (|{y : y^2 = g_i}|); an automorphism keeps all three, so these
+    filters drop no automorphism and change no search result.  A partial
+    map is extended over <g_1..g_i> by :func:`_extend_map` and dropped at
+    its first conflict or collision, so a map that reaches all of G
+    satisfies phi(y*g_j) = phi(y)*phi(g_j) for every y and j, hence is a
+    homomorphism, and it is injective: every returned map is a verified
+    automorphism.
 
     The generating set comes from the stabilizer chain Aut(G) = A_0 >= A_1
     >= ... >= A_k = 1, where A_i fixes g_1..g_i, walked from i = k up.  At
@@ -703,8 +706,12 @@ def automorphism_generators(G: GroupTable) -> tuple[tuple[int, ...], ...]:
     gens = G.generators
     k = len(gens)
     columns = tuple(zip(*mult))
+    roots = [0] * n  # roots[x]: the number of y with y^2 = x
+    for square in map(tuple.__getitem__, mult, range(n)):
+        roots[square] += 1
     invariant = [
-        (G.element_order(x), sum(map(int.__eq__, mult[x], columns[x]))) for x in range(n)
+        (G.element_order(x), sum(map(int.__eq__, mult[x], columns[x])), roots[x])
+        for x in range(n)
     ]
     candidates = [[x for x in range(n) if invariant[x] == invariant[g]] for g in gens]
     # identity[i]: the identity map on <g_1..g_i>, as (phi, domain, image mask)

@@ -34,8 +34,8 @@ from .regular_sets import (
     achievable_profiles,
     cayley_normal_criterion,
     certify,
-    check_normal_chain,
     necessary_conjugate_intersection,
+    normal_chain_verdicts,
     normalizer_reduction,
     perfect_code_normalizer_criterion,
     perfect_code_odd_order_criterion,
@@ -325,22 +325,30 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     agreements: dict[str, str] = {}
     chain = h_norm and a_norm
     cayley = a_norm and H.order == 1
-    # each criterion's verdict is a condition on r and a condition on s
+    # each criterion's verdict is a condition on r and a condition on s, so
+    # it agrees with R x S at every (r,s) when its r-vector and s-vector do
+    in_R = tuple(r in R for r in range(idx))
+    in_S = tuple(s in S for s in range(idx + 1))
+    agree = True
     if chain:
-        chain_r = [check_normal_chain(pair, r, 0).outcomes[0] for r in range(idx)]
-        chain_s = [all(check_normal_chain(pair, 0, s).outcomes[1:]) for s in range(idx + 1)]
-    if cayley:  # one verdict for even s and one for odd s
+        chain_r, chain_s = normal_chain_verdicts(pair)
+        agree = chain_r == in_R and chain_s == in_S
+    if cayley:  # one verdict for even s and one for odd s, for the r it tests
         cayley_parity = [cayley_normal_criterion(G, A, 0, s) for s in (0, 1)]
+        cayley_r = [r % gcd(2, A.order - 1) == 0 for r in range(idx)]
+        agree = agree and all(in_R[r] for r in range(idx) if cayley_r[r]) and all(
+            cayley_parity[s % 2] == in_S[s] for s in range(idx + 1))
     chain_ok = cayley_ok = True
-    for r in range(idx):
-        for s in range(idx + 1):
-            present = r in R and s in S
-            if chain and (chain_r[r] and chain_s[s]) != present:
-                chain_ok = False
-                anomalies.append(f"normal-chain criteria disagree with search at ({r},{s})")
-            if cayley and r % gcd(2, A.order - 1) == 0 and cayley_parity[s % 2] != present:
-                cayley_ok = False
-                anomalies.append(f"cayley criterion disagrees with search at ({r},{s})")
+    if not agree:  # the anomalies, in grid order
+        for r in range(idx):
+            for s in range(idx + 1):
+                present = in_R[r] and in_S[s]
+                if chain and (chain_r[r] and chain_s[s]) != present:
+                    chain_ok = False
+                    anomalies.append(f"normal-chain criteria disagree with search at ({r},{s})")
+                if cayley and cayley_r[r] and cayley_parity[s % 2] != present:
+                    cayley_ok = False
+                    anomalies.append(f"cayley criterion disagrees with search at ({r},{s})")
     agreements["normal_chain"] = ("ok" if chain_ok else "fail") if chain else "n/a"
     agreements["cayley_normal"] = ("ok" if cayley_ok else "fail") if cayley else "n/a"
 

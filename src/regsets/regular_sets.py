@@ -39,14 +39,13 @@ from .group_core import (
     Subgroup,
     _conjugate_mask,
     _members_of,
+    involution_exists_in_coset,
     is_normal,
     normalizer,
     product_is_group,
-    quotient,
     set_product,
     square_roots_lift,
     sylow_subgroup,
-    trivial_subgroup,
 )
 
 
@@ -97,12 +96,19 @@ class PairSpec:
         return _CertifyData(self)
 
     @cached_property
-    def _quotient_pair(self) -> PairSpec:
-        """The pair (N_G(H)/H, 1, N_A(H)/H) of :func:`normalizer_reduction`."""
-        N = normalizer(self.G, self.H)
-        quo = quotient(N, self.H)
-        image = {quo.projection[m] for m in _members_of(self.A.mask & N.mask)}
-        return PairSpec(quo.table, trivial_subgroup(quo.table), Subgroup(quo.table, sorted(image)))
+    def _reduction(self) -> _ReductionData:
+        """What :func:`normalizer_reduction` reads, from masks of G."""
+        G, H, A = self.G, self.H, self.A
+        N = normalizer(G, H)
+        nmask, amask = N.mask, A.mask
+        mult = G.mult
+        lift = all(
+            involution_exists_in_coset(G, x, A, N, H)
+            for x in left_cosets(G, H).reps  # one x per H-coset
+            if (nmask >> x) & 1 and not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
+        )
+        return _ReductionData((amask & nmask).bit_count() // H.order,
+                              product_is_group(N, A), lift)
 
     def __repr__(self) -> str:
         return (
@@ -189,6 +195,17 @@ class NormalizerReduction:
 
 
 # -- shared per-pair analysis ---------------------------------------------
+
+
+class _ReductionData(NamedTuple):
+    """The three values of :func:`normalizer_reduction` for a pair, with
+    N = N_G(H): ``order`` is |N_A(H)/H| = |A meet N| / |H|, ``applicable``
+    whether G = N*A, and ``lift`` whether every x in N outside A with x^2
+    in A has some b in A with xb in N and (xb)^2 in H."""
+
+    order: int
+    applicable: bool
+    lift: bool
 
 
 class _Unit(NamedTuple):
@@ -691,6 +708,18 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     )
 
 
+def normal_chain_verdicts(pair: PairSpec) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
+    """The verdicts of :func:`check_normal_chain` for every (r, s) at once,
+    as a condition on r and a condition on s: the parity outcome for each
+    r in 0..|A:H|-1 and the conjunction of divisibility and self_paired for
+    each s in 0..|A:H|.  The verdict at (r, s) is ``parity[r] and
+    outside[s]``.  Raises PreconditionViolated as check_normal_chain does."""
+    conditions = pair._chain.conditions
+    step = gcd(2, pair.code_index - 1)
+    return (tuple(r % step == 0 for r in range(pair.code_index)),
+            tuple(div_ok and self_ok for div_ok, _, self_ok, _ in conditions))
+
+
 def _select_in_block(cctx: _ChainContext, b: int, quota: int) -> list[int]:
     """Pick ``quota`` classes from a self-paired block, inverse pairs first,
     self-inverse classes for the remainder; minimum-representative order."""
@@ -779,28 +808,45 @@ def normal_perfect_code_criterion(G: GroupTable, A: Subgroup) -> bool:
 def normalizer_reduction(pair: PairSpec, r: int, s: int) -> NormalizerReduction:
     """Reduce the pair decision for a normal A to the quotient N_G(H)/H.
 
-    Tests G = N_G(H) * A, then decides on the quotient table whether the
-    image of N_A(H) is an (r,s)-regular set of N_G(H)/H.  For s = 1 the
-    reduction is an equivalence (the paper's theorem).  For s != 1 the
-    verdict equals the exact decision wherever G = N_G(H) * A on every
-    pair of the acceptance corpus; that is measured, not proved.  Where
-    G != N_G(H) * A, some s != 1 profiles are achievable though the
-    verdict is false.
+    Tests G = N_G(H) * A, then decides whether B = N_A(H)/H is an
+    (r,s)-regular set of some Cayley graph of N_G(H)/H by the criterion of
+    :func:`cayley_normal_criterion`: every even s holds, and an odd s
+    holds exactly when every X of N_G(H)/H outside B with X^2 in B has
+    some Y in B with (XY)^2 = 1.  For s = 1 the reduction is an
+    equivalence (the paper's theorem).  For s != 1 the verdict equals the
+    exact decision wherever G = N_G(H) * A on every pair of the acceptance
+    corpus; that is measured, not proved.  Where G != N_G(H) * A, some
+    s != 1 profiles are achievable though the verdict is false.
+
+    No quotient table is built: the criterion is read on masks of G
+    (``PairSpec._reduction``), with N = N_G(H) and X = xH for x in N.
+    This is exact:
+
+    - |B| = |A meet N| / |H|, since H <= A meet N;
+    - xH lies in B exactly when x lies in A, since H <= A meet N and x is
+      in N; so X lies outside B exactly when x lies outside A, and X^2 =
+      x^2 H lies in B exactly when x^2 lies in A;
+    - Y = bH for b in A meet N, and (XY)^2 = 1 says (xb)^2 lies in H; for
+      x in N, xb lies in N exactly when b does, so some such b exists
+      exactly when ``involution_exists_in_coset(G, x, A, N, H)``, which
+      depends on xA and so on xH alone: one x per H-coset in N is tested;
+    - the quotient form also asks that B be normal in N_G(H)/H, which
+      follows from A being normal in G, checked first.
+
+    This quotient form ranges over x in N; the normalizer criterion
+    (:func:`perfect_code_normalizer_criterion`) ranges over every x of G,
+    so the two survey columns are computed independently.
     """
     if not is_normal(pair.A, pair.G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
-    qpair = pair._quotient_pair  # keeps its analysis across (r, s)
-    B = qpair.A
-    border = B.order
+    border, applicable, lift = pair._reduction  # kept across (r, s)
     if not 0 <= r <= border - 1 or not 0 <= s <= border:
         raise PreconditionViolated(
             f"(r,s)=({r},{s}) out of range for |N_A(H)/H|={border}"
         )
     if r % gcd(2, border - 1) != 0:
         raise PreconditionViolated("gcd(2,|N_A(H)/H|-1) does not divide r")
-    applicable = product_is_group(normalizer(pair.G, pair.H), pair.A)
-    verdict = applicable and cayley_normal_criterion(qpair.G, B, r, s)
-    return NormalizerReduction(applicable, verdict)
+    return NormalizerReduction(applicable, applicable and (s % 2 == 0 or lift))
 
 
 def perfect_code_pair(pair: PairSpec,
@@ -829,16 +875,22 @@ def perfect_code_normalizer_criterion(pair: PairSpec) -> bool:
 
 def perfect_code_quotient_criterion(pair: PairSpec) -> bool:
     """For a normal chain, A is a perfect code of (G, H) iff H is normal in
-    all of G and A/H is a perfect code of G/H."""
+    all of G and A/H is a perfect code of G/H.
+
+    With H normal in G, the latter is the square-root criterion of
+    :func:`normal_perfect_code_criterion` on G/H, read on coset
+    representatives without a quotient table: xH lies in A/H exactly when
+    x lies in A (H <= A), and some aH in A/H has (xaH)^2 = H exactly when
+    some a in A has (xa)^2 in H, which is
+    ``square_roots_lift(G, A, None, H)``.  A/H is normal in G/H because A
+    is normal in G."""
     G, H, A = pair.G, pair.H, pair.A
     full = G.full_subgroup()
     if not is_normal(H, A) or not is_normal(A, full):
         raise PreconditionViolated("requires H normal in A and A normal in G")
     if not is_normal(H, full):
         return False
-    quo = quotient(full, H)
-    abar = Subgroup(quo.table, sorted({quo.projection[a] for a in A.members}))
-    return normal_perfect_code_criterion(quo.table, abar)
+    return square_roots_lift(G, A, None, H)
 
 
 def perfect_code_odd_order_criterion(pair: PairSpec) -> bool:

@@ -2,7 +2,9 @@
 
 Everything here works straight from first principles (set closures, naive
 partition scans, adjacency from the defining relation) and shares only the
-raw multiplication table with the code under test.
+raw multiplication table with the code under test.  The exceptions are the
+quotient-table forms at the end, which decide a criterion the way the
+library once did, on a quotient table built by the library.
 """
 
 from __future__ import annotations
@@ -656,3 +658,36 @@ def from_table_reference(matrix):
         sigma[0], sigma[e] = e, 0
         rows = [[sigma[rows[sigma[a]][sigma[b]]] for b in range(n)] for a in range(n)]
     return group_table_reference(rows)
+
+
+def normalizer_reduction_on_quotient(pair):
+    """The normalizer reduction's verdict decided on the quotient table, as
+    the library once did it, as a function of (r, s): build N_G(H)/H with
+    ``group_core.quotient``, take the image B of N_A(H), and return
+    G = N_G(H)*A and ``cayley_normal_criterion`` of B in N_G(H)/H at
+    (r, s).  The function raises wherever ``cayley_normal_criterion`` does
+    on the quotient."""
+    import regsets as rs
+
+    G, H, A = pair.G, pair.H, pair.A
+    N = rs.normalizer(G, H)
+    nset, aset = frozenset(N.members), frozenset(A.members)
+    applicable = len(nset) * len(aset) == G.order * len(nset & aset)  # |NA| = |G|
+    quo = rs.quotient(N, H)
+    B = rs.Subgroup(quo.table, {quo.projection[m] for m in nset & aset})
+    return lambda r, s: rs.cayley_normal_criterion(quo.table, B, r, s) and applicable
+
+
+def quotient_criterion_on_quotient(pair):
+    """The quotient perfect-code criterion decided on the quotient table:
+    H normal in G and ``normal_perfect_code_criterion`` of A/H in G/H, with
+    G/H built by ``group_core.quotient``."""
+    import regsets as rs
+
+    G, H, A = pair.G, pair.H, pair.A
+    full = G.full_subgroup()
+    if not rs.is_normal(H, full):
+        return False
+    quo = rs.quotient(full, H)
+    abar = rs.Subgroup(quo.table, {quo.projection[a] for a in A.members})
+    return rs.normal_perfect_code_criterion(quo.table, abar)

@@ -378,3 +378,52 @@ def test_criterion_9_completeness_audit(corpus):
             f"[{audited} decisions audited against naive enumeration, "
             f"{len(mismatches)} disagreements, {elapsed:.1f}s]")
     assert mismatches == []
+
+
+def test_criterion_10_complement_symmetry(corpus):
+    # U -> (G minus H) minus U maps a connection set of profile (r,s) to
+    # one of (k-1-r, k-s), k = |A:H|, so R and S are symmetric
+    asymmetric = []
+    pairs = 0
+    for G in corpus:
+        subs = _subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pairs += 1
+                k = A.order // H.order
+                R, S = rs.achievable_profiles(rs.PairSpec(G, H, A))
+                if set(R) != {k - 1 - r for r in R} or set(S) != {k - s for s in S}:
+                    asymmetric.append((G.label, H.members, A.members, R, S))
+    ok = not asymmetric
+    _report(10, "complement symmetry", ok,
+            f"[{pairs} pairs, {len(asymmetric)} asymmetric]")
+    assert asymmetric == []
+
+
+def test_criterion_11_quotient_identity(corpus):
+    # for H normal in G, Cos(G,H,U) is Cay(G/H, U/H), so (G,H,A) and
+    # (G/H,1,A/H) have the same achievable profiles
+    mismatches = []
+    pairs = 0
+    for G in corpus:
+        full = G.full_subgroup()
+        subs = _subgroups(G)
+        for H in subs:
+            if not rs.is_normal(H, full):
+                continue
+            quo = rs.quotient(full, H)
+            Q = quo.table
+            for A in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pairs += 1
+                abar = rs.Subgroup(Q, {quo.projection[a] for a in A.members})
+                want = rs.achievable_profiles(rs.PairSpec(Q, rs.trivial_subgroup(Q), abar))
+                if rs.achievable_profiles(rs.PairSpec(G, H, A)) != want:
+                    mismatches.append((G.label, H.members, A.members))
+    ok = not mismatches
+    _report(11, "quotient identity", ok,
+            f"[{pairs} pairs with H normal in G, {len(mismatches)} disagreements]")
+    assert mismatches == []

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from itertools import islice, permutations, product
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regsets as rs
+from regsets import group_core
 from regsets.config import Limits
 from regsets.errors import (
     ClosureExceedsCap,
@@ -670,6 +673,32 @@ def test_group_table_generators_are_the_greedy_generating_set(corpus):
 def test_automorphism_generators_are_cached():
     G = rs.quaternion8()
     assert rs.automorphism_generators(G) is rs.automorphism_generators(G)
+
+
+# SHA-256 of json.dumps of automorphism_generators of C4xC2^4, taken when the
+# candidates were filtered by element order and centralizer order alone
+C4_C2_4_AUTOMORPHISMS_DIGEST = "49eb858908d04d2362f6d507fd9c8b9b6af3e2153729ecbc6adc952d3fe13dcf"
+
+
+def test_automorphism_search_work_is_pinned(monkeypatch):
+    # in an abelian group every centralizer is G; the square-root count of
+    # each candidate image prunes C4xC2^4's search to 25,099 extensions
+    # (720,490 without it) and finds the same 15 generators
+    extensions = []
+    real = group_core._extend_map
+
+    def counting(*args):
+        extensions.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(group_core, "_extend_map", counting)
+    G = rs.group_from_arg("preset:product:cyclic:4,cyclic:2,cyclic:2,cyclic:2,cyclic:2",
+                          limits=Limits(closure_cap=64))
+    found = rs.automorphism_generators(G)
+    assert len(extensions) == 25099
+    assert len(found) == 15
+    assert hashlib.sha256(json.dumps(found).encode()).hexdigest() == \
+        C4_C2_4_AUTOMORPHISMS_DIGEST
 
 
 # -- involutions in cosets -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,19 +646,51 @@ PERFECT_CODE_CRITERIA = {
 }
 
 
-@pytest.mark.parametrize("key", list(PERFECT_CODE_CRITERIA))
+# each (r,s)-grid column of a survey row: the name harness reads its verdicts
+# under, and the anomaly it reports at each (r,s) where it disagrees with the
+# search
+GRID_CRITERIA = {
+    "normal_chain": ("normal_chain_verdicts",
+                     "normal-chain criteria disagree with search at ({},{})"),
+    "cayley_normal": ("cayley_normal_criterion",
+                      "cayley criterion disagrees with search at ({},{})"),
+}
+
+
+def _grid_anomalies(G, row, key, criterion):
+    """The anomalies that the grid column ``key`` of a row reports when the
+    survey reads its verdicts from ``criterion``, by a walk over every
+    (r,s) in grid order."""
+    H, A = rs.Subgroup(G, row["H"]), rs.Subgroup(G, row["A"])
+    idx = A.order // H.order
+    achievable = {(r, s) for r, s in row["achievable"]}
+    grid = [(r, s) for r in range(idx) for s in range(idx + 1)]
+    if key == "normal_chain":
+        parity, outside = criterion(rs.PairSpec(G, H, A))
+        verdicts = {(r, s): parity[r] and outside[s] for r, s in grid}
+    else:  # the column tests only the r that gcd(2, |A|-1) divides
+        verdicts = {(r, s): criterion(G, A, 0, s % 2)
+                    for r, s in grid if r % gcd(2, A.order - 1) == 0}
+    return [GRID_CRITERIA[key][1].format(r, s) for (r, s), verdict in verdicts.items()
+            if verdict != ((r, s) in achievable)]
+
+
+@pytest.mark.parametrize("key", list(PERFECT_CODE_CRITERIA) + list(GRID_CRITERIA))
 def test_survey_fails_a_negated_criterion_alone(monkeypatch, key):
     # each criterion is checked against the search, not against another
-    # criterion, so negating one fails its own column and no other
+    # criterion, so negating one fails its own column and no other; a grid
+    # column reports its anomalies exactly as a walk over every (r,s) does
     G = rs.symmetric(4)
     clean = rs.survey(G).rows
-    name, anomaly = PERFECT_CODE_CRITERIA[key]
+    name, anomaly = {**PERFECT_CODE_CRITERIA, **GRID_CRITERIA}[key]
     real = getattr(harness, name)
 
     def negated(*args, **kwargs):
         verdict = real(*args, **kwargs)
         if name == "normalizer_reduction":
             return dataclasses.replace(verdict, verdict=not verdict.verdict)
+        if name == "normal_chain_verdicts":
+            return tuple(tuple(not v for v in vs) for vs in verdict)
         return not verdict
 
     monkeypatch.setattr(harness, name, negated)
@@ -671,8 +704,41 @@ def test_survey_fails_a_negated_criterion_alone(monkeypatch, key):
             continue
         failed += 1
         assert before["agreements"][key] == "ok" and before["anomalies"] == []
+        if key in GRID_CRITERIA:
+            anomalies = _grid_anomalies(G, before, key, negated)
+            assert anomalies
+        else:
+            anomalies = [anomaly]
         assert after == dict(before, agreements=dict(before["agreements"], **{key: "fail"}),
-                             anomalies=[anomaly])
+                             anomalies=anomalies)
+    assert failed
+
+
+@pytest.mark.parametrize("negated", [0, 1], ids=["parity", "outside"])
+def test_survey_walks_the_grid_when_one_normal_chain_vector_disagrees(monkeypatch, negated):
+    # a row walks the (r,s) grid when either of the normal-chain vectors
+    # disagrees with R or S, not only when both do
+    G = rs.symmetric(4)
+    clean = rs.survey(G).rows
+    real = harness.normal_chain_verdicts
+
+    def one_negated(pair):
+        vectors = list(real(pair))
+        vectors[negated] = tuple(not v for v in vectors[negated])
+        return tuple(vectors)
+
+    monkeypatch.setattr(harness, "normal_chain_verdicts", one_negated)
+    rows = rs.survey(G).rows
+    failed = 0
+    for before, after in zip(clean, rows):
+        if before["agreements"]["normal_chain"] == "n/a":
+            assert after == before
+            continue
+        failed += 1
+        anomalies = _grid_anomalies(G, before, "normal_chain", one_negated)
+        assert anomalies
+        assert after == dict(before, agreements=dict(before["agreements"], normal_chain="fail"),
+                             anomalies=anomalies)
     assert failed
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regsets as rs
-from regsets import regular_sets
+from regsets import group_core, regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
@@ -329,10 +329,10 @@ def test_pair_analysis_is_freed_with_the_pair():
     rs.check_normal_chain(pair, 0, 1)
     rs.normalizer_reduction(pair, 0, 1)
     refs = [weakref.ref(item) for item in (
-        pair._context, pair._chain, pair._certification, pair._quotient_pair
+        pair._context, pair._chain, pair._certification
     )]
     del pair
-    assert [ref() for ref in refs] == [None] * 4
+    assert [ref() for ref in refs] == [None] * 3
 
 
 def test_components_match_the_union_find_oracle(corpus):
@@ -357,9 +357,9 @@ def test_components_match_the_union_find_oracle(corpus):
 
 def test_survey_builds_each_subgroups_units_once(monkeypatch):
     # the double-coset units of H are cached with the group: a survey
-    # builds them once per (group, H), however many A lie over H; lifting
-    # the normalizer reduction's certificates then builds those of each
-    # quotient table once, too
+    # builds them once per (group, H), however many A lie over H; deciding
+    # every perfect code with A normal then builds those of each H that
+    # the survey, deciding one pair per Aut(G)-orbit, did not reach, once
     built = []
     contexts = []
     real_units, real_context = regular_sets._SubgroupUnits, regular_sets._PairContext
@@ -387,7 +387,7 @@ def test_survey_builds_each_subgroups_units_once(monkeypatch):
                 if H.is_subset_of(A):
                     rs.perfect_code_pair(rs.PairSpec(G, H, A))
     assert len(built) == len(set(built))
-    assert len(built) > on_g  # quotient tables too
+    assert len(built) > on_g
 
 
 def test_certify_range_checks_s_when_a_is_the_whole_group():
@@ -827,6 +827,56 @@ def test_reduction_sl23_zero_two_not_applicable_yet_search_succeeds(sl23_pair):
     assert rs.decide_regular_set(sl23_pair, 0, 2) is not None
 
 
+def _outcome(verdict):
+    """``verdict()``, or "raises" if it raises on its input."""
+    try:
+        return verdict()
+    except (PreconditionViolated, ValueError):
+        return "raises"
+
+
+def test_mask_criteria_match_the_quotient_tables(corpus):
+    # normalizer_reduction and perfect_code_quotient_criterion read on masks
+    # of G what the library once decided on a quotient table: the same
+    # verdict at every in-range (r,s) of every pair with A normal in G, an
+    # error on both sides where r fails the parity condition, and on both
+    # sides for r and s one past their ranges
+    groups = list(corpus) + [rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
+                             rs.direct_product(rs.sl23(), rs.cyclic(2))]
+    compared = raised = 0
+    lifts, quotient_verdicts = set(), set()  # the verdicts where they can differ
+    for G in groups:
+        full = G.full_subgroup()
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            if not rs.is_normal(A, full):
+                continue
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pair = rs.PairSpec(G, H, A)
+                n = rs.normalizer(G, H)
+                border = len(set(A.members) & set(n.members)) // H.order
+                on_quotient = oracles.normalizer_reduction_on_quotient(pair)
+                for r in range(border + 1):
+                    for s in range(border + 2):
+                        got = _outcome(lambda: rs.normalizer_reduction(pair, r, s).verdict)
+                        want = _outcome(lambda: on_quotient(r, s))
+                        assert got == want, (G.label, H.members, A.members, r, s)
+                        compared += 1
+                        raised += r < border and s <= border and got == "raises"
+                        if s % 2 and got != "raises" and \
+                                rs.normalizer_reduction(pair, 0, 0).applicable:
+                            lifts.add(got)
+                if rs.is_normal(H, A):
+                    verdict = rs.perfect_code_quotient_criterion(pair)
+                    assert verdict == oracles.quotient_criterion_on_quotient(pair), \
+                        (G.label, H.members, A.members)
+                    quotient_verdicts.add(verdict)
+    assert compared and raised
+    assert lifts == quotient_verdicts == {True, False}
+
+
 # SHA-256 of json.dumps of the list of perfect_code_pair certificates, each
 # as its JSON dict or None, of every pair H <= A with A normal in G, A and
 # then H in all_subgroups order, over the corpus groups of order <= 12:
@@ -895,7 +945,8 @@ def test_perfect_code_pair_is_one_search_on_the_pair(monkeypatch, group):
         pair = rs.PairSpec(G, center, q8)
     assert rs.is_normal(pair.A, pair.G.full_subgroup())
     monkeypatch.setattr(regular_sets, "decide_regular_set", counting_decide)
-    monkeypatch.setattr(regular_sets, "quotient", no_quotient)
+    assert not hasattr(regular_sets, "quotient")  # only group_core's could be built
+    monkeypatch.setattr(group_core, "quotient", no_quotient)
     ok, cert = rs.perfect_code_pair(pair)
     assert decides == [(pair, 0, 1)]
     assert ok
