@@ -68,25 +68,55 @@ def _generated(G: "GroupTable", gens: Sequence[int]) -> int:
     return mask
 
 
-def _checked_inverses(rows: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+def _byte_rows(rows: Sequence[Sequence[int]]) -> Optional[tuple[bytes, ...]]:
+    """``rows`` as bytes, or None if there are more than 256 of them or an
+    entry does not fit in a byte.  This is the one test that puts a table
+    on the byte kernel, which for the rows of a table means an order of at
+    most 256: there composing two rows is one C-level ``bytes.translate``
+    (see :func:`_translation`) instead of an ``itemgetter`` over n entries.
+    Larger tables keep rows of ints, the only rows that hold their
+    entries."""
+    if len(rows) <= 256:
+        try:
+            return tuple(map(bytes, rows))
+        except ValueError:  # an entry below 0 or above 255
+            pass
+    return None
+
+
+def _translation(row: bytes) -> bytes:
+    """``row`` padded to a ``bytes.translate`` table, so that
+    ``p.translate(_translation(q))`` is q after p, the map y -> q[p[y]]."""
+    return row.ljust(256, b"\0")
+
+
+def _checked_inverses(rows: tuple) -> tuple[int, ...]:
     """The inverse of every element of a table whose rows are permutations
     of 0..n-1, whose row 0 and column 0 are the identity and in which every
     element has a two-sided inverse, each checked on whole rows; any other
-    table raises :func:`_first_violation`.  The columns are not checked
-    here: see :class:`GroupTable`."""
+    table raises :func:`_first_violation`.  ``rows`` are the bytes of
+    :func:`_byte_rows` up to order 256, where a row of length n is a
+    permutation when deleting its bytes from 0..n-1 leaves nothing, and
+    tuples of ints above it.  The columns are not checked here: see
+    :class:`GroupTable`."""
     n = len(rows)
-    ident = tuple(range(n))
-    full = set(ident)
-    if n and set(map(len, rows)) == {n} and all(map(full.__eq__, map(set, rows))):
-        if rows[0] == ident == tuple(map(itemgetter(0), rows)):
-            inv = tuple(map(tuple.index, rows, repeat(0)))
+    if n and set(map(len, rows)) == {n}:
+        if isinstance(rows[0], bytes):
+            ident = bytes(range(n))
+            permutations = not any(map(ident.translate, repeat(None), rows))
+        else:
+            ident = tuple(range(n))
+            permutations = all(map(set(ident).__eq__, map(set, rows)))
+        kind = type(ident)
+        if permutations and rows[0] == ident == kind(map(itemgetter(0), rows)):
+            inv = kind(map(kind.index, rows, repeat(0)))
             # a*inv[a] = 0; that inv[a]*a = 0 too says inv is an involution
-            if tuple(map(inv.__getitem__, inv)) == ident:
-                return inv
+            if kind(map(inv.__getitem__, inv)) == ident:
+                return tuple(inv)
     raise _first_violation(rows) or AssertionError("the whole-row checks rejected a group table")
 
 
-def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Optional[Exception]:
+def _first_violation(rows: Sequence[Sequence[int]]) -> Optional[Exception]:
     """The error for a table that fails one of the first four checks of
     :class:`GroupTable`: those checks in order, one row, column or element
     at a time, naming the first row, column, entry or element at fault.
@@ -116,6 +146,69 @@ def _first_violation(rows: tuple[tuple[int, ...], ...]) -> Optional[Exception]:
     return None
 
 
+def _light_generators(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Light's associativity test on a greedily chosen generating set,
+    which it returns; a failure raises NotAssociative naming the least
+    (a*b)*c != a*(b*c) for the failing generator b.
+
+    Let B be the set of b with (x*b)*y = x*(b*y) for all x, y.  B holds
+    the identity 0, and it is closed under products: for b, c in B,
+    (x*(b*c))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((b*c)*y),
+    using b in B, c in B (with x*b for x), b in B (with c*y for y) and c
+    in B (with b for x) in turn.  So once every generator passes, B
+    contains every element reachable from 0 by right multiplication by
+    generators, and the generators are picked until that is the whole
+    table.  Each generator b costs one comparison of row a*b with
+    a*(b*y) over all y per a, made for all a at once: on the byte rows of
+    :func:`_byte_rows` row a*(b*y) is one ``bytes.translate`` of row b,
+    and on rows of ints one ``itemgetter`` over n entries.
+
+    A generator is tested before the next is picked.  While all tested
+    generators pass, the reached set R lies in B and is closed under
+    products, and every row is a permutation (left cancellation).  So
+    for r in R, y -> r*y maps R onto R, and the y with r*y = 0 lies in
+    R.  The next generator g lies outside R, so g*R is disjoint from R
+    (g*r = x in R would give g = (g*r)*y = x*y in R, as r lies in B),
+    has |R| elements, and is reached too: R at least doubles.  Hence
+    at most ceil(log2 n) generators are ever tested, and the whole
+    check costs O(n^2 log n) on any table with permutation rows, group
+    or not.
+    """
+    n = len(rows)
+    tables = list(map(_translation, rows)) if n and isinstance(rows[0], bytes) else None
+    seen = bytearray(n)
+    seen[0] = 1
+    reached = [0]
+    gens: list[int] = []
+    candidate = 1
+    while len(reached) < n:
+        while seen[candidate]:
+            candidate += 1
+        b = candidate
+        rowb = rows[b]
+        # row a*(b*y) over all y, then row (a*b)*y, for every a
+        if tables is None:
+            times_b = list(map(itemgetter(*rowb), rows))  # n >= 2: tuples
+        else:
+            times_b = list(map(rowb.translate, tables))
+        then_b = [rows[row[b]] for row in rows]
+        if then_b != times_b:
+            a = next(a for a in range(n) if then_b[a] != times_b[a])
+            c = next(c for c in range(n) if then_b[a][c] != times_b[a][c])
+            raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
+        gens.append(b)
+        stack = list(reached)
+        while stack:
+            row = rows[stack.pop()]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
+                    stack.append(y)
+    return tuple(gens)
+
+
 class GroupTable:
     """A finite group given by its full multiplication table.
 
@@ -123,12 +216,19 @@ class GroupTable:
     reports the first failure in this order: every row has n entries in
     0..n-1, the rows and then the columns are permutations, index 0 acts as
     the identity, every element has a two-sided inverse, and associativity
-    holds, by Light's test on a generating set in O(n^2 log n).  Entries
-    that are not exact ints go through ``int`` once; rows of exact ints are
-    kept as they are.
+    holds, by Light's test on a generating set in O(n^2 log n).  Rows may
+    be given as ``bytes``, whose entries are exact ints by type; entries of
+    other rows that are not exact ints go through ``int`` once, and rows of
+    exact ints are kept as they are.  ``mult`` is always a tuple of tuples
+    of exact ints.
 
-    Each check is made once.  The rows, the identity and the inverses are
-    compared as whole rows, and Light's test follows.  The columns get no
+    Each check is made once, on whole rows.  Up to order 256 the rows are
+    checked as bytes (:func:`_byte_rows`), so each check is one C call per
+    row or per generator: deleting a row's bytes from 0..n-1, ``index``
+    for the inverses, and ``bytes.translate`` to compose rows in Light's
+    test.  Above 256 a row no longer fits in bytes, so the same checks run
+    on the rows of ints, with a set per row and ``itemgetter`` to compose;
+    that path serves every order up to ``closure_cap``.  The columns get no
     pass of their own: a table with permutation rows, a two-sided identity
     and two-sided inverses that passes Light's test is associative, hence a
     group, hence its columns are permutations too.  Light's test keeps its
@@ -149,78 +249,32 @@ class GroupTable:
         label: str = "G",
         spec: Optional[dict] = None,
     ):
-        rows = tuple(map(tuple, mult))  # keeps rows that are tuples already
-        if not set(map(type, chain.from_iterable(rows))) <= {int}:
-            rows = tuple(tuple(map(int, row)) for row in rows)
-        self.order = len(rows)
-        self.mult = rows
+        given = tuple(mult)
+        mult = tuple(map(tuple, given))  # keeps rows that are tuples already
+        if set(map(type, given)) != {bytes}:  # the entries of bytes are exact ints
+            if not set(map(type, chain.from_iterable(mult))) <= {int}:
+                mult = tuple(tuple(map(int, row)) for row in mult)
+            given = mult
+        rows = _byte_rows(given) or mult  # the rows that every check reads
+        self.order = len(mult)
+        self.mult = mult
         self.label = label
         self.spec = spec
         self._cache: dict = {}
         self.inv = _checked_inverses(rows)
         try:
-            self.generators = self._check_associative()
+            self.generators = _light_generators(rows)
         except NotAssociative as exc:
             # a column that is not a permutation is reported as such
-            raise _first_violation(rows) or exc from None
+            raise _first_violation(mult) or exc from None
 
     # -- validation -----------------------------------------------------
 
     def _check_associative(self) -> tuple[int, ...]:
-        """Light's associativity test on a greedily chosen generating set,
-        which it returns.
-
-        Let B be the set of b with (x*b)*y = x*(b*y) for all x, y.  B holds
-        the identity 0, and it is closed under products: for b, c in B,
-        (x*(b*c))*y = ((x*b)*c)*y = (x*b)*(c*y) = x*(b*(c*y)) = x*((b*c)*y),
-        using b in B, c in B (with x*b for x), b in B (with c*y for y) and c
-        in B (with b for x) in turn.  So once every generator passes, B
-        contains every element reachable from 0 by right multiplication by
-        generators, and the generators are picked until that is the whole
-        table.  Each generator b costs one comparison of row a*b with
-        a*(b*y) over all y per a, made for all a at once.
-
-        A generator is tested before the next is picked.  While all tested
-        generators pass, the reached set R lies in B and is closed under
-        products, and every row is a permutation (left cancellation).  So
-        for r in R, y -> r*y maps R onto R, and the y with r*y = 0 lies in
-        R.  The next generator g lies outside R, so g*R is disjoint from R
-        (g*r = x in R would give g = (g*r)*y = x*y in R, as r lies in B),
-        has |R| elements, and is reached too: R at least doubles.  Hence
-        at most ceil(log2 n) generators are ever tested, and the whole
-        check costs O(n^2 log n) on any table with permutation rows, group
-        or not.
-        """
-        n = self.order
-        mult = self.mult
-        seen = bytearray(n)
-        seen[0] = 1
-        reached = [0]
-        gens: list[int] = []
-        candidate = 1
-        while len(reached) < n:
-            while seen[candidate]:
-                candidate += 1
-            b = candidate
-            rowb = mult[b]
-            # row a*(b*y) over all y, then row (a*b)*y, for every a
-            times_b = list(map(itemgetter(*rowb), mult))  # n >= 2: tuples
-            then_b = list(map(mult.__getitem__, map(itemgetter(b), mult)))
-            if then_b != times_b:
-                a = next(a for a in range(n) if then_b[a] != times_b[a])
-                c = next(c for c in range(n) if then_b[a][c] != times_b[a][c])
-                raise NotAssociative(f"({a}*{b})*{c} != {a}*({b}*{c})")
-            gens.append(b)
-            stack = list(reached)
-            while stack:
-                row = mult[stack.pop()]
-                for g in gens:
-                    y = row[g]
-                    if not seen[y]:
-                        seen[y] = 1
-                        reached.append(y)
-                        stack.append(y)
-        return tuple(gens)
+        """Light's test (:func:`_light_generators`) on ``self.mult``, on
+        byte rows when :func:`_byte_rows` gives them and on the rows
+        themselves otherwise, as the constructor runs it."""
+        return _light_generators(_byte_rows(self.mult) or self.mult)
 
     # -- basic arithmetic -----------------------------------------------
 
@@ -344,7 +398,9 @@ def _bfs_table(identity, generators: Sequence, multiply, cap: int) -> tuple[tupl
     """Close ``generators`` under the associative ``multiply``, numbering
     the elements in BFS discovery order from ``identity`` with the
     generators in input order.  Returns the elements and the rows of their
-    multiplication table.  An element beyond the first ``cap`` raises
+    multiplication table: bytes when :func:`_byte_rows` takes the
+    generators' right-multiplication maps, as it does up to order 256, and
+    tuples of ints otherwise.  An element beyond the first ``cap`` raises
     ClosureExceedsCap."""
     index = {identity: 0}
     elements = [identity]
@@ -368,12 +424,20 @@ def _bfs_table(identity, generators: Sequence, multiply, cap: int) -> tuple[tupl
 
     # Column y of the table is the map i -> elements[i]*elements[y].  With
     # elements[y] = elements[x]*g this is column x followed by right[g], so
-    # each column after the first costs one composition of index maps.
+    # each column after the first costs one composition of index maps: one
+    # bytes.translate on the byte kernel, and the rows are the transpose.
     n = len(elements)
-    columns = [tuple(range(n))]
+    maps = _byte_rows(right)
+    if maps is None:
+        columns = [tuple(range(n))]
+        for y in range(1, n):
+            columns.append(tuple(map(right[via[y]].__getitem__, columns[parent[y]])))
+        return tuple(elements), tuple(zip(*columns))
+    tables = list(map(_translation, maps))
+    columns = [bytes(range(n))]
     for y in range(1, n):
-        columns.append(tuple(map(right[via[y]].__getitem__, columns[parent[y]])))
-    return tuple(elements), tuple(zip(*columns))
+        columns.append(columns[parent[y]].translate(tables[via[y]]))
+    return tuple(elements), tuple(map(bytes, zip(*columns)))
 
 
 def from_generators(

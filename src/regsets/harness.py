@@ -17,6 +17,7 @@ from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
     Subgroup,
+    _byte_rows,
     _members_of,
     all_subgroups,
     automorphism_generators,
@@ -119,7 +120,8 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
             chain.from_iterable(matrix)
         ):
             raise ParseError("table spec needs a 'matrix' list of integer rows")
-        g = from_table(matrix, label=label, limits=limits)
+        # rows that fit in bytes are ints by type, so GroupTable scans no entry
+        g = from_table(_byte_rows(matrix) or matrix, label=label, limits=limits)
         g.spec = {"kind": "table", "matrix": [list(r) for r in g.mult]}
         return g
     raise ParseError(f"unknown group spec kind {kind!r}")

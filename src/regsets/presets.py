@@ -9,7 +9,15 @@ from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
 from .errors import OrderExceedsCap, ParseError
-from .group_core import GroupTable, _bfs_table, from_generators, generate_subgroup, quotient
+from .group_core import (
+    GroupTable,
+    _bfs_table,
+    _byte_rows,
+    _translation,
+    from_generators,
+    generate_subgroup,
+    quotient,
+)
 
 
 def _turns_and_flips(m: int) -> tuple[list, list]:
@@ -177,11 +185,20 @@ def sl23() -> GroupTable:
 
 def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
     """Direct product with element ids packed as a*|G2| + b."""
-    n2 = G2.order
-    # blocks[b][c] = (c*|G2| + b*y)_y; row (a, b) is the blocks of b at row a of G1
-    blocks = [[_shifted(rb, c * n2) for c in range(G1.order)] for rb in G2.mult]
-    mult = [tuple(chain.from_iterable(map(blocks[b].__getitem__, ra)))
-            for ra in G1.mult for b in range(n2)]
+    n1, n2 = G1.order, G2.order
+    spans = _byte_rows([range(c * n2, c * n2 + n2) for c in range(n1)])
+    if spans is None:  # order above 256
+        # blocks[b][c] = (c*|G2| + b*y)_y; row (a, b) is the blocks of b at row a of G1
+        blocks = [[_shifted(rb, c * n2) for c in range(n1)] for rb in G2.mult]
+        mult = [tuple(chain.from_iterable(map(blocks[b].__getitem__, ra)))
+                for ra in G1.mult for b in range(n2)]
+    else:
+        # row (a, b) is row (0, b), (x, y) -> (x, b*y), followed by row (a, 0),
+        # (x, y) -> (a*x, y); spans[c] = (c*|G2| + y)_y is block c of row (0, 0)
+        tables = list(map(_translation, spans))
+        rights = [b"".join(map(rb.translate, tables)) for rb in _byte_rows(G2.mult)]
+        lefts = [b"".join([spans[c] for c in ra]) for ra in G1.mult]
+        mult = [q.translate(t) for t in map(_translation, lefts) for q in rights]
     spec = None
     if G1.spec is not None and G2.spec is not None:
         spec = {"kind": "preset", "name": "product", "factors": [G1.spec, G2.spec]}

@@ -156,6 +156,13 @@ PRESET_TABLE_DIGESTS = {
         "22c176af2b276c12d4d705ce1f0b2edef90573f13d0a35b761c61a35acd73e56",
     "symmetric:5":
         "7cd5ba4eecfae717a570a1fa17cbc07c87decf083fee7f8ba9318d03f09bbbc0",
+    # order 256, the largest table built on byte rows, and 264 and 720 above it
+    "product:dihedral:64,cyclic:2":
+        "e5b23f608256816872b312c08aa1f4e890ae11935e5b44b0460b94467db714d6",
+    "product:symmetric:4,cyclic:11":
+        "e014568e9e9334ee0b35812c4a38111636194055d9f40377d6238e2029eebfde",
+    "symmetric:6":
+        "9743224757974c9fbe1b315ec0cb0b8aaa026804ec38107547af6eedfda7ad2d",
 }
 
 

@@ -184,7 +184,8 @@ def tables_with_one_defect(draw, groups):
     if defect == "short_row":
         table[i].pop()
     elif defect == "out_of_range":
-        table[i][j] = draw(st.sampled_from([-1, n, n + 7]))
+        # n + 300 does not fit in a byte, so the table is checked on rows of ints
+        table[i][j] = draw(st.sampled_from([-1, n, n + 7, n + 300]))
     elif defect == "repeated_in_row" and j != k:
         table[i][j] = table[i][k]
     elif defect == "repeated_in_column" and j != k:
@@ -241,6 +242,50 @@ def test_table_validation_matches_the_reference_on_every_small_table(n):
     for table in _tables_with_reduced_rows(n):
         assert (_table_outcome(rs.GroupTable, table)
                 == _table_outcome(oracles.group_table_reference, table)), table
+
+
+def _greedy_generators(G):
+    """Each generator the least element outside the subgroup that the
+    earlier ones generate."""
+    gens, reached = [], frozenset({0})
+    while len(reached) < G.order:
+        gens.append(min(set(range(G.order)) - reached))
+        reached = oracles.subgroup_closure(G, gens)
+    return tuple(gens)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_tables_on_both_sides_of_the_byte_bound_match_the_reference(n):
+    # cyclic(256) is validated on byte rows, cyclic(257) on rows of ints
+    G = rs.cyclic(n)
+    assert (group_core._byte_rows(G.mult) is None) == (n > 256)
+    assert (G.mult, G.inv) == oracles.group_table_reference(G.mult)
+    assert G.generators == _greedy_generators(G)
+
+
+def test_a_loop_times_c52_is_not_associative_above_the_byte_bound():
+    # order 260: a 5-element loop with inverses that is not associative,
+    # times the cyclic group of order 52
+    loop = next(t for t in LOOPS["not_associative"] if len(t) == 5)
+    c52 = rs.cyclic(52).mult
+    table = [[loop[a][x] * 52 + c52[b][y] for x in range(5) for y in range(52)]
+             for a in range(5) for b in range(52)]
+    assert group_core._byte_rows(table) is None
+    with pytest.raises(NotAssociative) as info:
+        rs.GroupTable(table)
+    a, b, c = _reported_triple(info.value)
+    assert table[table[a][b]][c] != table[a][table[b][c]]
+    assert (_table_outcome(rs.GroupTable, table)
+            == _table_outcome(oracles.group_table_reference, table))
+
+
+def test_a_swap_off_the_identity_at_order_257_is_not_a_latin_square():
+    # the rows stay permutations and 0 the identity, but two columns break
+    table = [list(row) for row in rs.cyclic(257).mult]
+    table[5][7], table[5][9] = table[5][9], table[5][7]
+    outcome = _table_outcome(rs.GroupTable, table)
+    assert outcome[0] is NotLatinSquare
+    assert outcome == _table_outcome(oracles.group_table_reference, table)
 
 
 class _Int(int):
@@ -647,10 +692,27 @@ def test_all_subgroups_cap():
 # -- automorphisms ---------------------------------------------------------------
 
 
-def test_group_table_keeps_lights_generators(corpus):
+# The order-48 groups of the benchmark, by their CLI specs, and the
+# generators that Light's test picks in each
+PERM_S4xC2 = {"kind": "permutation", "degree": 6,
+              "generators": [[[0, 1]], [[0, 1, 2, 3]], [[4, 5]]]}
+BENCHMARK_GENERATORS = {
+    "preset:product:symmetric:4,cyclic:2": (1, 2, 4),
+    "preset:product:sl23,cyclic:2": (1, 2, 4),
+    json.dumps(PERM_S4xC2): (1, 2, 3),
+    json.dumps({"kind": "table", "matrix": [list(r) for r in rs.dihedral(24).mult]}): (1, 24),
+}
+
+
+@pytest.fixture(scope="module")
+def benchmark_groups():
+    return [rs.group_from_arg(spec) for spec in BENCHMARK_GENERATORS]
+
+
+def test_group_table_keeps_lights_generators(corpus, benchmark_groups):
     # the generators Light's test picked generate G, each outside the
     # subgroup the earlier ones generate, so there are at most log2 |G|
-    for G in corpus:
+    for G in corpus + benchmark_groups:
         gens = G.generators
         assert _generated(G, gens) == (1 << G.order) - 1
         for i, g in enumerate(gens):
@@ -658,16 +720,13 @@ def test_group_table_keeps_lights_generators(corpus):
         assert 2 ** len(gens) <= G.order
 
 
-def test_group_table_generators_are_the_greedy_generating_set(corpus):
+def test_group_table_generators_are_the_greedy_generating_set(corpus, benchmark_groups):
     # each generator is the least element outside the subgroup that the
     # earlier ones generate; the automorphism search and the survey order
     # depend on this choice
-    for G in corpus:
-        gens, reached = [], frozenset({0})
-        while len(reached) < G.order:
-            gens.append(min(set(range(G.order)) - reached))
-            reached = oracles.subgroup_closure(G, gens)
-        assert G.generators == tuple(gens), G.label
+    for G in corpus + benchmark_groups:
+        assert G.generators == _greedy_generators(G), G.label
+    assert [G.generators for G in benchmark_groups] == list(BENCHMARK_GENERATORS.values())
 
 
 def test_automorphism_generators_are_cached():

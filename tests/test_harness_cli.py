@@ -10,7 +10,7 @@ import regsets as rs
 from regsets import harness, regular_sets
 from regsets.cli import main
 from regsets.config import Limits, limits_from_env
-from regsets.errors import OrderExceedsCap, ParseError
+from regsets.errors import OrderExceedsCap, ParseError, RegsetError
 
 import oracles
 
@@ -37,6 +37,27 @@ def test_parse_permutation_spec():
 def test_parse_table_spec():
     g = rs.parse_group_spec('{"kind":"table","matrix":[[0,1],[1,0]]}')
     assert g.order == 2
+
+
+def _outcome(build, matrix):
+    try:
+        G = build(matrix)
+    except (ValueError, RegsetError) as exc:
+        return type(exc), str(exc)
+    return G.mult, G.inv, G.generators
+
+
+@pytest.mark.parametrize("matrix", [
+    [[1, 0], [0, 1]],  # the identity at 1, relabelled to 0
+    [[0, 1, 2], [1, 2, 0], [2, 0, 300]],  # an entry that does not fit in a byte
+    [[0, 1, 2], [1, 2, 0], [2, 0, 3]],
+    [[0, 1, 2], [1, 2, 0], [2, 0, 1, 0]],
+])
+def test_table_spec_rows_given_as_bytes_match_from_table(matrix):
+    # the spec passes rows that fit in bytes to from_table as bytes
+    spec = {"kind": "table", "matrix": matrix}
+    assert (_outcome(harness.group_from_spec_dict, spec)
+            == _outcome(rs.from_table, matrix))
 
 
 def test_parse_errors():
