@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .cosets import CosetSpace, left_cosets
-from .errors import IntersectsSubgroup, NotDoubleCosetUnion, NotEquitable, NotInverseClosed
+from .errors import IntersectsSubgroup, NotDoubleCosetUnion, NotInverseClosed
 from .group_core import GroupTable, Subgroup, _members_of
 
 
@@ -106,14 +105,14 @@ def _first_violation(H: Subgroup, U: int) -> Exception:
 
 class CosetGraph:
     """The graph on left cosets of H with ``g1H ~ g2H`` iff ``g1^-1 g2`` is
-    in the connection set.  Simple, undirected, |U|/|H|-regular."""
+    in the connection set.  Simple, undirected, |U|/|H|-regular.
+    ``neighbor_masks[v]`` is the mask of the vertices adjacent to ``v``."""
 
     def __init__(self, space: CosetSpace, connection: ConnectionSet,
-                 adjacency: tuple[tuple[int, ...], ...]):
+                 neighbor_masks: tuple[int, ...]):
         self.space = space
         self.connection = connection
-        self._adj = adjacency
-        self._adj_masks: Optional[list[int]] = None
+        self.neighbor_masks = neighbor_masks
 
     @property
     def vertex_count(self) -> int:
@@ -124,44 +123,15 @@ class CosetGraph:
         return self.connection.degree
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
-
-    def neighbor_masks(self) -> list[int]:
-        if self._adj_masks is None:
-            masks = []
-            for v in range(self.vertex_count):
-                m = 0
-                for w in self.neighbors(v):
-                    m |= 1 << w
-                masks.append(m)
-            self._adj_masks = masks
-        return self._adj_masks
-
-    def edges(self):
-        for v in range(self.vertex_count):
-            for w in self.neighbors(v):
-                if v < w:
-                    yield (v, w)
-
-    def to_edge_list_text(self) -> str:
-        """Edge-list export: a JSON header line mapping coset index to its
-        minimum representative, then one ``u v`` line per edge."""
-        header = {
-            "vertices": self.vertex_count,
-            "degree": self.degree,
-            "reps": {str(i): rep for i, rep in enumerate(self.space.reps)},
-        }
-        lines = [json.dumps(header)]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        return _members_of(self.neighbor_masks[v])
 
     def __repr__(self) -> str:
         return f"CosetGraph({self.vertex_count} vertices, degree {self.degree})"
 
 
 def build(G: GroupTable, H: Subgroup, connection: ConnectionSet) -> CosetGraph:
-    """Build the coset graph for a validated connection set."""
-    if connection.subgroup is not H and connection.subgroup.mask != H.mask:
+    """Build the coset graph for a connection set validated over ``H``."""
+    if connection.subgroup != H:
         raise ValueError("connection set was validated over a different subgroup")
     space = left_cosets(G, H)
     assert 0 not in connection.members  # loops are impossible by U cap H = {}
@@ -171,9 +141,11 @@ def build(G: GroupTable, H: Subgroup, connection: ConnectionSet) -> CosetGraph:
     adjacency = []
     for v, rep in enumerate(space.reps):
         row = mult[rep]
-        nb = sorted({coset_of[row[u]] for u in connection.members})
-        assert len(nb) == k and v not in nb
-        adjacency.append(tuple(nb))
+        nb = 0
+        for u in connection.members:
+            nb |= 1 << coset_of[row[u]]
+        assert nb.bit_count() == k and not (nb >> v) & 1
+        adjacency.append(nb)
     return CosetGraph(space, connection, tuple(adjacency))
 
 
@@ -193,7 +165,7 @@ def profile_subset(graph: CosetGraph, C: Iterable[int]) -> Optional[tuple[int, i
     cmask = 0
     for v in cset:
         cmask |= 1 << v
-    masks = graph.neighbor_masks()
+    masks = graph.neighbor_masks
     r = -1
     for v in cset:
         cnt = (masks[v] & cmask).bit_count()
@@ -213,69 +185,3 @@ def profile_subset(graph: CosetGraph, C: Iterable[int]) -> Optional[tuple[int, i
         elif cnt != s:
             return None
     return (r, s)
-
-
-def is_perfect_code(graph: CosetGraph, C: Iterable[int]) -> bool:
-    """True iff ``C`` is independent and dominates every outside vertex
-    exactly once."""
-    cset = frozenset(int(v) for v in C)
-    if not cset:
-        return False
-    cmask = 0
-    for v in cset:
-        cmask |= 1 << v
-    masks = graph.neighbor_masks()
-    for v in cset:
-        if masks[v] & cmask:
-            return False
-    for v in range(graph.vertex_count):
-        if v in cset:
-            continue
-        if (masks[v] & cmask).bit_count() != 1:
-            return False
-    return True
-
-
-class QuotientMatrix:
-    """Cell-to-cell edge counts of an equitable vertex partition."""
-
-    def __init__(self, cells: tuple[tuple[int, ...], ...],
-                 entries: tuple[tuple[int, ...], ...]):
-        self.cells = cells
-        self.entries = entries
-
-    def __repr__(self) -> str:
-        return f"QuotientMatrix({[list(r) for r in self.entries]})"
-
-
-def quotient_matrix(graph: CosetGraph, cells: Sequence[Iterable[int]]) -> QuotientMatrix:
-    """Quotient matrix of a partition; :class:`NotEquitable` with a witness
-    vertex when some vertex disagrees with its cell."""
-    n = graph.vertex_count
-    cell_tuples = tuple(tuple(sorted(int(v) for v in cell)) for cell in cells)
-    seen: set[int] = set()
-    for cell in cell_tuples:
-        for v in cell:
-            if not 0 <= v < n or v in seen:
-                raise ValueError("cells do not partition the vertex set")
-            seen.add(v)
-    if len(seen) != n:
-        raise ValueError("cells do not partition the vertex set")
-    cell_masks = []
-    for cell in cell_tuples:
-        m = 0
-        for v in cell:
-            m |= 1 << v
-        cell_masks.append(m)
-    masks = graph.neighbor_masks()
-    entries = []
-    for i, cell in enumerate(cell_tuples):
-        first = cell[0]
-        row = [(masks[first] & cm).bit_count() for cm in cell_masks]
-        for v in cell[1:]:
-            if [(masks[v] & cm).bit_count() for cm in cell_masks] != row:
-                raise NotEquitable(
-                    f"vertex {v} disagrees with cell {i}", witness=v
-                )
-        entries.append(tuple(row))
-    return QuotientMatrix(cell_tuples, tuple(entries))

@@ -57,14 +57,6 @@ class NotInverseClosed(RegsetError):
     pass
 
 
-class NotEquitable(RegsetError):
-    """Partition not equitable; ``witness`` is a vertex with inconsistent counts."""
-
-    def __init__(self, message: str, witness: int | None = None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class SearchBudgetExceeded(RegsetError):
     """A decision's sweeps reached more states than ``search_node_budget``
     before deciding (distinct from a definite 'absent')."""

@@ -268,14 +268,6 @@ class GroupTable:
             # a column that is not a permutation is reported as such
             raise _first_violation(mult) or exc from None
 
-    # -- validation -----------------------------------------------------
-
-    def _check_associative(self) -> tuple[int, ...]:
-        """Light's test (:func:`_light_generators`) on ``self.mult``, on
-        byte rows when :func:`_byte_rows` gives them and on the rows
-        themselves otherwise, as the constructor runs it."""
-        return _light_generators(_byte_rows(self.mult) or self.mult)
-
     # -- basic arithmetic -----------------------------------------------
 
     def conjugate(self, a: int, g: int) -> int:
@@ -531,12 +523,6 @@ def normalizer(G: GroupTable, H: Subgroup) -> Subgroup:
     result = Subgroup(G, members)
     G._cache[("normalizer", H.mask)] = result
     return result
-
-
-def intersect(H: Subgroup, K: Subgroup) -> Subgroup:
-    if H.parent is not K.parent:
-        raise ValueError("subgroups of different groups")
-    return Subgroup(H.parent, _members_of(H.mask & K.mask))
 
 
 def set_product(G: GroupTable, A: Iterable[int], B: Iterable[int]) -> frozenset[int]:

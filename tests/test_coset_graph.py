@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -7,7 +6,6 @@ import regsets as rs
 from regsets.errors import (
     IntersectsSubgroup,
     NotDoubleCosetUnion,
-    NotEquitable,
     NotInverseClosed,
     RegsetError,
 )
@@ -144,10 +142,22 @@ def test_empty_graph(s3):
     assert all(graph.neighbors(v) == () for v in range(3))
 
 
+def test_build_rejects_connection_set_of_another_group():
+    # {1, 5} is a connection set of C6 over its trivial subgroup, but not of
+    # D3 over its own: there it is not inverse-closed
+    c6, d3 = rs.cyclic(6), rs.dihedral(3)
+    conn = rs.validate_connection_set(rs.trivial_subgroup(c6), rs.mask_of(c6, [1, 5]))
+    with pytest.raises(ValueError, match="different subgroup"):
+        rs.build(d3, rs.trivial_subgroup(d3), conn)
+    with pytest.raises(NotInverseClosed):
+        rs.validate_connection_set(rs.trivial_subgroup(d3), conn.mask)
+
+
 def test_c4_cayley_is_four_cycle():
     g = rs.cyclic(4)
     graph = cayley(g, [1, 3])
-    assert sorted(graph.edges()) == [(0, 1), (0, 3), (1, 2), (2, 3)]
+    assert graph.neighbor_masks == (0b1010, 0b0101, 0b1010, 0b0101)
+    assert [graph.neighbors(v) for v in range(4)] == [(1, 3), (0, 2), (1, 3), (0, 2)]
 
 
 def test_complete_graph():
@@ -186,7 +196,7 @@ def test_adjacency_is_representative_independent(s3):
             for j in range(space.size):
                 if i < j and s3.mult[s3.inv[reps[i]]][reps[j]] in U:
                     edges.add((i, j))
-        assert edges == set(graph.edges())
+        assert edges == {(v, w) for v in range(space.size) for w in graph.neighbors(v) if v < w}
 
 
 # -- profiles ----------------------------------------------------------------------
@@ -231,25 +241,29 @@ def test_profile_empty_rejected():
 
 
 def test_profile_matches_naive_recount(small_corpus):
+    # coset graphs over every subgroup H, the trivial one giving Cayley
+    # graphs; the recount takes C as the union of its cosets
     rng = random.Random(21)
-    for G in small_corpus[:8]:
-        H = rs.all_subgroups(G)[0]
-        units = oracles.inverse_closed_units(G, {0})
-        for _ in range(5):
-            chosen = [u for u in units if rng.random() < 0.5]
-            U = set().union(*chosen) if chosen else set()
-            trivial = rs.trivial_subgroup(G)
-            graph = rs.build(G, trivial, rs.validate_connection_set(trivial, rs.mask_of(G, U)))
-            size = rng.randrange(1, G.order + 1)
-            C = set(rng.sample(range(G.order), size))
-            got = rs.profile_subset(graph, C)
-            want = oracles.graph_profile(G, {0}, U, C)
-            if want is None:
-                assert got is None
-            elif want[1] is None:
-                assert got == (want[0], 0)
-            else:
-                assert got == want
+    outcomes = set()
+    for G in small_corpus:
+        for H in rs.all_subgroups(G):
+            units = oracles.inverse_closed_units(G, set(H.members))
+            cosets = oracles.left_coset_sets(G, H.members)  # ascending minima
+            for _ in range(5):
+                chosen = [u for u in units if rng.random() < 0.5]
+                U = set().union(*chosen) if chosen else set()
+                graph = rs.build(G, H, rs.validate_connection_set(H, rs.mask_of(G, U)))
+                C = set(rng.sample(range(len(cosets)), rng.randrange(1, len(cosets) + 1)))
+                got = rs.profile_subset(graph, C)
+                want = oracles.graph_profile(G, H.members, U, set().union(*(cosets[c] for c in C)))
+                if want is None:
+                    assert got is None
+                elif want[1] is None:
+                    assert got == (want[0], 0)
+                else:
+                    assert got == want
+                outcomes.add((H.order > 1, want is None))
+    assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_edge_double_count_identity(small_corpus):
@@ -279,87 +293,17 @@ def test_edge_double_count_identity(small_corpus):
 def test_singleton_in_complete_graph_is_code():
     g = rs.cyclic(5)
     graph = cayley(g, [1, 2, 3, 4])
-    assert rs.is_perfect_code(graph, [2])
+    assert rs.profile_subset(graph, [2]) == (0, 1)
 
 
 def test_single_vertex_of_four_cycle_is_not():
     g = rs.cyclic(4)
     graph = cayley(g, [1, 3])
-    assert not rs.is_perfect_code(graph, [0])
+    assert rs.profile_subset(graph, [0]) != (0, 1)
 
 
 def test_a3_in_transposition_cayley_graph(s3):
     t = s3.perms.index((1, 0, 2))
     graph = cayley(s3, [t])
     A3 = rs.generate_subgroup(s3, [s3.perms.index((1, 2, 0))])
-    assert rs.is_perfect_code(graph, A3.members)
-
-
-def test_perfect_code_matches_profile_definition(small_corpus):
-    rng = random.Random(17)
-    for G in small_corpus[:6]:
-        if G.order < 2:
-            continue
-        units = oracles.inverse_closed_units(G, {0})
-        for _ in range(8):
-            chosen = [u for u in units if rng.random() < 0.5]
-            U = set().union(*chosen) if chosen else set()
-            graph = cayley(G, U)
-            size = rng.randrange(1, G.order)
-            C = set(rng.sample(range(G.order), size))
-            assert rs.is_perfect_code(graph, C) == (rs.profile_subset(graph, C) == (0, 1))
-
-
-# -- quotient matrices -------------------------------------------------------------------
-
-
-def test_quotient_matrix_single_cell():
-    g = rs.cyclic(5)
-    graph = cayley(g, [1, 2, 3, 4])
-    qm = rs.quotient_matrix(graph, [range(5)])
-    assert qm.entries == ((4,),)
-
-
-def test_quotient_matrix_regular_set_form():
-    g = rs.cyclic(4)
-    graph = cayley(g, [1, 3])
-    qm = rs.quotient_matrix(graph, [[0, 2], [1, 3]])
-    assert qm.entries == ((0, 2), (2, 0))
-
-
-def test_quotient_matrix_row_sums_are_degree(s3):
-    t = s3.perms.index((1, 0, 2))
-    graph = cayley(s3, [t, s3.perms.index((1, 2, 0)), s3.perms.index((2, 0, 1))])
-    qm = rs.quotient_matrix(graph, [[0, 1, 2, 3, 4, 5]])
-    assert all(sum(row) == graph.degree for row in qm.entries)
-
-
-def test_quotient_matrix_not_equitable_witness():
-    g = rs.cyclic(4)
-    graph = cayley(g, [1, 3])
-    with pytest.raises(NotEquitable) as err:
-        rs.quotient_matrix(graph, [[0], [1, 2, 3]])
-    assert err.value.witness == 2
-
-
-def test_quotient_matrix_partition_validation():
-    g = rs.cyclic(4)
-    graph = cayley(g, [1, 3])
-    with pytest.raises(ValueError):
-        rs.quotient_matrix(graph, [[0, 1], [1, 2, 3]])
-    with pytest.raises(ValueError):
-        rs.quotient_matrix(graph, [[0, 1]])
-
-
-# -- export ------------------------------------------------------------------------------
-
-
-def test_edge_list_export():
-    g = rs.cyclic(4)
-    graph = cayley(g, [1, 3])
-    text = graph.to_edge_list_text()
-    lines = text.strip().split("\n")
-    header = json.loads(lines[0])
-    assert header["vertices"] == 4 and header["degree"] == 2
-    assert header["reps"] == {"0": 0, "1": 1, "2": 2, "3": 3}
-    assert lines[1:] == ["0 1", "0 3", "1 2", "2 3"]
+    assert rs.profile_subset(graph, A3.members) == (0, 1)

@@ -323,10 +323,8 @@ def test_associativity_check_is_exact_on_reduced_latin_squares(n):
     constructor, which may stop earlier at a missing two-sided inverse."""
     for table in oracles.reduced_latin_squares(n):
         failure = oracles.associativity_failure(table)
-        bare = object.__new__(rs.GroupTable)
-        bare.order, bare.mult = n, table
         try:
-            bare._check_associative()
+            group_core._light_generators(group_core._byte_rows(table) or table)
         except NotAssociative as exc:
             assert failure is not None
             a, b, c = _reported_triple(exc)
@@ -459,14 +457,6 @@ def test_normalizer_contains_and_normalizes(small_corpus):
             assert rs.is_normal(H, N)
 
 
-def test_intersect(s3):
-    H = rs.generate_subgroup(s3, [find_elem(s3, (1, 0, 2))])
-    K = rs.generate_subgroup(s3, [find_elem(s3, (0, 2, 1))])
-    assert rs.intersect(H, H) == H
-    assert rs.intersect(H, rs.trivial_subgroup(s3)).members == (0,)
-    assert rs.intersect(H, K).members == (0,)
-
-
 # -- set products --------------------------------------------------------------
 
 
@@ -493,7 +483,7 @@ def test_product_formula(small_corpus):
         for H in subs:
             for K in subs:
                 hk = rs.set_product(G, H.members, K.members)
-                assert len(hk) * rs.intersect(H, K).order == H.order * K.order
+                assert len(hk) * (H.mask & K.mask).bit_count() == H.order * K.order
 
 
 def test_product_is_group_matches_set_product(corpus):
