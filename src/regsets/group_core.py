@@ -565,9 +565,6 @@ def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
     """Quotient group ``N/K`` on left cosets of ``K``, with projection and
     minimum-representative section."""
     G = N.parent
-    cached = G._cache.get(("quotient", N.mask, K.mask))
-    if cached is not None:
-        return cached
     if not K.is_subset_of(N):
         raise ValueError("kernel is not contained in the domain")
     if not is_normal(K, N):
@@ -588,9 +585,7 @@ def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:
         [projection[mult[section[i]][section[j]]] for j in range(q)] for i in range(q)
     ]
     table = GroupTable(qmult, label=f"{G.label}/k{K.order}")
-    result = QuotientGroup(G, table, projection, tuple(section))
-    G._cache[("quotient", N.mask, K.mask)] = result
-    return result
+    return QuotientGroup(G, table, projection, tuple(section))
 
 
 def sylow_subgroup(A: Subgroup, p: int) -> Subgroup:
@@ -827,16 +822,11 @@ def square_roots_lift(G: GroupTable, A: Subgroup, N: Optional[Subgroup] = None,
     """True iff :func:`involution_exists_in_coset` holds for every ``x`` with
     ``x^2`` in ``A``: some ``b`` in ``A`` has ``xb`` in ``N`` and ``(xb)^2``
     in ``H``.  Elements ``x`` of ``A`` are skipped, since ``b = x^-1`` gives
-    ``xb = 1``.  Memoized in ``G._cache`` under the masks of A, N and H."""
-    key = ("square_roots_lift", A.mask,
-           None if N is None else N.mask, None if H is None else H.mask)
-    cached = G._cache.get(key)
-    if cached is None:
-        mult = G.mult
-        amask = A.mask
-        cached = G._cache[key] = all(
-            involution_exists_in_coset(G, x, A, N, H)
-            for x in range(G.order)
-            if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
-        )
-    return cached
+    ``xb = 1``."""
+    mult = G.mult
+    amask = A.mask
+    return all(
+        involution_exists_in_coset(G, x, A, N, H)
+        for x in range(G.order)
+        if not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
+    )

@@ -157,7 +157,7 @@ def pauli16() -> GroupTable:
     base = direct_product(dicyclic(2), cyclic(4))
     # identify the quaternion -1 (index 2) with the square of the C4 generator
     k = generate_subgroup(base, [2 * 4 + 2])
-    g = quotient(base.full_subgroup(), k).table  # new with ``base``: ours to relabel
+    g = quotient(base.full_subgroup(), k).table  # a fresh table: ours to relabel
     g.label = "pauli16"
     g.spec = {"kind": "preset", "name": "pauli16"}
     return g
@@ -177,10 +177,8 @@ def sl23() -> GroupTable:
             (c1 * b2 + d1 * d2) % 3,
         )
 
-    mats, mult = _bfs_table((1, 0, 0, 1), [(1, 1, 0, 1), (0, 2, 1, 0)], mat_mul, 24)
-    g = GroupTable(mult, label="sl23", spec={"kind": "preset", "name": "sl23"})
-    g.mats = mats
-    return g
+    _, mult = _bfs_table((1, 0, 0, 1), [(1, 1, 0, 1), (0, 2, 1, 0)], mat_mul, 24)
+    return GroupTable(mult, label="sl23", spec={"kind": "preset", "name": "sl23"})
 
 
 def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:

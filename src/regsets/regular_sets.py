@@ -91,11 +91,6 @@ class PairSpec:
         return _ChainContext(self)
 
     @cached_property
-    def _certification(self) -> _CertifyData:
-        """What :func:`certify` reads; a cold pair builds only this."""
-        return _CertifyData(self)
-
-    @cached_property
     def _reduction(self) -> _ReductionData:
         """What :func:`normalizer_reduction` reads, from masks of G."""
         G, H, A = self.G, self.H, self.A
@@ -404,78 +399,37 @@ _CHECK_NAMES = ("inverse_symmetry", "disjoint_from_subgroup", "inside_count",
 _ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
 
 
-class _CertifyData:
-    """The left A-coset masks (coset 0 is A), the blocks b != 0 of g^-1 A
-    over the H-coset representatives g, the only blocks that
-    ``graph_profile`` reads outside A, and the halves of every U that
-    :func:`certify` has passed: ``inside`` maps U meet A to its count r|H|,
-    ``outside`` maps U minus A to its count s|H| on every block outside A,
-    or to None (any s) when A = G leaves no such block."""
-
-    def __init__(self, pair: PairSpec):
-        G = pair.G
-        aspace = left_cosets(G, pair.A)
-        acos, inv = aspace.coset_of, G.inv
-        reached = {acos[inv[g]] for g in left_cosets(G, pair.H).reps}
-        self.amasks = aspace.masks
-        self.blocks = tuple(sorted(reached - {0}))
-        self.inside: dict[int, int] = {}
-        self.outside: dict[int, Optional[int]] = {}
-
-
 def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
     """Check a candidate connection set U, given as its bitmask, with
     witness X = U, and return its certificate; this is the only source of
     certificates, and ``verify`` re-runs it on stored ones.
 
-    :func:`validate_connection_set` proves ``inverse_symmetry`` and
-    ``disjoint_from_subgroup`` for X = U.  The counts are popcounts of U
-    against the left A-coset masks.  ``graph_profile`` checks every vertex
-    gH by definition: its neighbours are the cosets guH (u in U), each
-    reached by |H| elements u, and gu lies in A exactly when u lies in
-    g^-1 A, so |U meet g^-1 A| must be r|H| (g in A) or s|H| (g outside A).
-    That count is the count of the block of g^-1 A, and g lies in A exactly
-    when that block is 0, so the check compares the count of each distinct
-    block g^-1 A once (:class:`_CertifyData`); those blocks are among the
-    ones ``outside_counts`` reads.  Failure raises ConstructionFailed.
+    An r or s out of range raises ValueError, checked first: when A = G no
+    block outside A tests s.  :func:`validate_connection_set` proves
+    ``inverse_symmetry`` and ``disjoint_from_subgroup`` for X = U.  The
+    counts are one popcount of U per left A-coset mask (coset 0 is A).
 
-    U is checked through its halves U meet A and U minus A.  A and G minus
-    A are unions of left H-cosets and closed under inverses, so U is a
-    connection set (in range, missing H, a union of left H-cosets, equal to
-    U^-1) exactly when each half is; ``inside_count`` reads only the
-    inside half, ``outside_counts`` only the outside half, and
-    ``graph_profile`` follows from those two.  So a U whose halves both
-    come from sets that passed, with the counts r|H| and s|H|, passes
-    without a walk; any other U is checked in full, and its halves are
-    recorded when it passes.
-
-    An r or s out of range raises ValueError.  The recorded counts of a
-    passing U rule out every such r, and every such s when A != G; when
-    A = G no block outside A tests s, so the walk-free path checks it.
+    ``graph_profile`` is the definition of an (r,s)-regular set: in
+    Cos(G,H,U) the vertex gH has |U meet g^-1 A| / |H| neighbours among the
+    H-cosets of A (its neighbours are the cosets guH, each reached by |H|
+    elements u, and gu lies in A exactly when u lies in g^-1 A).  As g runs
+    over G, g^-1 A runs over every left A-coset, and g^-1 A = A exactly
+    when g lies in A; so every vertex has the right count exactly when
+    ``inside_count`` and ``outside_counts`` pass, and ``graph_profile`` is
+    their conjunction.  Failure raises ConstructionFailed.
     """
-    data = pair._certification
-    hord = pair.H.order
-    inside = U & data.amasks[0]
-    outside = U ^ inside
-    if data.inside.get(inside) == r * hord and outside in data.outside:
-        want = data.outside[outside]  # None when A = G
-        if want == s * hord or want is None and 0 <= s <= pair.code_index:
-            return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)),
-                                     ConnectionSet(pair.H, U), _ALL_PASS)
     _validate_range(pair, r, s)
     conn = validate_connection_set(pair.H, U)
-    counts = [(U & m).bit_count() for m in data.amasks]  # coset 0 is A
-    want_in, want_out = r * hord, s * hord
-    inside_ok = counts[0] == want_in
+    hord = pair.H.order
+    counts = [(U & m).bit_count() for m in left_cosets(pair.G, pair.A).masks]
+    want_out = s * hord
+    inside_ok = counts[0] == r * hord
     outside_ok = all(c == want_out for c in counts[1:])
-    profile_ok = inside_ok and (outside_ok or all(counts[b] == want_out for b in data.blocks))
-    if not (inside_ok and outside_ok and profile_ok):
+    if not (inside_ok and outside_ok):
         checks = tuple(map(CheckResult, _CHECK_NAMES,
-                           (True, True, inside_ok, outside_ok, profile_ok)))
+                           (True, True, inside_ok, outside_ok, inside_ok and outside_ok)))
         failed = [c.name for c in checks if not c.passed]
         raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
-    data.inside[inside] = counts[0]
-    data.outside[outside] = counts[1] if len(counts) > 1 else None
     return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, _ALL_PASS)
 
 
@@ -602,8 +556,12 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     witness per value.  The witness of (r, s) is the union of its r-half
     (block 0's witness of r) and its s-half (the others' witnesses of s).
     Each half is certified once, as (r, 0) or (0, s), since the halves of 0
-    are empty; by :func:`certify`'s halves argument every profile in R x S
-    then passes without a walk.
+    are empty, and that backs every profile in R x S: an r-half joined with
+    an s-half is a witness of (r, s).  A and G minus A are unions of left
+    H-cosets closed under inverses, so the union is a connection set (in
+    range, missing H, a union of left H-cosets, equal to its inverse)
+    because each half is; its count on A is the r-half's and its count on
+    every other A-coset the s-half's.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     index = pair.code_index

@@ -774,11 +774,11 @@ def test_involution_coset_s3_transversal(s3):
 
 
 def test_square_roots_lift_memo_keeps_n_and_h_apart():
-    # One group object, so every call after the first of a key is a cache
-    # hit.  For each A the loop runs over H outside and N inside, so a key
-    # without N would answer a later N with an earlier one's result, and a
-    # key without H a later H with an earlier one's; the answers do vary in
-    # both, so either would disagree with the oracle.
+    # One group object for every call, so any per-group memo of the result
+    # would be hit.  For each A the loop runs over H outside and N inside,
+    # so a memo key without N would answer a later N with an earlier one's
+    # result, and a key without H a later H with an earlier one's; the
+    # answers do vary in both, so either would disagree with the oracle.
     G = rs.dihedral(4)
     subs = rs.all_subgroups(G)
     sets = [(S, frozenset(S.members)) for S in subs]

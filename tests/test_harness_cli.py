@@ -627,8 +627,9 @@ def test_survey_decides_each_query_once(monkeypatch):
 def test_survey_certifies_every_achievable_profile(monkeypatch):
     # every achievable r and every achievable s of each class
     # representative is certified, within one set, on that representative's
-    # own pair during the survey; by certify's halves argument those sets
-    # back every (r,s) of the row
+    # own pair during the survey; an r-half joined with an s-half is a
+    # witness of (r,s) (see achievable_profiles), so those sets back every
+    # (r,s) of the row
     certified = set()
     real_certify = regular_sets.certify
 

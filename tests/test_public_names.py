@@ -1,5 +1,6 @@
-"""Every public function and class of the library is used by the library,
-or is listed below with the reason it stays."""
+"""Every top-level function and class of the library is used by the
+library outside its own definition, or is a public name listed below with
+the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -24,20 +25,37 @@ UNREFERENCED = {
 }
 
 
-def test_every_unreferenced_public_name_is_listed():
-    defined = []
-    referenced = set()
+def _names_used(node) -> set[str]:
+    """The names and attribute names that appear anywhere in ``node``."""
+    used = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            used.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            used.add(sub.attr)
+    return used
+
+
+def _unreferenced_definitions() -> set[str]:
+    """``module.name`` of each top-level function and class of regsets that
+    no top-level statement of regsets, other than its own definition, uses;
+    the re-exports of __init__ do not count."""
+    definitions = []  # (module.name, name, the statement defining it)
+    statements = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "__init__":
             continue
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [f"{path.stem}.{node.name}" for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    unreferenced = {name for name in defined if name.split(".")[1] not in referenced}
-    assert unreferenced == set(UNREFERENCED)
+        body = ast.parse(path.read_text(encoding="utf-8")).body
+        statements += body
+        definitions += [(f"{path.stem}.{node.name}", node.name, node) for node in body
+                        if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    used = {id(node): _names_used(node) for node in statements}
+    return {
+        full for full, name, defn in definitions
+        if not any(name in names for key, names in used.items() if key != id(defn))
+    }
+
+
+def test_every_unreferenced_public_name_is_listed():
+    # a private definition is never listed: it is used or it goes
+    assert _unreferenced_definitions() == set(UNREFERENCED)

@@ -4,13 +4,13 @@ import random
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import regsets as rs
 from regsets import group_core, regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
+    NotDoubleCosetUnion,
     PreconditionViolated,
     RegsetError,
     SearchBudgetExceeded,
@@ -153,6 +153,16 @@ def test_certify_rejects_invalid_connection_sets(s3):
     t = s3.perms.index((1, 2, 0))
     with pytest.raises(RegsetError):
         rs.certify(pair, (), rs.mask_of(s3, {t}), 0, 0)  # not inverse closed
+    with pytest.raises(ValueError, match="negative"):
+        rs.certify(pair, (), -1, 0, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        rs.certify(pair, (), 1 << s3.order, 0, 0)  # past the group order
+    # {t, t^-1} is inverse closed and misses H = <(0 1)>, but holds only t
+    # of the H-coset {t, t(0 1)}
+    H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
+    split = rs.mask_of(s3, {t, s3.inv[t]})
+    with pytest.raises(NotDoubleCosetUnion):
+        rs.certify(rs.PairSpec(s3, H, s3.full_subgroup()), (), split, 0, 1)
 
 
 def _record_certificates(monkeypatch):
@@ -219,13 +229,12 @@ def test_certificates_built_from_masks_materialise(small_corpus, monkeypatch):
     assert materialised == 2137  # |R| + |S| - 1 per pair: the (0,0) set is both halves
 
 
-def test_halves_certify_every_profile_without_a_walk(small_corpus, monkeypatch):
+def test_halves_certify_every_profile(small_corpus, monkeypatch):
     # achievable_profiles certifies each r-half as (r, 0) and each s-half as
     # (0, s); the union of any r-half and any s-half must then pass all five
-    # checks as (r, s) with no further connection-set walk, and count as
-    # (r, s) in the coset graph built from the definitions
+    # checks as (r, s), and count as (r, s) in the coset graph built from
+    # the definitions
     issued = _record_certificates(monkeypatch)
-    walks = _count_walks(monkeypatch)
     backed = 0
     for G in small_corpus + [rs.symmetric(4)]:
         subs = rs.all_subgroups(G)
@@ -239,7 +248,6 @@ def test_halves_certify_every_profile_without_a_walk(small_corpus, monkeypatch):
                 rhalf = {c.r: c for c in issued if c.s == 0}
                 shalf = {c.s: c for c in issued if c.r == 0}
                 assert sorted(rhalf) == list(R) and sorted(shalf) == list(S)
-                walks.clear()
                 for r in R:
                     for s in S:
                         reps = rhalf[r].double_coset_reps + shalf[s].double_coset_reps
@@ -251,7 +259,6 @@ def test_halves_certify_every_profile_without_a_walk(small_corpus, monkeypatch):
                                                      set(A.members))
                         assert prof in ((r, s), (r, None))
                         backed += 1
-                assert walks == []
     assert backed == 5160 + 3906  # every profile: corpus groups of order <= 12, then S4
 
 
@@ -328,11 +335,9 @@ def test_pair_analysis_is_freed_with_the_pair():
     rs.decide_regular_set(pair, 0, 1)
     rs.check_normal_chain(pair, 0, 1)
     rs.normalizer_reduction(pair, 0, 1)
-    refs = [weakref.ref(item) for item in (
-        pair._context, pair._chain, pair._certification
-    )]
+    refs = [weakref.ref(item) for item in (pair._context, pair._chain)]
     del pair
-    assert [ref() for ref in refs] == [None] * 3
+    assert [ref() for ref in refs] == [None] * 2
 
 
 def test_components_match_the_union_find_oracle(corpus):
@@ -391,7 +396,7 @@ def test_survey_builds_each_subgroups_units_once(monkeypatch):
 
 
 def test_certify_range_checks_s_when_a_is_the_whole_group():
-    # A = G leaves no block outside A to test s, even on a warm pair
+    # A = G leaves no block outside A to test s
     G = rs.cyclic(4)
     pair = rs.PairSpec(G, rs.trivial_subgroup(G), G.full_subgroup())
     U = rs.decide_regular_set(pair, 0, 0).connection.mask
@@ -403,73 +408,11 @@ def test_certify_range_checks_s_when_a_is_the_whole_group():
 
 
 def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
-    # verify re-runs certify on a fresh pair: it needs the A-coset data only
+    # verify re-runs certify on a fresh pair: it reads the group's coset
+    # spaces and caches nothing on the pair
     pair = s3_a3_pair(s3)
     rs.certify(pair, (), 0, 0, 0)
-    assert "_certification" in vars(pair) and "_context" not in vars(pair)
-
-
-def _certify_outcome(pair, reps, U, r, s):
-    try:
-        cert = rs.certify(pair, reps, U, r, s)
-    except Exception as exc:  # the class, message and checks must agree
-        return type(exc), str(exc), getattr(exc, "checks", None)
-    return cert.r, cert.s, cert.double_coset_reps, cert.connection.mask, cert.checks
-
-
-@pytest.fixture(scope="module")
-def small_pairs(small_corpus):
-    """Every pair H <= A of every group of order <= 12, with the masks of
-    its inverse-closed units (from the oracle) and of its A-cosets."""
-    pairs = []
-    for G in small_corpus:
-        subs = rs.all_subgroups(G)
-        for H in subs:
-            units = [rs.mask_of(G, u) for u in oracles.inverse_closed_units(G, set(H.members))]
-            for A in subs:
-                if H.is_subset_of(A):
-                    pairs.append((G, H, A, units, rs.left_cosets(G, A).masks))
-    return pairs
-
-
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_warm_certify_agrees_with_cold(small_pairs, data):
-    # one warm pair certifies a stream of masks: valid connection sets and
-    # mixes of their halves, with their own (r,s) or a wrong one, and sets
-    # that break an invariant; each outcome must be the outcome of certify
-    # on a fresh pair, whatever halves the warm pair has recorded
-    G, H, A, units, amasks = data.draw(st.sampled_from(small_pairs))
-    warm = rs.PairSpec(G, H, A)
-    idx = warm.code_index
-    seen = [0]
-    for _ in range(data.draw(st.integers(1, 12))):
-        kind = data.draw(st.sampled_from(["valid", "mix", "repeat", "bit", "range", "negative"]))
-        if kind == "valid":
-            U = 0
-            for u in units:
-                if data.draw(st.booleans()):
-                    U |= u
-        elif kind == "mix":  # the inside half of one set, the outside of another
-            U = data.draw(st.sampled_from(seen)) & A.mask | data.draw(st.sampled_from(seen)) & ~A.mask
-        elif kind == "repeat":
-            U = data.draw(st.sampled_from(seen))
-        elif kind == "bit":  # misses an inverse, splits an H-coset or meets H
-            U = data.draw(st.sampled_from(seen)) ^ (1 << data.draw(st.integers(0, G.order - 1)))
-        elif kind == "range":
-            U = data.draw(st.sampled_from(seen)) | 1 << data.draw(st.integers(G.order, G.order + 3))
-        else:
-            U = -1 - data.draw(st.sampled_from(seen))
-        if U >= 0 and not U >> G.order:
-            seen.append(U)
-        counts = [(U & m).bit_count() // H.order for m in amasks]
-        if data.draw(st.booleans()):  # the set's own counts, when it has them
-            r, s = counts[0], counts[-1]
-        else:
-            r, s = data.draw(st.integers(-1, idx)), data.draw(st.integers(-1, idx + 1))
-        reps = data.draw(st.lists(st.integers(0, G.order - 1), max_size=4))
-        fresh = rs.PairSpec(G, H, A)
-        assert _certify_outcome(warm, reps, U, r, s) == _certify_outcome(fresh, reps, U, r, s)
+    assert set(vars(pair)) == {"G", "H", "A"}
 
 
 def test_achievable_profiles_walks_each_r_and_s_once(monkeypatch):
