@@ -39,7 +39,6 @@ from .group_core import (
     Subgroup,
     _conjugate_mask,
     _members_of,
-    involution_exists_in_coset,
     is_normal,
     normalizer,
     product_is_group,
@@ -56,7 +55,7 @@ class PairSpec:
     The per-pair analysis is built on first use and kept in the cached
     properties below, so it lives exactly as long as the pair: a group
     keeps no pair's data after the pair is gone.  What depends on H alone
-    (the double-coset units of :class:`_SubgroupUnits`) is cached with the
+    (the double-coset units of :func:`_subgroup_units`) is cached with the
     group and shared by every pair over H.
     """
 
@@ -89,21 +88,6 @@ class PairSpec:
         if not is_normal(self.A, self.G.full_subgroup()):
             raise PreconditionViolated("A is not normal in G")
         return _ChainContext(self)
-
-    @cached_property
-    def _reduction(self) -> _ReductionData:
-        """What :func:`normalizer_reduction` reads, from masks of G."""
-        G, H, A = self.G, self.H, self.A
-        N = normalizer(G, H)
-        nmask, amask = N.mask, A.mask
-        mult = G.mult
-        lift = all(
-            involution_exists_in_coset(G, x, A, N, H)
-            for x in left_cosets(G, H).reps  # one x per H-coset
-            if (nmask >> x) & 1 and not (amask >> x) & 1 and (amask >> mult[x][x]) & 1
-        )
-        return _ReductionData((amask & nmask).bit_count() // H.order,
-                              product_is_group(N, A), lift)
 
     def __repr__(self) -> str:
         return (
@@ -192,20 +176,11 @@ class NormalizerReduction:
 # -- shared per-pair analysis ---------------------------------------------
 
 
-class _ReductionData(NamedTuple):
-    """The three values of :func:`normalizer_reduction` for a pair, with
-    N = N_G(H): ``order`` is |N_A(H)/H| = |A meet N| / |H|, ``applicable``
-    whether G = N*A, and ``lift`` whether every x in N outside A with x^2
-    in A has some b in A with xb in N and (xb)^2 in H."""
-
-    order: int
-    applicable: bool
-    lift: bool
-
-
 class _Unit(NamedTuple):
     """An atomic inverse-closed union of double cosets (a self-inverse class
-    or a class paired with its inverse class)."""
+    or a class paired with its inverse class).  Class ids number the
+    classes by their minimal elements, ascending, so ``reps[k]`` is the
+    representative of class ``class_ids[k]``."""
 
     class_ids: tuple[int, ...]
     reps: tuple[int, ...]
@@ -213,45 +188,38 @@ class _Unit(NamedTuple):
     cosets: tuple[int, ...]  # one element of each left H-coset in the union
 
 
-class _SubgroupUnits:
+def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
     """The half of a pair's analysis that depends on H alone: G minus H
-    split into (H,H)-double cosets, one element of each left H-coset of
-    each class (``class_cosets``), and the units.  The group caches it
-    (:func:`_subgroup_units`), so every A over the same H reads one copy."""
-
-    def __init__(self, G: GroupTable, H: Subgroup):
-        self.decomp = decompose_into_double_cosets(
-            [g for g in range(G.order) if not (H.mask >> g) & 1], H)
-        hspace = left_cosets(G, H)
-        hmasks, hcos = hspace.masks, hspace.coset_of
-        class_cosets = []
-        for mask in self.decomp.masks:  # one H-coset at a time
-            cosets = []
-            while mask:
-                g = (mask & -mask).bit_length() - 1
-                cosets.append(g)
-                mask &= ~hmasks[hcos[g]]
-            class_cosets.append(tuple(cosets))
-        self.class_cosets = tuple(class_cosets)
-        units = []
-        for (i, j) in self.decomp.inverse_pairing:
-            assert j is not None  # complement of H is inverse closed
-            if i <= j:
-                ids = (i,) if i == j else (i, j)
-                units.append(_Unit(
-                    ids, tuple(sorted(self.decomp.reps[c] for c in ids)),
-                    sum(self.decomp.masks[c] for c in ids),  # disjoint classes
-                    sum((class_cosets[c] for c in ids), ())))
-        self.units = tuple(units)
-
-
-def _subgroup_units(G: GroupTable, H: Subgroup) -> _SubgroupUnits:
-    """The :class:`_SubgroupUnits` of H, built once per group."""
+    split into (H,H)-double cosets and those into units, in order of their
+    least class.  Built once per group, so every A over the same H reads
+    one copy."""
     key = ("subgroup_units", H.mask)
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = G._cache[key] = _SubgroupUnits(G, H)
-    return cached
+    units = G._cache.get(key)
+    if units is not None:
+        return units
+    decomp = decompose_into_double_cosets(
+        [g for g in range(G.order) if not (H.mask >> g) & 1], H)
+    hspace = left_cosets(G, H)
+    hmasks, hcos = hspace.masks, hspace.coset_of
+    class_cosets = []
+    for mask in decomp.masks:  # one H-coset at a time
+        cosets = []
+        while mask:
+            g = (mask & -mask).bit_length() - 1
+            cosets.append(g)
+            mask &= ~hmasks[hcos[g]]
+        class_cosets.append(tuple(cosets))
+    units = []
+    for (i, j) in decomp.inverse_pairing:
+        assert j is not None  # complement of H is inverse closed
+        if i <= j:
+            ids = (i,) if i == j else (i, j)
+            units.append(_Unit(
+                ids, tuple(decomp.reps[c] for c in ids),
+                sum(decomp.masks[c] for c in ids),  # disjoint classes
+                sum((class_cosets[c] for c in ids), ())))
+    units = G._cache[key] = tuple(units)
+    return units
 
 
 class _Component(NamedTuple):
@@ -311,7 +279,7 @@ class _PairContext:
         hunits = _subgroup_units(pair.G, pair.H)
         aspace = left_cosets(pair.G, pair.A)
         acos = aspace.coset_of
-        touched = [[acos[g] for g in u.cosets] for u in hunits.units]
+        touched = [[acos[g] for g in u.cosets] for u in hunits]
         supports = []
         comps = [1]  # masks of the components found so far
         for blocks in touched:
@@ -336,7 +304,7 @@ class _PairContext:
             members[where[(sup & -sup).bit_length() - 1]].append(k)
         index = pair.code_index
         self.components = tuple(
-            _component(m, [hunits.units[k] for k in ks], [touched[k] for k in ks],
+            _component(m, [hunits[k] for k in ks], [touched[k] for k in ks],
                        [supports[k] for k in ks], index)
             for m, ks in zip(comps, members)
         )
@@ -590,49 +558,39 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
 class _ChainContext:
     """Per-block data valid when H is normal in A and A is normal in G:
     every double coset lies in a single A-coset block and all classes of a
-    block have the same H-coset count.  ``conditions[s]`` holds the
-    divisibility and self_paired outcomes and witnesses at s, which do not
-    depend on r."""
+    block have the same H-coset count ``size[b]`` (1 in block 0, since H is
+    normal in A).  ``units[b]`` holds (k, unit) for each unit with k classes
+    in block b, in order of its least class there.  ``conditions[s]`` holds
+    the divisibility and self_paired outcomes and witnesses at s, which do
+    not depend on r."""
 
     def __init__(self, pair: PairSpec):
-        G = pair.G
-        hunits = _subgroup_units(G, pair.H)
-        aspace = left_cosets(G, pair.A)
+        aspace = left_cosets(pair.G, pair.A)
         acos = aspace.coset_of
-        nb = aspace.size
-        self.block_inv = tuple(acos[G.inv[rep]] for rep in aspace.reps)
-        self.classes_by_block: list[list[int]] = [[] for _ in range(nb)]
-        self.block_ci: list[Optional[int]] = [None] * nb
-        block_of = []
-        for c, cosets in enumerate(hunits.class_cosets):
-            (b,) = {acos[g] for g in cosets}  # guaranteed by the normal chain
-            assert self.block_ci[b] in (None, len(cosets))  # classes of one block share their size
-            self.block_ci[b] = len(cosets)
-            self.classes_by_block[b].append(c)
-            block_of.append(b)
-        decomp = hunits.decomp
-        self.selfs_by_block = [
-            [c for c in ids if decomp.self_inverse_flags[c]]
-            for ids in self.classes_by_block
-        ]
-        self.partner = dict(decomp.inverse_pairing)
-        self.pairs_by_block: list[list[tuple[int, int]]] = [[] for _ in range(nb)]
-        for c, j in decomp.inverse_pairing:
-            if c < j and block_of[j] == block_of[c]:
-                self.pairs_by_block[block_of[c]].append((c, j))
+        self.size = [1] * aspace.size
+        units: list[list[tuple[int, int, _Unit]]] = [[] for _ in range(aspace.size)]
+        for u in _subgroup_units(pair.G, pair.H):
+            blocks = [acos[x] for x in u.reps]  # guaranteed one block per class
+            for b in dict.fromkeys(blocks):
+                self.size[b] = len(u.cosets) // len(blocks)  # inverse classes: equal size
+                least = u.class_ids[blocks.index(b)]  # the ids ascend
+                units[b].append((least, blocks.count(b), u))
+        self.units = tuple(tuple((k, u) for _, k, u in sorted(us)) for us in units)
         self.conditions = tuple(self._conditions_at(aspace.reps, s)
                                 for s in range(pair.code_index + 1))
 
     def _conditions_at(self, reps: tuple[int, ...], s: int) -> tuple:
+        # a block with only two-class units holds no self-inverse class;
+        # a block tA != t^-1 A has only one-class units
         div_ok, div_witness = True, None
         self_ok, self_witness = True, None
         for b in range(1, len(reps)):
-            ci = self.block_ci[b]
-            if s % ci != 0:
+            size = self.size[b]
+            if s % size != 0:
                 if div_ok:
                     div_ok, div_witness = False, reps[b]
-            elif self.block_inv[b] == b and (s // ci) % 2 == 1:
-                if not self.selfs_by_block[b] and self_ok:
+            elif (s // size) % 2 == 1 and all(k == 2 for k, _ in self.units[b]):
+                if self_ok:
                     self_ok, self_witness = False, reps[b]
         return div_ok, div_witness, self_ok, self_witness
 
@@ -678,60 +636,41 @@ def normal_chain_verdicts(pair: PairSpec) -> tuple[tuple[bool, ...], tuple[bool,
             tuple(div_ok and self_ok for div_ok, _, self_ok, _ in conditions))
 
 
-def _select_in_block(cctx: _ChainContext, b: int, quota: int) -> list[int]:
-    """Pick ``quota`` classes from a self-paired block, inverse pairs first,
-    self-inverse classes for the remainder; minimum-representative order."""
-    pairs = cctx.pairs_by_block[b]
-    selfs = cctx.selfs_by_block[b]
-    npairs = min(len(pairs), quota // 2)
-    rem = quota - 2 * npairs
-    if rem > len(selfs):
-        raise ConstructionFailed(
-            f"block {b}: need {rem} self-inverse classes, have {len(selfs)}"
-        )
-    chosen: list[int] = []
-    for i, j in pairs[:npairs]:
-        chosen.extend((i, j))
-    chosen.extend(selfs[:rem])
-    return chosen
+def _select(units: list[tuple[int, _Unit]], quota: int) -> list[_Unit]:
+    """Units whose classes in one block number ``quota``: units with two
+    classes there first, then units with one, each in the block's order."""
+    picked = []
+    for want in (2, 1):
+        for k, u in units:
+            if k == want <= quota:
+                picked.append(u)
+                quota -= k
+    if quota:
+        raise ConstructionFailed(f"{quota} classes short of the quota")
+    return picked
 
 
 def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
     """Explicitly build a connection set realizing (r, s) for a normal chain.
 
-    Inside A the construction picks r H-cosets (inverse pairs padded with
-    self-inverse cosets); outside, each A-coset orbit receives s/|HtH:H|
-    whole double cosets, pairing a coset with its inverse class or using the
-    even/odd split inside self-paired orbits.
+    Each block is filled, in block order, up to r (block 0) or s H-cosets,
+    that is r or s/|HtH:H| classes, with units not yet chosen
+    (:func:`_select`): inverse pairs inside the block, then self-inverse
+    classes, or for a block tA != t^-1 A its classes paired with their
+    inverses in t^-1 A, which then arrives full.
     """
     report = check_normal_chain(pair, r, s)
     if not report.verdict:
         raise PreconditionViolated(
             f"normal-chain conditions fail: {report!r}"
         )
-    cctx = pair._chain
-    chosen = _select_in_block(cctx, 0, r)
-    for b in range(1, len(cctx.block_inv)):
-        binv = cctx.block_inv[b]
-        if binv < b:
-            continue
-        ci = cctx.block_ci[b]
-        lt = s // ci
-        if lt == 0:
-            continue
-        if binv != b:
-            ids = cctx.classes_by_block[b][:lt]
-            if len(ids) < lt:
-                raise ConstructionFailed(f"block {b}: fewer than {lt} classes")
-            chosen.extend(ids)
-            chosen.extend(cctx.partner[c] for c in ids)
-        else:
-            chosen.extend(_select_in_block(cctx, b, lt))
-    decomp = _subgroup_units(pair.G, pair.H).decomp
-    mask = 0
-    for c in chosen:
-        mask |= decomp.masks[c]
-    return certify(pair, [decomp.reps[c] for c in chosen], mask, r, s)
+    chain = pair._chain
+    chosen: list[_Unit] = []
+    for b, units in enumerate(chain.units):
+        quota = (r if b == 0 else s) // chain.size[b]
+        quota -= sum(k for k, u in units if u in chosen)
+        chosen += _select([(k, u) for k, u in units if u not in chosen], quota)
+    return certify(pair, *_union(chosen), r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------
@@ -776,9 +715,8 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int) -> NormalizerReduction:
     corpus; that is measured, not proved.  Where G != N_G(H) * A, some
     s != 1 profiles are achievable though the verdict is false.
 
-    No quotient table is built: the criterion is read on masks of G
-    (``PairSpec._reduction``), with N = N_G(H) and X = xH for x in N.
-    This is exact:
+    No quotient table is built: the criterion is read on masks of G, with
+    N = N_G(H) and X = xH for x in N.  This is exact:
 
     - |B| = |A meet N| / |H|, since H <= A meet N;
     - xH lies in B exactly when x lies in A, since H <= A meet N and x is
@@ -786,25 +724,31 @@ def normalizer_reduction(pair: PairSpec, r: int, s: int) -> NormalizerReduction:
       x^2 H lies in B exactly when x^2 lies in A;
     - Y = bH for b in A meet N, and (XY)^2 = 1 says (xb)^2 lies in H; for
       x in N, xb lies in N exactly when b does, so some such b exists
-      exactly when ``involution_exists_in_coset(G, x, A, N, H)``, which
-      depends on xA and so on xH alone: one x per H-coset in N is tested;
+      exactly when ``involution_exists_in_coset(G, x, A, N, H)``;
     - the quotient form also asks that B be normal in N_G(H)/H, which
       follows from A being normal in G, checked first.
 
-    This quotient form ranges over x in N; the normalizer criterion
-    (:func:`perfect_code_normalizer_criterion`) ranges over every x of G,
-    so the two survey columns are computed independently.
+    The quotient form ranges over x in N, and ``square_roots_lift(G, A,
+    N, H)`` over every x of G; they agree once G = N * A, the only case
+    where the lift is read.  The three conditions on x (outside A, x^2 in
+    A, the coset test) depend on xA alone, since A is normal, and every
+    left A-coset xA = naA = nA meets N.  When G != N * A the verdict is
+    false, so this is :func:`perfect_code_normalizer_criterion` at s = 1.
     """
-    if not is_normal(pair.A, pair.G.full_subgroup()):
+    G, H, A = pair.G, pair.H, pair.A
+    if not is_normal(A, G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
-    border, applicable, lift = pair._reduction  # kept across (r, s)
+    N = normalizer(G, H)
+    border = (A.mask & N.mask).bit_count() // H.order
     if not 0 <= r <= border - 1 or not 0 <= s <= border:
         raise PreconditionViolated(
             f"(r,s)=({r},{s}) out of range for |N_A(H)/H|={border}"
         )
     if r % gcd(2, border - 1) != 0:
         raise PreconditionViolated("gcd(2,|N_A(H)/H|-1) does not divide r")
-    return NormalizerReduction(applicable, applicable and (s % 2 == 0 or lift))
+    applicable = product_is_group(N, A)
+    return NormalizerReduction(
+        applicable, applicable and (s % 2 == 0 or square_roots_lift(G, A, N, H)))
 
 
 def perfect_code_pair(pair: PairSpec,
@@ -821,14 +765,10 @@ def perfect_code_pair(pair: PairSpec,
 
 def perfect_code_normalizer_criterion(pair: PairSpec) -> bool:
     """Perfect-code test for normal A via normalizer membership: G = A*N_G(H)
-    and every x with x^2 in A admits b in A with xb in N_G(H), (xb)^2 in H."""
-    G, H, A = pair.G, pair.H, pair.A
-    if not is_normal(A, G.full_subgroup()):
-        raise PreconditionViolated("A is not normal in G")
-    N = normalizer(G, H)
-    if not product_is_group(N, A):
-        return False
-    return square_roots_lift(G, A, N, H)
+    and every x with x^2 in A admits b in A with xb in N_G(H), (xb)^2 in H.
+    That is :func:`normalizer_reduction` at (0, 1), which is always in
+    range since H <= N_A(H)."""
+    return normalizer_reduction(pair, 0, 1).verdict
 
 
 def perfect_code_quotient_criterion(pair: PairSpec) -> bool:
@@ -899,27 +839,16 @@ def necessary_conjugate_intersection(pair: PairSpec) -> bool:
 
 def necessary_divisibility(pair: PairSpec) -> bool:
     """Necessary for a perfect code when H is normal in A: |H * A^x| divides
-    |A * A^x| for every x.  Both are products of two subgroups, so
-    |XY| = |X||Y| / |X meet Y| gives their sizes from mask intersections,
-    once per distinct conjugate A^x.
+    |A * A^x| for every x.
 
-    The condition holds for every such pair, so this never returns False:
-    with D = A meet A^x, H D is a subgroup of A (H is normal in A) of order
-    |H||D| / |H meet D|, and H meet A^x = H meet D, so
-    |A A^x| / |H A^x| = |A| |H meet D| / (|H| |D|) = |A : HD|, an integer."""
-    G, H, A = pair.G, pair.H, pair.A
-    if not is_normal(H, A):
+    The condition holds for every such pair, so this returns True once H
+    is normal in A: both are products of two subgroups, and |XY| =
+    |X||Y| / |X meet Y|.  With D = A meet A^x, H D is a subgroup of A (H is
+    normal in A) of order |H||D| / |H meet D|, and H meet A^x = H meet D,
+    so |A A^x| / |H A^x| = |A| |H meet D| / (|H| |D|) = |A : HD|, an
+    integer."""
+    if not is_normal(pair.H, pair.A):
         raise PreconditionViolated("H is not normal in A")
-    seen: set[int] = set()
-    for x in range(G.order):
-        ax = _conjugate_mask(G, A, x)
-        if ax in seen:
-            continue
-        seen.add(ax)
-        aax = A.order * A.order // (A.mask & ax).bit_count()
-        hax = H.order * A.order // (H.mask & ax).bit_count()
-        if aax % hax != 0:
-            return False
     return True
 
 

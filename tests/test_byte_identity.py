@@ -1,8 +1,9 @@
 """Byte-for-byte pins of the default outputs.
 
 The digests are SHA-256 sums of the files that ``survey --out``,
-``check --emit`` and ``perfect-code --emit`` write, of what ``show`` prints, of the subgroup member
-lists that ``all_subgroups`` returns for a group of order 96, and of the
+``check --emit``, ``construct --emit`` and ``perfect-code --emit`` write,
+of what ``show`` prints, of the subgroup member lists that
+``all_subgroups`` returns for a group of order 96, and of the
 multiplication tables that the preset builders make, which fix the element
 numbering of every other output.  A change that only makes the program
 faster must keep every one of them; a change that means to alter an output
@@ -30,6 +31,17 @@ CHECK_DIGESTS = [
     (["check", "preset:sl23", "--H", "0,6", "--A", "0,2,6,12,13,15,20,21",
       "--r", "1", "--s", "2"],
      "f2be62b134c87c5b353f09a3410d4764fcccddd217a7473f0283f4fab1943441"),
+]
+
+# (argv without --emit, digest of the emitted certificate): in D12, an
+# inverse pair inside A, a self-inverse class in a self-paired block and a
+# block paired with its inverse block; in C9, blocks tA != t^-1 A whose
+# classes the construction picks in order of their least class
+CONSTRUCT_DIGESTS = [
+    (["construct", "preset:dihedral:12", "--A", "0,4,8", "--r", "2", "--s", "1"],
+     "d7e23a8a60dfd58837fff35e9218104a27b6f14f540ca5d15c9a976be967a92d"),
+    (["construct", "preset:cyclic:9", "--A", "0,3,6", "--r", "2", "--s", "2"],
+     "c8349d3fe994f43d84387acd1dde8252f22e4d7cd561224b4962f50de34df53f"),
 ]
 
 # (argv without --emit, digest of the emitted certificate): A4 over a
@@ -179,6 +191,14 @@ def test_survey_report_bytes_are_pinned(tmp_path, capsys, group):
 
 @pytest.mark.parametrize("argv,digest", CHECK_DIGESTS, ids=["S4", "SL23"])
 def test_emitted_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):
+    out = tmp_path / "cert.json"
+    assert main(argv + ["--emit", str(out)]) == 0
+    assert _digest(out) == digest
+    assert main(["verify", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,digest", CONSTRUCT_DIGESTS, ids=["D12", "C9"])
+def test_constructed_certificate_bytes_are_pinned(tmp_path, capsys, argv, digest):
     out = tmp_path / "cert.json"
     assert main(argv + ["--emit", str(out)]) == 0
     assert _digest(out) == digest

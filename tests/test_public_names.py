@@ -1,6 +1,7 @@
 """Every top-level function and class of the library is used by the
 library outside its own definition, or is a public name listed below with
-the reason it stays."""
+the reason it stays; and every field of a private class is read by the
+library."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,38 @@ def _unreferenced_definitions() -> set[str]:
 def test_every_unreferenced_public_name_is_listed():
     # a private definition is never listed: it is used or it goes
     assert _unreferenced_definitions() == set(UNREFERENCED)
+
+
+def _private_fields() -> set[str]:
+    """``Class.field`` for each field of a private top-level class of
+    regsets: an annotation in the class body (a NamedTuple field) or a
+    ``self.field = ...`` assignment in one of its methods."""
+    fields = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not (isinstance(node, ast.ClassDef) and node.name.startswith("_")):
+                continue
+            fields |= {f"{node.name}.{sub.target.id}" for sub in node.body
+                       if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)}
+            fields |= {f"{node.name}.{sub.attr}" for sub in ast.walk(node)
+                       if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                       and isinstance(sub.value, ast.Name) and sub.value.id == "self"}
+    return fields
+
+
+def _attributes_read() -> set[str]:
+    """The attribute names that regsets reads anywhere."""
+    read = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.attr)
+    return read
+
+
+def test_every_private_field_is_read():
+    # a field that is only unpacked or never read is dead weight
+    fields = _private_fields()
+    assert fields
+    read = _attributes_read()
+    assert {f for f in fields if f.split(".")[1] not in read} == set()

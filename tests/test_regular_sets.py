@@ -367,17 +367,18 @@ def test_survey_builds_each_subgroups_units_once(monkeypatch):
     # the survey, deciding one pair per Aut(G)-orbit, did not reach, once
     built = []
     contexts = []
-    real_units, real_context = regular_sets._SubgroupUnits, regular_sets._PairContext
+    real_decompose = regular_sets.decompose_into_double_cosets
+    real_context = regular_sets._PairContext
 
-    def counting_units(G, H):
-        built.append((id(G), H.mask))
-        return real_units(G, H)
+    def counting_decompose(S, H):  # called once per build of H's units
+        built.append((id(H.parent), H.mask))
+        return real_decompose(S, H)
 
     def counting_context(pair):
         contexts.append(pair)
         return real_context(pair)
 
-    monkeypatch.setattr(regular_sets, "_SubgroupUnits", counting_units)
+    monkeypatch.setattr(regular_sets, "decompose_into_double_cosets", counting_decompose)
     monkeypatch.setattr(regular_sets, "_PairContext", counting_context)
     G = rs.symmetric(4)
     rs.survey(G)
@@ -412,6 +413,14 @@ def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
     # spaces and caches nothing on the pair
     pair = s3_a3_pair(s3)
     rs.certify(pair, (), 0, 0, 0)
+    assert set(vars(pair)) == {"G", "H", "A"}
+
+
+def test_normalizer_reduction_caches_nothing_on_the_pair(sl23_pair):
+    # the reduction reads the group's normalizer and masks on every call
+    pair = rs.PairSpec(sl23_pair.G, sl23_pair.H, sl23_pair.A)
+    rs.normalizer_reduction(pair, 0, 1)
+    rs.perfect_code_normalizer_criterion(pair)
     assert set(vars(pair)) == {"G", "H", "A"}
 
 
