@@ -64,8 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("survey", help="cross-validate all criteria over all subgroup pairs")
     p.add_argument("group")
     p.add_argument("--out", help="write the JSON report here")
-    p.add_argument("--workers", type=int, default=1,
-                   help="worker processes (at least 1; capped at the CPU count)")
 
     p = sub.add_parser("verify", help="re-check a stored certificate")
     p.add_argument("certificate", help="path to a certificate JSON file")
@@ -122,7 +120,7 @@ def _cmd_perfect_code(args, limits: Limits) -> int:
 
 def _cmd_survey(args, limits: Limits) -> int:
     G = group_from_arg(args.group, limits=limits)
-    report = survey(G, limits=limits, workers=args.workers)
+    report = survey(G, limits=limits)
     print(report.to_text(), end="")
     if args.out:
         Path(args.out).write_text(

@@ -292,11 +292,6 @@ class GroupTable:
     def __repr__(self) -> str:
         return f"GroupTable({self.label!r}, order={self.order})"
 
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = {}
-        return state
-
 
 class Subgroup:
     """A validated subgroup of a :class:`GroupTable`, stored as a sorted

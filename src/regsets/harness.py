@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from math import gcd
@@ -210,11 +208,11 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     that issued it.  Parse failures raise :class:`ParseError`, as do an
     ``A``, ``U``, ``X`` or ``double_coset_reps`` that is not a list, a
     negative element id, an id in ``H``, ``A``, ``X`` or
-    ``double_coset_reps`` that is not an int, a bool id in ``U``, an int
-    id in ``H``, ``A``, ``U`` or ``X`` that is not below the group order,
-    an ``r`` or ``s`` that is not an int, and ``checks`` other than the
-    five named checks, each passing; a well-formed but wrong certificate
-    returns False."""
+    ``double_coset_reps`` that is not an int, a bool, str or float id in
+    ``U``, an int id in ``H``, ``A``, ``U`` or ``X`` that is not below the
+    group order, an ``r`` or ``s`` that is not an int, and ``checks`` other
+    than the five named checks, each passing; a well-formed but wrong
+    certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -234,14 +232,14 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     int_ids: dict[str, list] = {}  # the int ids of each list field
     for field in _CERT_ID_FIELDS:
         ids = data[field]
-        # a non-list H and a non-int, non-bool id in U are still unchecked:
+        # a non-list H and a dict, list or None id in U are still unchecked:
         # the verify benchmark counts them as crashes until ROADMAP item 4(a)
         if not isinstance(ids, list):
             if field == "H":
                 continue
             raise ParseError(f"certificate field {field!r} must be a list of element ids")
         if not _all_ints(ids):
-            if field != "U" or bool in set(map(type, ids)):
+            if field != "U" or not {bool, str, float}.isdisjoint(map(type, ids)):
                 raise ParseError(f"certificate field {field!r} holds a non-integer element id")
             ids = [x for x in ids if _is_int(x)]
         if ids and min(ids) < 0:
@@ -394,22 +392,6 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     }
 
 
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(G: GroupTable, limits: Limits) -> None:
-    _WORKER_STATE["G"] = G
-    _WORKER_STATE["limits"] = limits
-
-
-def _worker_row(masks: tuple[int, int]) -> dict:
-    G = _WORKER_STATE["G"]
-    hmask, amask = masks
-    H = Subgroup(G, _members_of(hmask))
-    A = Subgroup(G, _members_of(amask))
-    return _survey_row(G, H, A, _WORKER_STATE["limits"])
-
-
 def _class_representatives(G: GroupTable, subs: list[Subgroup],
                            pairs: list[tuple[Subgroup, Subgroup]]) -> list[int]:
     """For each pair, the index in ``pairs`` of its class representative
@@ -456,34 +438,21 @@ def _member_row(row: dict, H: Subgroup, A: Subgroup) -> dict:
 def survey(G: GroupTable, limits: Optional[Limits] = None,
            workers: int = 1) -> SurveyReport:
     """Cross-validate every criterion against the exact decision over all
-    subgroup pairs H <= A of ``G``.  Rows are sorted by (H, A) members, so
-    assembly order does not matter.
+    subgroup pairs H <= A of ``G``, in this process.  Rows are sorted by
+    (H, A) members.  ``workers`` must be 1, its only valid value; any other
+    value raises ``ValueError``.
 
     An automorphism phi of G maps Cos(G,H,U) onto Cos(G,phi(H),phi(U)) and
     the A-cosets onto the phi(A)-cosets, so every answer in a row is the same
     for all pairs in an Aut(G)-orbit.  One representative per orbit is
     decided and its row is copied to the other members."""
     limits = limits if limits is not None else DEFAULT_LIMITS
-    if G.order > limits.enumeration_cap:
-        raise OrderExceedsCap(
-            f"group order {G.order} exceeds enumeration cap {limits.enumeration_cap}"
-        )
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers != 1:
+        raise ValueError(f"a survey runs in one process: workers must be 1, got {workers}")
     subs = all_subgroups(G, limits=limits)
     pairs = [(H, A) for A in subs for H in subs if H.is_subset_of(A)]
     rep_index = _class_representatives(G, subs, pairs)
-    rep_ids = [i for i, rep in enumerate(rep_index) if rep == i]
-    reps = [pairs[i] for i in rep_ids]
-    workers = min(workers, os.cpu_count() or 1, len(reps))
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(G, limits)
-        ) as pool:
-            rep_rows = list(pool.map(_worker_row, [(H.mask, A.mask) for H, A in reps]))
-    else:
-        rep_rows = [_survey_row(G, H, A, limits) for H, A in reps]
-    row_of = dict(zip(rep_ids, rep_rows))
+    row_of = {i: _survey_row(G, *pairs[i], limits) for i in dict.fromkeys(rep_index)}
     rows = [_member_row(row_of[i], H, A) for (H, A), i in zip(pairs, rep_index)]
     rows.sort(key=lambda row: (row["H"], row["A"]))
     return SurveyReport(G.label, G.order, rows)

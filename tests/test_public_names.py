@@ -95,3 +95,23 @@ def test_every_private_field_is_read():
     assert fields
     read = _attributes_read()
     assert {f for f in fields if f.split(".")[1] not in read} == set()
+
+
+def _modules_imported() -> set[str]:
+    """The top-level package of every module that regsets imports, relative
+    imports left out."""
+    imported = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in sub.names}
+            elif isinstance(sub, ast.ImportFrom) and sub.level == 0:
+                imported.add(sub.module.split(".")[0])
+    return imported
+
+
+def test_the_library_runs_in_one_process():
+    # a survey decides its rows in the calling process: no pool, no threads
+    imported = _modules_imported()
+    assert "json" in imported
+    assert imported & {"concurrent", "multiprocessing", "threading"} == set()
