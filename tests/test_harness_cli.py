@@ -757,11 +757,23 @@ def test_survey_walks_the_grid_when_one_normal_chain_vector_disagrees(monkeypatc
     assert failed
 
 
-def test_survey_runs_in_one_process(capsys):
+def test_survey_workers_match_sequential():
+    # workers=1, the only accepted value, is the default survey
     assert rs.survey(rs.cyclic(4), workers=1).rows == rs.survey(rs.cyclic(4)).rows
-    for workers in (0, 2):
-        with pytest.raises(ValueError):
-            rs.survey(rs.cyclic(4), workers=workers)
+
+
+def test_survey_rejects_fewer_than_one_worker(capsys):
+    with pytest.raises(ValueError):
+        rs.survey(rs.cyclic(4), workers=0)
+    assert main(["survey", "preset:cyclic:4", "--workers", "0"]) == 2
+    assert main(["survey", "preset:cyclic:4", "--workers", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_survey_runs_in_one_process(capsys):
+    with pytest.raises(ValueError):
+        rs.survey(rs.cyclic(4), workers=2)
     assert main(["survey", "preset:cyclic:4", "--workers", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
