@@ -542,18 +542,13 @@ def product_is_group(N: Subgroup, A: Subgroup) -> bool:
 
 
 def is_normal(H: Subgroup, K: Subgroup) -> bool:
-    """True iff ``H^k = H`` for every ``k`` in ``K``; requires ``H <= K``."""
+    """True iff ``H^k = H`` for every ``k`` in ``K``, that is iff ``K`` lies
+    in the normalizer of ``H``; requires ``H <= K``."""
     if H.parent is not K.parent:
         raise ValueError("subgroups of different groups")
     if not H.is_subset_of(K):
         raise ValueError("first subgroup is not contained in the second")
-    G = H.parent
-    key = ("is_normal", H.mask, K.mask)
-    cached = G._cache.get(key)
-    if cached is None:
-        cached = all(_conjugate_mask(G, H, k) == H.mask for k in K.members)
-        G._cache[key] = cached
-    return cached
+    return not K.mask & ~normalizer(H.parent, H).mask
 
 
 def quotient(N: Subgroup, K: Subgroup) -> QuotientGroup:

@@ -210,9 +210,9 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     negative element id, an id in ``H``, ``A``, ``X`` or
     ``double_coset_reps`` that is not an int, a bool, str or float id in
     ``U``, an int id in ``H``, ``A``, ``U`` or ``X`` that is not below the
-    group order, an ``r`` or ``s`` that is not an int, and ``checks`` other
-    than the five named checks, each passing; a well-formed but wrong
-    certificate returns False."""
+    group order, a group ``order``, ``r`` or ``s`` that is not an int, and
+    ``checks`` other than the five named checks, each passing; a
+    well-formed but wrong certificate returns False."""
     limits = limits if limits is not None else DEFAULT_LIMITS
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -226,6 +226,8 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     r, s = data["r"], data["s"]
     if not _is_int(r) or not _is_int(s):
         raise ParseError("r and s must be integers")
+    if not _is_int(group.get("order")):
+        raise ParseError("certificate group order must be an integer")
     checks = data["checks"]
     if checks != _PASSING_CHECKS or any(c["pass"] is not True for c in checks):
         raise ParseError("certificate 'checks' must be the five named checks, each passing")
@@ -251,7 +253,7 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         if ids and max(ids) >= G.order:
             raise ParseError(f"certificate element id {max(ids)} in {field!r} "
                              f"is not below the group order {G.order}")
-    if G.order != group.get("order"):
+    if G.order != group["order"]:
         return False
     try:
         H = Subgroup(G, data["H"])

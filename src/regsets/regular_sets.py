@@ -52,9 +52,10 @@ from .group_core import (
 class PairSpec:
     """The data of a decision instance: a chain ``H <= A <= G``.
 
-    The per-pair analysis is built on first use and kept in the cached
-    properties below, so it lives exactly as long as the pair: a group
-    keeps no pair's data after the pair is gone.  What depends on H alone
+    The per-pair analysis is built on first use and kept in the one cached
+    property ``_context``, so it lives exactly as long as the pair: a group
+    keeps no pair's data after the pair is gone.  The exact decision and
+    the normal-chain conditions both read it.  What depends on H alone
     (the double-coset units of :func:`_subgroup_units`) is cached with the
     group and shared by every pair over H.
     """
@@ -78,16 +79,6 @@ class PairSpec:
     def _context(self) -> _PairContext:
         """The A-cosets and the components of the decision."""
         return _PairContext(self)
-
-    @cached_property
-    def _chain(self) -> _ChainContext:
-        """The normal-chain data; raises PreconditionViolated, on every
-        access, unless H is normal in A and A is normal in G."""
-        if not is_normal(self.H, self.A):
-            raise PreconditionViolated("H is not normal in A")
-        if not is_normal(self.A, self.G.full_subgroup()):
-            raise PreconditionViolated("A is not normal in G")
-        return _ChainContext(self)
 
     def __repr__(self) -> str:
         return (
@@ -223,12 +214,14 @@ def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
 
 
 class _Component(NamedTuple):
-    """A set of A-coset blocks that no unit joins to any other block, with
-    the units touching them in sweep order.  Block counts are packed into
-    fields of ``width`` bits, one per block of the component in ascending
-    order; ``ones`` has a 1 in every field and ``closes[i]`` covers the
-    fields that no unit after ``units[i]`` touches."""
+    """A set of A-coset blocks, bit b of ``blocks`` for block b, that no
+    unit joins to any other block, with the units touching them in sweep
+    order.  Block counts are packed into fields of ``width`` bits, one per
+    block of the component in ascending order; ``ones`` has a 1 in every
+    field and ``closes[i]`` covers the fields that no unit after
+    ``units[i]`` touches."""
 
+    blocks: int
     units: tuple[_Unit, ...]
     vectors: tuple[int, ...]
     closes: tuple[int, ...]
@@ -247,7 +240,7 @@ def _component(blocks: int, units: list[_Unit], touched: list[list[int]],
     fmask = (1 << width) - 1
     if not blocks & (blocks - 1):  # one block: every unit touches it, in order
         closes = (0,) * (len(units) - 1) + (fmask,) if units else ()
-        return _Component(tuple(units), tuple(map(len, touched)), closes, 1, width)
+        return _Component(blocks, tuple(units), tuple(map(len, touched)), closes, 1, width)
     ids = _members_of(blocks)
     pending = [sum(1 << k for k, sup in enumerate(supports) if sup >> b & 1) for b in ids]
     order: list[int] = []
@@ -264,8 +257,8 @@ def _component(blocks: int, units: list[_Unit], touched: list[list[int]],
         still_open ^= closing
         closes.append(sum(fmask << shift[b] for b in _members_of(closing)))
     ones = sum(1 << s for s in shift.values())
-    return _Component(tuple(units[k] for k in order), vectors, tuple(closes[::-1]),
-                      ones, width)
+    return _Component(blocks, tuple(units[k] for k in order), vectors,
+                      tuple(closes[::-1]), ones, width)
 
 
 class _PairContext:
@@ -555,44 +548,42 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
 # -- normal-chain criteria and construction ---------------------------------
 
 
-class _ChainContext:
-    """Per-block data valid when H is normal in A and A is normal in G:
-    every double coset lies in a single A-coset block and all classes of a
-    block have the same H-coset count ``size[b]`` (1 in block 0, since H is
-    normal in A).  ``units[b]`` holds (k, unit) for each unit with k classes
-    in block b, in order of its least class there.  ``conditions[s]`` holds
-    the divisibility and self_paired outcomes and witnesses at s, which do
-    not depend on r."""
+def _chain_components(pair: PairSpec) -> list[tuple[int, int, _Component]]:
+    """(least block, class size, component) for each component of the
+    decision, in order of least block; raises PreconditionViolated, on
+    every call, unless H is normal in A and A is normal in G.
 
-    def __init__(self, pair: PairSpec):
-        aspace = left_cosets(pair.G, pair.A)
-        acos = aspace.coset_of
-        self.size = [1] * aspace.size
-        units: list[list[tuple[int, int, _Unit]]] = [[] for _ in range(aspace.size)]
-        for u in _subgroup_units(pair.G, pair.H):
-            blocks = [acos[x] for x in u.reps]  # guaranteed one block per class
-            for b in dict.fromkeys(blocks):
-                self.size[b] = len(u.cosets) // len(blocks)  # inverse classes: equal size
-                least = u.class_ids[blocks.index(b)]  # the ids ascend
-                units[b].append((least, blocks.count(b), u))
-        self.units = tuple(tuple((k, u) for _, k, u in sorted(us)) for us in units)
-        self.conditions = tuple(self._conditions_at(aspace.reps, s)
-                                for s in range(pair.code_index + 1))
+    In a normal chain HxH lies in the block xA and its inverse class in
+    x^-1 A (A is normal and contains H).  So a component is one block
+    tA = t^-1 A, or the two blocks tA != t^-1 A with one class of each unit
+    in each block.  All classes of a component have the same H-coset count
+    |HtH:H| (H is normal in A), which is 1 in block 0."""
+    if not is_normal(pair.H, pair.A):
+        raise PreconditionViolated("H is not normal in A")
+    if not is_normal(pair.A, pair.G.full_subgroup()):
+        raise PreconditionViolated("A is not normal in G")
+    return [((c.blocks & -c.blocks).bit_length() - 1,
+             len(c.units[0].cosets) // len(c.units[0].class_ids) if c.units else 1, c)
+            for c in pair._context.components]
 
-    def _conditions_at(self, reps: tuple[int, ...], s: int) -> tuple:
-        # a block with only two-class units holds no self-inverse class;
-        # a block tA != t^-1 A has only one-class units
-        div_ok, div_witness = True, None
-        self_ok, self_witness = True, None
-        for b in range(1, len(reps)):
-            size = self.size[b]
-            if s % size != 0:
-                if div_ok:
-                    div_ok, div_witness = False, reps[b]
-            elif (s // size) % 2 == 1 and all(k == 2 for k, _ in self.units[b]):
-                if self_ok:
-                    self_ok, self_witness = False, reps[b]
-        return div_ok, div_witness, self_ok, self_witness
+
+def _outside_witnesses(reps: tuple[int, ...], comps: list, s: int
+                       ) -> tuple[Optional[int], Optional[int]]:
+    """The divisibility and self_paired witnesses at s, None where the
+    condition holds: the representative of the least block of the first
+    failing component.  The two blocks of a two-block component have the
+    same class size, so they pass or fail together; x^2 lies outside A for
+    x in them, so self_paired can fail only on a one-block component."""
+    div_witness = self_witness = None
+    for least, size, comp in comps[1:]:
+        if s % size != 0:
+            if div_witness is None:
+                div_witness = reps[least]
+        elif (s // size) % 2 == 1 and comp.blocks == 1 << least and \
+                all(len(u.class_ids) == 2 for u in comp.units):
+            if self_witness is None:
+                self_witness = reps[least]
+    return div_witness, self_witness
 
 
 def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
@@ -604,22 +595,23 @@ def check_normal_chain(pair: PairSpec, r: int, s: int) -> ConditionReport:
     - self_paired: whenever x outside A has x^2 in A and s/|HxH:H| is odd,
       some class inside xA is its own inverse class.
 
-    Both element conditions are tested once per left A-coset tA, and this
-    is exact: each is constant on tA u t^-1 A.  For x in tA, the classes
-    HxH and Hx^-1H lie in xA = tA and x^-1 A = t^-1 A (A is normal and
-    contains H) and have the size |HtH:H| (H is normal in A), and x^2 lies
-    in A exactly when t^-1 A = tA.  The witness of a failure is the
-    representative of the first failing coset; representatives are the
-    minimal elements of their cosets, so it is also the least failing
-    element.
+    Both element conditions are read once per component of the decision
+    (:func:`_chain_components`), and this is exact: each is constant on
+    tA u t^-1 A.  For x in tA, the classes HxH and Hx^-1H lie in xA = tA
+    and x^-1 A = t^-1 A and have the size |HtH:H|, and x^2 lies in A
+    exactly when t^-1 A = tA.  The witness of a failure is the
+    representative of the least block of the first failing component,
+    which is the first failing coset; representatives are the minimal
+    elements of their cosets, so it is also the least failing element.
     """
-    chain = pair._chain  # a failing pair raises on every call
+    comps = _chain_components(pair)  # a failing pair raises on every call
     _validate_range(pair, r, s)
     parity_ok = r % gcd(2, pair.code_index - 1) == 0
-    div_ok, div_witness, self_ok, self_witness = chain.conditions[s]
+    div_witness, self_witness = _outside_witnesses(
+        left_cosets(pair.G, pair.A).reps, comps, s)
     return ConditionReport(
         ("parity", "divisibility", "self_paired"),
-        (parity_ok, div_ok, self_ok),
+        (parity_ok, div_witness is None, self_witness is None),
         (None, div_witness, self_witness),
     )
 
@@ -630,10 +622,12 @@ def normal_chain_verdicts(pair: PairSpec) -> tuple[tuple[bool, ...], tuple[bool,
     r in 0..|A:H|-1 and the conjunction of divisibility and self_paired for
     each s in 0..|A:H|.  The verdict at (r, s) is ``parity[r] and
     outside[s]``.  Raises PreconditionViolated as check_normal_chain does."""
-    conditions = pair._chain.conditions
+    comps = _chain_components(pair)
+    reps = left_cosets(pair.G, pair.A).reps
     step = gcd(2, pair.code_index - 1)
     return (tuple(r % step == 0 for r in range(pair.code_index)),
-            tuple(div_ok and self_ok for div_ok, _, self_ok, _ in conditions))
+            tuple(_outside_witnesses(reps, comps, s) == (None, None)
+                  for s in range(pair.code_index + 1)))
 
 
 def _select(units: list[tuple[int, _Unit]], quota: int) -> list[_Unit]:
@@ -653,23 +647,25 @@ def _select(units: list[tuple[int, _Unit]], quota: int) -> list[_Unit]:
 def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
     """Explicitly build a connection set realizing (r, s) for a normal chain.
 
-    Each block is filled, in block order, up to r (block 0) or s H-cosets,
-    that is r or s/|HtH:H| classes, with units not yet chosen
-    (:func:`_select`): inverse pairs inside the block, then self-inverse
-    classes, or for a block tA != t^-1 A its classes paired with their
-    inverses in t^-1 A, which then arrives full.
+    Each component is filled, in component order, through its least block:
+    up to r (component 0) or s H-cosets, that is r or s/|HtH:H| classes
+    (:func:`_select`), with units taken in order of their least class in
+    that block: inverse pairs inside the block, then self-inverse classes,
+    or for a block tA != t^-1 A its classes paired with their inverses in
+    t^-1 A, which then arrives full.
     """
     report = check_normal_chain(pair, r, s)
     if not report.verdict:
         raise PreconditionViolated(
             f"normal-chain conditions fail: {report!r}"
         )
-    chain = pair._chain
+    acos = left_cosets(pair.G, pair.A).coset_of
     chosen: list[_Unit] = []
-    for b, units in enumerate(chain.units):
-        quota = (r if b == 0 else s) // chain.size[b]
-        quota -= sum(k for k, u in units if u in chosen)
-        chosen += _select([(k, u) for k, u in units if u not in chosen], quota)
+    for least, size, comp in _chain_components(pair):
+        ordered = sorted(([c for c, x in zip(u.class_ids, u.reps) if acos[x] == least], u)
+                         for u in comp.units)  # no two units share a class
+        chosen += _select([(len(ids), u) for ids, u in ordered],
+                          (r if least == 0 else s) // size)
     return certify(pair, *_union(chosen), r, s)
 
 

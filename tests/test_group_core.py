@@ -517,6 +517,29 @@ def test_is_normal_s3_cases(s3):
     assert rs.is_normal(A3, full)
 
 
+def test_is_normal_is_its_definition_and_keeps_no_memo(small_corpus):
+    # H <| K exactly when every k in K maps H onto H, read here from the
+    # table; the test reads the normalizer, so a survey leaves no memo of
+    # its own in the group
+    for G in small_corpus:
+        subs = rs.all_subgroups(G)
+        for K in subs:
+            for H in subs:
+                if not H.is_subset_of(K):
+                    continue
+                conjugates = ({G.mult[G.mult[G.inv[k]][h]][k] for h in H.members}
+                              for k in K.members)
+                assert rs.is_normal(H, K) == all(c == set(H.members) for c in conjugates)
+        rs.survey(G)
+        names = [k if isinstance(k, str) else k[0] for k in G._cache]
+        assert not [name for name in names if name.startswith("is_normal")]
+    G, other = small_corpus[1], small_corpus[2]
+    with pytest.raises(ValueError, match="different groups"):
+        rs.is_normal(rs.trivial_subgroup(G), other.full_subgroup())
+    with pytest.raises(ValueError, match="not contained"):
+        rs.is_normal(G.full_subgroup(), rs.trivial_subgroup(G))
+
+
 def test_quotient_by_itself(s3):
     A3 = rs.generate_subgroup(s3, [find_elem(s3, (1, 2, 0))])
     q = rs.quotient(A3, A3)

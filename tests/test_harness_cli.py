@@ -320,6 +320,24 @@ def test_cli_verify_bool_r_or_s_is_an_error(tmp_path, capsys, field):
     assert captured.out == "" and "r and s must be integers" in captured.err
 
 
+@pytest.mark.parametrize("order", [8.0, "8", None, [8], True, "missing"])
+def test_cli_verify_non_int_group_order_is_an_error(tmp_path, capsys, order):
+    # these used to verify (8.0, exit 0) or report INVALID (exit 1); a
+    # wrong int order is still INVALID, see test_certificate_tamper
+    path = tmp_path / "cert.json"
+    assert main(["check", "preset:dihedral:4", "--H", "0,4", "--A", "0,4",
+                 "--r", "0", "--s", "1", "--emit", str(path)]) == 0
+    data = json.loads(path.read_text())
+    del data["group"]["order"]
+    if order != "missing":
+        data["group"]["order"] = order
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "group order must be an integer" in captured.err
+
+
 @pytest.mark.parametrize("s", [99, -5, 5])
 def test_cli_verify_s_out_of_range_with_a_whole_group_is_invalid(tmp_path, capsys, s):
     # with A = G no block outside A tests s, so these used to verify as valid

@@ -115,3 +115,13 @@ def test_the_library_runs_in_one_process():
     imported = _modules_imported()
     assert "json" in imported
     assert imported & {"concurrent", "multiprocessing", "threading"} == set()
+
+
+def test_pair_data_is_cached_in_one_property():
+    # the decision and the normal-chain conditions read one per-pair analysis
+    body = ast.parse((SRC / "regular_sets.py").read_text(encoding="utf-8")).body
+    pair = next(node for node in body
+                if isinstance(node, ast.ClassDef) and node.name == "PairSpec")
+    cached = [node.name for node in pair.body if isinstance(node, ast.FunctionDef)
+              and any(_names_used(d) == {"cached_property"} for d in node.decorator_list)]
+    assert cached == ["_context"]

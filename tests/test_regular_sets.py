@@ -335,9 +335,9 @@ def test_pair_analysis_is_freed_with_the_pair():
     rs.decide_regular_set(pair, 0, 1)
     rs.check_normal_chain(pair, 0, 1)
     rs.normalizer_reduction(pair, 0, 1)
-    refs = [weakref.ref(item) for item in (pair._context, pair._chain)]
+    ref = weakref.ref(pair._context)
     del pair
-    assert [ref() for ref in refs] == [None] * 2
+    assert ref() is None
 
 
 def test_components_match_the_union_find_oracle(corpus):
