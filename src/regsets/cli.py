@@ -1,6 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 = decided true / verified, 1 = decided false, 2 = error.
+Exit codes: 0 = decided true, certificate valid, or survey without
+anomalies; 1 = decided false (``check``, ``construct``, ``perfect-code``),
+certificate INVALID (``verify``), or a survey that reported an anomaly
+(``survey``); 2 = error.
 """
 
 from __future__ import annotations

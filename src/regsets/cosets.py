@@ -39,20 +39,20 @@ class CosetSpace:
 class DoubleCosetDecomp:
     """A set split into (H,H)-double cosets.
 
-    ``masks[i]`` is the bitmask of the class of ``reps[i]``, and
+    ``masks[i]`` is the bitmask of the class of ``reps[i]``, ``cosets[i]``
+    the least element of each left H-coset in that class, ascending, and
     ``inverse_pairing[i] = (i, j)`` locates the class of ``reps[i]^-1``;
     ``j`` is None when that class lies outside the decomposed set.
     """
 
     def __init__(self, subgroup: Subgroup, reps: tuple[int, ...],
-                 masks: tuple[int, ...],
-                 inverse_pairing: tuple[tuple[int, Optional[int]], ...],
-                 self_inverse_flags: tuple[bool, ...]):
+                 masks: tuple[int, ...], cosets: tuple[tuple[int, ...], ...],
+                 inverse_pairing: tuple[tuple[int, Optional[int]], ...]):
         self.subgroup = subgroup
         self.reps = reps
         self.masks = masks
+        self.cosets = cosets
         self.inverse_pairing = inverse_pairing
-        self.self_inverse_flags = self_inverse_flags
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -128,7 +128,7 @@ def double_coset(H: Subgroup, x: int) -> frozenset[int]:
 
 def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDecomp:
     """Partition ``S`` into (H,H)-double cosets, each the OR of the masks
-    of its left H-cosets.
+    of its left H-cosets, and list each class's coset minima.
 
     Raises :class:`NotDoubleCosetUnion` when some class straddles the
     boundary of ``S``, and ValueError for an id out of range.
@@ -153,16 +153,14 @@ def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDe
         reps.append(x)
         masks.append(d)
         rest &= ~d
+    minima: list[list[int]] = [[] for _ in reps]
+    for g, i in zip(space.reps, class_of):  # ascending coset minima
+        if i is not None:
+            minima[i].append(g)
     inv, coset_of = G.inv, space.coset_of
-    pairing: list[tuple[int, Optional[int]]] = []
-    flags: list[bool] = []
-    for i, r in enumerate(reps):
-        j = class_of[coset_of[inv[r]]]
-        pairing.append((i, j))
-        flags.append(j == i)
-    return DoubleCosetDecomp(
-        H, tuple(reps), tuple(masks), tuple(pairing), tuple(flags)
-    )
+    pairing = tuple((i, class_of[coset_of[inv[r]]]) for i, r in enumerate(reps))
+    return DoubleCosetDecomp(H, tuple(reps), tuple(masks), tuple(map(tuple, minima)),
+                             pairing)
 
 
 def left_coset_count(U: Iterable[int], H: Subgroup) -> int:

@@ -35,7 +35,6 @@ from .regular_sets import (
     certify,
     necessary_conjugate_intersection,
     normal_chain_verdicts,
-    normalizer_reduction,
     perfect_code_normalizer_criterion,
     perfect_code_odd_order_criterion,
     perfect_code_quotient_criterion,
@@ -357,13 +356,9 @@ def _survey_row(G: GroupTable, H: Subgroup, A: Subgroup, limits: Limits) -> dict
     code = 0 in R and 1 in S  # the search's verdict: A is a perfect code
     odd = A.order % 2 == 1 or (G.order // A.order) % 2 == 1
     # (agreement key, applies, criterion, anomaly): each applicable verdict
-    # must equal the search's.  The reduction applies to normal A; for other
-    # A the perfect-code decision is the search itself.  The necessary
-    # condition holds for every perfect code, so it is checked on codes.
+    # must equal the search's.  The necessary condition holds for every
+    # perfect code, so it is checked on codes.
     criteria = (
-        ("perfect_code", True,
-         lambda: normalizer_reduction(pair, 0, 1).verdict if a_norm else code,
-         "perfect-code decision disagrees with search at (0,1)"),
         ("normalizer_criterion", a_norm, lambda: perfect_code_normalizer_criterion(pair),
          "normalizer criterion disagrees with perfect-code"),
         ("quotient_criterion", chain, lambda: perfect_code_quotient_criterion(pair),

@@ -176,7 +176,7 @@ class _Unit(NamedTuple):
     class_ids: tuple[int, ...]
     reps: tuple[int, ...]
     mask: int  # the union of the classes, bit g for each member g
-    cosets: tuple[int, ...]  # one element of each left H-coset in the union
+    cosets: tuple[int, ...]  # each class's left H-coset minima, class by class
 
 
 def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
@@ -190,16 +190,6 @@ def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
         return units
     decomp = decompose_into_double_cosets(
         [g for g in range(G.order) if not (H.mask >> g) & 1], H)
-    hspace = left_cosets(G, H)
-    hmasks, hcos = hspace.masks, hspace.coset_of
-    class_cosets = []
-    for mask in decomp.masks:  # one H-coset at a time
-        cosets = []
-        while mask:
-            g = (mask & -mask).bit_length() - 1
-            cosets.append(g)
-            mask &= ~hmasks[hcos[g]]
-        class_cosets.append(tuple(cosets))
     units = []
     for (i, j) in decomp.inverse_pairing:
         assert j is not None  # complement of H is inverse closed
@@ -208,7 +198,7 @@ def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
             units.append(_Unit(
                 ids, tuple(decomp.reps[c] for c in ids),
                 sum(decomp.masks[c] for c in ids),  # disjoint classes
-                sum((class_cosets[c] for c in ids), ())))
+                sum((decomp.cosets[c] for c in ids), ())))
     units = G._cache[key] = tuple(units)
     return units
 

@@ -264,10 +264,10 @@ def test_criterion_7_arc_transitive(corpus):
             )
             uppers = [s for s in subs if H.is_subset_of(s)]
             norm = rs.normalizer(G, H)
-            for rep, mask, self_inv in zip(
-                decomp.reps, decomp.masks, decomp.self_inverse_flags
+            for (i, j), rep, mask in zip(
+                decomp.inverse_pairing, decomp.reps, decomp.masks
             ):
-                if not self_inv:
+                if i != j:
                     continue
                 conn = rs.validate_connection_set(H, mask)
                 graph = rs.build(G, H, conn)

@@ -18,6 +18,13 @@ import pytest
 import regsets as rs
 from regsets.cli import main
 
+# the survey reports as written, and as written while each row's agreements
+# also held a "perfect_code" key just before "normalizer_criterion"
+SURVEY_REPORT_DIGESTS = {
+    "symmetric:4": "2be2c2cf82a28899957e09187a0f1634ae0716bfd1f5e1f1e09ca630a7e1ba1d",
+    "sl23": "86ba82339609757c783e299e71ff9e6dcafa860fab361c70f86a3514b0dd6b33",
+    "dihedral:12": "ed17d2109743b4eff6a2f7d41d07725109fe27e96763f99e6a7b5896f650e6a7",
+}
 SURVEY_DIGESTS = {
     "symmetric:4": "842a79d0266ef263691d4b38942440ca891800d1f3848c6b5d9e526c0eb2038f",
     "sl23": "728d279de745f32a0a6530e621ab437e1e964460c72908b0809bb0421b88df1f",
@@ -182,11 +189,29 @@ def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _with_perfect_code_column(row: dict) -> dict:
+    """A survey row as it read with its "perfect_code" column: that column
+    repeated "normalizer_criterion" for normal A and read "ok" otherwise."""
+    agreements = {}
+    for key, value in row["agreements"].items():
+        if key == "normalizer_criterion":
+            agreements["perfect_code"] = value if row["A_normal_in_G"] else "ok"
+        agreements[key] = value
+    return dict(row, agreements=agreements)
+
+
 @pytest.mark.parametrize("group", sorted(SURVEY_DIGESTS))
 def test_survey_report_bytes_are_pinned(tmp_path, capsys, group):
     out = tmp_path / "survey.json"
     assert main(["survey", f"preset:{group}", "--out", str(out)]) == 0
-    assert _digest(out) == SURVEY_DIGESTS[group]
+    assert _digest(out) == SURVEY_REPORT_DIGESTS[group]
+    # with the perfect_code column put back, the report is byte for byte
+    # the one pinned before that column was dropped
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert all(row["anomalies"] == [] for row in report["rows"])
+    report["rows"] = [_with_perfect_code_column(row) for row in report["rows"]]
+    text = json.dumps(report, indent=2) + "\n"
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == SURVEY_DIGESTS[group]
 
 
 @pytest.mark.parametrize("argv,digest", CHECK_DIGESTS, ids=["S4", "SL23"])

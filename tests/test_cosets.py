@@ -125,7 +125,7 @@ def test_double_coset_size_formula(small_corpus):
 def test_decompose_single_subgroup_class(s3):
     H = transposition_subgroup(s3)
     d = rs.decompose_into_double_cosets(H.members, H)
-    assert len(d) == 1 and d.self_inverse_flags == (True,)
+    assert len(d) == 1 and d.inverse_pairing == ((0, 0),)
 
 
 def test_decompose_whole_group(small_corpus):
@@ -143,7 +143,20 @@ def test_decompose_whole_group(small_corpus):
             for (i, j), c in zip(d.inverse_pairing, classes):
                 assert classes[j] == frozenset(G.inv[x] for x in c)
                 assert pairing[j] == i
-                assert d.self_inverse_flags[i] == (j == i)
+
+
+def test_decompose_lists_each_class_coset_minima(small_corpus):
+    # cosets[i] is the least element of each left H-coset inside class i,
+    # ascending, for the whole group and for G minus H
+    for G in small_corpus:
+        for H in rs.all_subgroups(G):
+            cosets = oracles.left_coset_sets(G, set(H.members))
+            for S in (range(G.order), [g for g in range(G.order) if g not in H]):
+                d = rs.decompose_into_double_cosets(S, H)
+                assert len(d.cosets) == len(d)
+                for mask, minima in zip(d.masks, d.cosets):
+                    assert minima == tuple(sorted(
+                        min(c) for c in cosets if all(mask >> g & 1 for g in c)))
 
 
 def test_decompose_partner_outside_is_flagged():

@@ -360,6 +360,23 @@ def test_components_match_the_union_find_oracle(corpus):
     assert multi and reordered
 
 
+def test_units_list_each_class_coset_minima(small_corpus):
+    # a unit's cosets are the least elements of the left H-cosets in its
+    # mask, class by class in class-id order and ascending inside a class
+    paired = 0
+    for G in small_corpus:
+        for H in rs.all_subgroups(G):
+            hset = set(H.members)
+            cosets = oracles.left_coset_sets(G, hset)
+            for u in regular_sets._subgroup_units(G, H):
+                classes = [oracles.double_coset_set(G, hset, rep) for rep in u.reps]
+                assert u.mask == sum(1 << g for c in classes for g in c)
+                assert u.cosets == tuple(m for c in classes
+                                         for m in sorted(min(k) for k in cosets if k <= c))
+                paired += len(classes) == 2
+    assert paired
+
+
 def test_survey_builds_each_subgroups_units_once(monkeypatch):
     # the double-coset units of H are cached with the group: a survey
     # builds them once per (group, H), however many A lie over H; deciding
