@@ -32,7 +32,9 @@ Perm = tuple[int, ...]
 
 def _compose(p: Perm, q: Perm) -> Perm:
     """Permutation product p*q: apply p first, then q."""
-    return tuple(q[i] for i in p)
+    if len(p) == 1:  # itemgetter of one index returns the entry, not a tuple
+        return (q[p[0]],)
+    return itemgetter(*p)(q)
 
 
 def _mask_of(members: Iterable[int]) -> int:
@@ -66,6 +68,63 @@ def _generated(G: "GroupTable", gens: Sequence[int]) -> int:
                 mask |= 1 << y
                 stack.append(y)
     return mask
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
+
+
+def _coset_mask(G: "GroupTable", x: int, members: Sequence[int]) -> int:
+    """The mask of the left coset ``xK`` of the subgroup K with ``members``."""
+    return sum(map((1).__lshift__, map(G.mult[x].__getitem__, members)))
+
+
+def _prime_step(G: "GroupTable", mask: int, gens: Sequence[int], x: int) -> int:
+    """The prime p when ``x`` normalizes K = <gens>, the subgroup with bits
+    ``mask``, and x^p is the least power of x in K; 0 otherwise.  Testing
+    the generators suffices: conjugation by x maps K onto <gens^x>, a
+    subgroup of the same order, so gens^x in K gives K^x = K."""
+    mult = G.mult
+    inverse = mult[G.inv[x]]
+    for g in gens:
+        if not (mask >> mult[inverse[g]][x]) & 1:
+            return 0
+    y, p = x, 1
+    while not (mask >> y) & 1:
+        y = mult[y][x]
+        p += 1
+    return p if _is_prime(p) else 0
+
+
+def _coset_join(G: "GroupTable", mask: int, members: Sequence[int], x: int, p: int) -> int:
+    """The mask of <K, x> for K with ``mask`` and ``members`` and a nonzero
+    ``p = _prime_step(G, mask, gens, x)``.  Then x normalizes K and xK has
+    order p in N_G(K)/K, so <K, x> is the union of the p distinct cosets
+    K, xK, ..., x^(p-1)K: |K|(p-1) lookups and no closure."""
+    mult = G.mult
+    y = x
+    for _ in range(p - 1):
+        mask += _coset_mask(G, y, members)  # disjoint from mask so far
+        y = mult[y][x]
+    return mask
+
+
+def _solvable(G: "GroupTable") -> bool:
+    """True iff the derived series of ``G`` reaches 1.  The derived
+    subgroup of D = <gens> is generated by the commutators [a, g] =
+    a^-1 a^g of the a in D with the g in gens: [ab, g] = [a, g]^b [b, g]
+    makes the subgroup they generate normal in D, and modulo it every
+    generator is central, so the quotient is abelian."""
+    mult = G.mult
+    mask, gens = (1 << G.order) - 1, G.generators
+    while mask != 1:
+        commutators = tuple({mult[G.inv[a]][G.conjugate(a, g)]
+                             for a in _members_of(mask) for g in gens})
+        derived = _generated(G, commutators)
+        if derived == mask:
+            return False
+        mask, gens = derived, commutators
+    return True
 
 
 def _byte_rows(rows: Sequence[Sequence[int]]) -> Optional[tuple[bytes, ...]]:
@@ -585,46 +644,53 @@ def sylow_subgroup(A: Subgroup, p: int) -> Subgroup:
     P grows from 1 by adjoining the least ``y`` of N_A(P) outside P with
     ``y^p`` in P, so each step multiplies |P| by p.  While P is not Sylow, p
     divides |N_A(P) : P|, and Cauchy's theorem in N_A(P)/P gives such a
-    ``y``.  The choice of ``y`` makes the result deterministic.
+    ``y``.  The choice of ``y`` makes the result deterministic.  Such a
+    ``y`` is one whose :func:`_prime_step` over P is p, and <P, y> is the
+    :func:`_coset_join` of P and ``y``.
     """
     if p >= 2 and A.order % p != 0:
         raise PNotDividing(f"{p} does not divide {A.order}")
-    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):  # p <= |A| here
+    if not _is_prime(p):  # p <= |A| here
         raise PNotDividing(f"{p} is not a prime")
     G = A.parent
-    mult = G.mult
     target = 1
     rest = A.order
     while rest % p == 0:
         target *= p
         rest //= p
-    P = trivial_subgroup(G)
+    mask = 1
+    members: tuple[int, ...] = (0,)
     gens: list[int] = []
-    while P.order < target:
-        pm = P.mask
+    while len(members) < target:
         for y in A.members:
-            if (pm >> y) & 1:
-                continue
-            z = y
-            for _ in range(p - 1):
-                z = mult[z][y]
-            if (pm >> z) & 1 and _conjugate_mask(G, P, y) == pm:
+            if not (mask >> y) & 1 and _prime_step(G, mask, gens, y) == p:
                 break
         else:  # Cauchy guarantees a y while P is not Sylow
             raise ConstructionFailed("no y of N_A(P) outside P with y^p in P")
         gens.append(y)
-        P = generate_subgroup(G, gens)
-    return P
+        mask = _coset_join(G, mask, members, y, p)
+        members = _members_of(mask)
+    return Subgroup(G, members)
 
 
 def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgroup]:
     """Every subgroup of ``G``, sorted by (order, member list).
 
-    Cyclic extension: every subgroup is generated by cyclic subgroups, so
-    starting from the distinct cyclic subgroups and extending each subgroup
-    found in the last layer by each cyclic subgroup not inside it reaches
-    them all.  The closure runs on masks, and one :class:`Subgroup` is built
-    per distinct mask at the end.
+    Cyclic extension by normalizing elements (Neubüser 1960): a layered
+    search from the trivial subgroup.  Each subgroup K of the last layer
+    is joined with one element x of each left coset xK outside K; every
+    element of xK gives the same join <K, x>.  When x normalizes K and
+    its least power in K is x^p with p prime, the join is p cosets of K
+    (:func:`_coset_join`).  Otherwise, and only when G is not solvable,
+    it is the closure of K's generators and x.
+
+    This reaches every subgroup.  In a solvable group every U != 1 has a
+    normal subgroup K of prime index p, and each x in U outside K
+    normalizes K with x^p its least power in K, so by induction on |U|
+    the coset joins alone reach U.  In any other group each <K, x> is
+    joined one way or the other, so every subgroup is reached along a
+    chain 1 < <x1> < <x1, x2> < ... .  One :class:`Subgroup` is built per
+    distinct mask at the end.
     """
     limits = limits if limits is not None else DEFAULT_LIMITS
     if G.order > limits.enumeration_cap:
@@ -634,23 +700,33 @@ def all_subgroups(G: GroupTable, limits: Optional[Limits] = None) -> list[Subgro
     cached = G._cache.get("all_subgroups")
     if cached is not None:
         return list(cached)
-    cyclic: dict[int, int] = {}  # mask -> least generator
-    for x in range(G.order):
-        cyclic.setdefault(_generated(G, (x,)), x)
-    found = {m: (x,) for m, x in cyclic.items()}  # mask -> generators
-    layer = list(found)
+    closures = not _solvable(G)
+    found: dict[int, tuple[int, ...]] = {1: ()}  # mask -> generators
+    listed: dict[int, tuple[int, ...]] = {}  # mask -> members
+    layer = [1]
     while layer:
         extended = []
         for m in layer:
             gens = found[m]
-            for c, x in cyclic.items():
-                if c & ~m:
+            members = listed[m] = _members_of(m)
+            done = m  # K and the cosets of K already joined
+            for x in range(G.order):
+                if (done >> x) & 1:
+                    continue
+                p = _prime_step(G, m, gens, x)
+                if p:
+                    j = _coset_join(G, m, members, x, p)
+                    done |= j
+                else:
+                    done |= _coset_mask(G, x, members)
+                    if not closures:
+                        continue
                     j = _generated(G, gens + (x,))
-                    if j not in found:
-                        found[j] = gens + (x,)
-                        extended.append(j)
+                if j not in found:
+                    found[j] = gens + (x,)
+                    extended.append(j)
         layer = extended
-    ordered = sorted(map(_members_of, found), key=lambda mem: (len(mem), mem))
+    ordered = sorted(listed.values(), key=lambda mem: (len(mem), mem))
     result = [Subgroup(G, mem) for mem in ordered]
     G._cache["all_subgroups"] = result
     return list(result)

@@ -164,6 +164,27 @@ def join_closure_subgroups(G):
     return sorted((tuple(sorted(s)) for s in found), key=lambda m: (len(m), m))
 
 
+def sylow_by_closure(G, amembers, p):
+    """The Sylow p-subgroup of the subgroup with ``amembers`` that
+    ``sylow_subgroup`` picks, as a member tuple: from 1, adjoin the least y
+    of A outside P with y^p in P and P^y = P, closing P each time."""
+    target = 1
+    while len(amembers) % (target * p) == 0:
+        target *= p
+    P = frozenset({0})
+    gens = []
+    while len(P) < target:
+        for y in sorted(amembers):
+            z = 0
+            for _ in range(p):
+                z = G.mult[z][y]
+            if y not in P and z in P and conjugate_set(G, P, y) == P:
+                break
+        gens.append(y)
+        P = subgroup_closure(G, gens)
+    return tuple(sorted(P))
+
+
 def left_coset_sets(G, hset):
     hs = sorted(hset)
     seen = set()

@@ -624,8 +624,9 @@ def test_sylow_rejects_a_p_that_is_not_prime():
 
 def test_sylow_order_is_p_part(corpus):
     # S5 and A5 are there because in them the least y outside P with y^2 in
-    # P does not always normalize P, and adjoining it would leave the 2-groups
-    cases = [(G, rs.all_subgroups(G)) for G in corpus if G.order <= 16]
+    # P does not always normalize P, and adjoining it would leave the 2-groups;
+    # the coset join picks the same subgroup as closing P and y each step
+    cases = [(G, rs.all_subgroups(G)) for G in corpus]
     cases += [(G, rs.all_subgroups(G)) for G in (
         rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
         rs.direct_product(rs.sl23(), rs.cyclic(2)))]
@@ -642,6 +643,7 @@ def test_sylow_order_is_p_part(corpus):
                     part *= p
                     rest //= p
                 assert P.order == part
+                assert P.members == oracles.sylow_by_closure(G, A.members, p)
                 assert P.is_subset_of(A)
                 assert all(G.element_order(x) % p == 0 for x in P.members[1:])
 
@@ -671,12 +673,47 @@ def test_all_subgroups_matches_naive_filter(small_corpus):
 
 def test_all_subgroups_matches_join_closure_oracle(corpus):
     # the cyclic extension against the pairwise join closure, order and all
-    groups = [G for G in corpus if G.order <= 16]
-    groups += [rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
-               rs.direct_product(rs.sl23(), rs.cyclic(2))]
+    groups = corpus + [rs.direct_product(rs.symmetric(4), rs.cyclic(2)),
+                       rs.direct_product(rs.sl23(), rs.cyclic(2))]
     for G in groups:
         got = [s.members for s in rs.all_subgroups(G)]
         assert got == oracles.join_closure_subgroups(G), G.label
+
+
+def test_all_subgroups_of_groups_that_are_not_solvable():
+    # the closure joins: the subgroup counts of A5, S5 and PSL(2,7) are
+    # 59, 156 and 179
+    limits = Limits(enumeration_cap=168)
+    a5 = rs.alternating(5)
+    got = [s.members for s in rs.all_subgroups(a5, limits=limits)]
+    assert len(got) == 59
+    assert got == oracles.join_closure_subgroups(a5)
+    assert len(rs.all_subgroups(rs.symmetric(5), limits=limits)) == 156
+    psl27 = rs.from_generators(7, [[1, 2, 3, 4, 5, 6, 0], [1, 0, 5, 3, 4, 2, 6]])
+    assert psl27.order == 168
+    assert len(rs.all_subgroups(psl27, limits=limits)) == 179
+
+
+def test_all_subgroups_work_is_pinned(monkeypatch):
+    # in a solvable group the coset joins reach every subgroup, so the only
+    # closures are the derived series of S4xC2: G' = A4, A4' = V4, V4' = 1;
+    # A5 is perfect: one closure for its derived series, 860 for the joins
+    # that are not coset joins
+    closures = []
+    real = group_core._generated
+
+    def counting(G, gens):
+        closures.append(gens)
+        return real(G, gens)
+
+    s4c2 = rs.direct_product(rs.symmetric(4), rs.cyclic(2))
+    a5 = rs.alternating(5)
+    monkeypatch.setattr(group_core, "_generated", counting)
+    assert len(rs.all_subgroups(s4c2)) == 98
+    assert len(closures) == 3
+    closures.clear()
+    assert len(rs.all_subgroups(a5, limits=Limits(enumeration_cap=60))) == 59
+    assert len(closures) == 861
 
 
 @settings(max_examples=15, deadline=None)
