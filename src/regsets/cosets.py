@@ -137,30 +137,47 @@ def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDe
     G = H.parent
     smask = mask_of(G, S)
     space = left_cosets(G, H)
-    class_of: list[Optional[int]] = [None] * space.size  # per left H-coset
+    at = space.coset_of.__getitem__
+    rows = tuple(map(G.mult.__getitem__, H.members[1:]))  # members[0] is the identity
+    # per left H-coset: its class, or -1 when the least coset of its class misses S
+    class_of: list[Optional[int]] = [None] * space.size
     reps: list[int] = []
     masks: list[int] = []
-    rest = smask
-    while rest:
-        x = (rest & -rest).bit_length() - 1
-        cosets, d = _double_coset(space, x)
-        if d & ~smask:
-            raise NotDoubleCosetUnion(
-                f"double coset of {x} leaves the given set"
-            )
-        for c in cosets:
-            class_of[c] = len(reps)
-        reps.append(x)
-        masks.append(d)
-        rest &= ~d
-    minima: list[list[int]] = [[] for _ in reps]
-    for g, i in zip(space.reps, class_of):  # ascending coset minima
-        if i is not None:
-            minima[i].append(g)
-    inv, coset_of = G.inv, space.coset_of
-    pairing = tuple((i, class_of[coset_of[inv[r]]]) for i, r in enumerate(reps))
+    minima: list[list[int]] = []
+    # cosets ascend by their minima, so a class is first met at its least
+    # coset xH, which marks the rest of HxH: the cosets hxH
+    for c, m, x in zip(range(space.size), space.masks, space.reps):
+        k = class_of[c]
+        if k is None:
+            if m & smask:
+                k = len(reps)
+                reps.append(x)
+                masks.append(m)
+                minima.append([x])
+            else:
+                k = -1
+            class_of[c] = k
+            for row in rows:
+                class_of[at(row[x])] = k
+        elif k >= 0:
+            masks[k] |= m
+            minima[k].append(x)
+    if sum(masks) != smask:  # some class meets S without lying inside it
+        _straddle(space, smask, class_of, masks)
+    pairing = tuple((i, j if j >= 0 else None) for i, j in enumerate(
+        map(class_of.__getitem__, map(at, map(G.inv.__getitem__, reps)))))
     return DoubleCosetDecomp(H, tuple(reps), tuple(masks), tuple(map(tuple, minima)),
                              pairing)
+
+
+def _straddle(space: CosetSpace, smask: int, class_of: list[int], masks: list[int]) -> None:
+    """Raise for the least x in S whose double coset leaves S, given the
+    class of each left coset (-1 for a class whose least coset misses S)
+    and the masks of the other classes."""
+    x = min(((m & smask) & -(m & smask)).bit_length() - 1
+            for m, k in zip(space.masks, class_of)
+            if m & smask and (k < 0 or masks[k] & ~smask))
+    raise NotDoubleCosetUnion(f"double coset of {x} leaves the given set")
 
 
 def left_coset_count(U: Iterable[int], H: Subgroup) -> int:

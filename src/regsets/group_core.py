@@ -573,7 +573,18 @@ def normalizer(G: GroupTable, H: Subgroup) -> Subgroup:
     cached = G._cache.get(("normalizer", H.mask))
     if cached is not None:
         return cached
-    members = [g for g in range(G.order) if _conjugate_mask(G, H, g) == H.mask]
+    # H^(gh) = (H^g)^h, so N_G(H) is a union of left H-cosets: test the
+    # least element of each, found by an ascending scan
+    mult, hm = G.mult, H.members
+    members: list[int] = []
+    seen = 0
+    for g in range(G.order):
+        if seen >> g & 1:
+            continue
+        coset = tuple(map(mult[g].__getitem__, hm))
+        seen |= _mask_of(coset)
+        if _conjugate_mask(G, H, g) == H.mask:
+            members += coset
     result = Subgroup(G, members)
     G._cache[("normalizer", H.mask)] = result
     return result

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -188,17 +189,16 @@ def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
     units = G._cache.get(key)
     if units is not None:
         return units
-    decomp = decompose_into_double_cosets(
-        [g for g in range(G.order) if not (H.mask >> g) & 1], H)
+    decomp = decompose_into_double_cosets(frozenset(range(G.order)).difference(H.members), H)
+    reps, masks, cosets = decomp.reps, decomp.masks, decomp.cosets
     units = []
     for (i, j) in decomp.inverse_pairing:
         assert j is not None  # complement of H is inverse closed
-        if i <= j:
-            ids = (i,) if i == j else (i, j)
-            units.append(_Unit(
-                ids, tuple(decomp.reps[c] for c in ids),
-                sum(decomp.masks[c] for c in ids),  # disjoint classes
-                sum((decomp.cosets[c] for c in ids), ())))
+        if i == j:
+            units.append(_Unit((i,), (reps[i],), masks[i], cosets[i]))
+        elif i < j:
+            units.append(_Unit((i, j), (reps[i], reps[j]), masks[i] | masks[j],
+                               cosets[i] + cosets[j]))
     units = G._cache[key] = tuple(units)
     return units
 
@@ -219,36 +219,50 @@ class _Component(NamedTuple):
     width: int
 
 
-def _component(blocks: int, units: list[_Unit], touched: list[list[int]],
-               supports: list[int], index: int) -> _Component:
-    """Pack one component, given the mask of its blocks and, per unit, the
-    block of each of its H-cosets and the mask of those blocks.  Units are
-    ordered so that blocks close early: repeatedly take the open block
-    touched by the fewest remaining units and sweep all of them."""
+def _component(blocks: list[int], units: list[_Unit], touched: list[tuple[int, ...]],
+               index: int) -> _Component:
+    """Pack one component, given its blocks in ascending order and, per
+    unit, the block of each of its H-cosets.  Units are ordered so that
+    blocks close early: repeatedly take the open block touched by the
+    fewest remaining units, the least such block on a tie, and sweep all of
+    them in the order given."""
     # a field holds at most 2*index (a state plus one unit), below its top bit
     width = index.bit_length() + 2
     fmask = (1 << width) - 1
-    if not blocks & (blocks - 1):  # one block: every unit touches it, in order
+    if len(blocks) == 1:  # every unit touches the one block, in order
         closes = (0,) * (len(units) - 1) + (fmask,) if units else ()
-        return _Component(blocks, tuple(units), tuple(map(len, touched)), closes, 1, width)
-    ids = _members_of(blocks)
-    pending = [sum(1 << k for k, sup in enumerate(supports) if sup >> b & 1) for b in ids]
+        return _Component(1 << blocks[0], tuple(units), tuple(map(len, touched)), closes, 1,
+                          width)
+    one = (1).__lshift__
+    field = dict(zip(blocks, map(one, range(0, width * len(blocks), width))))
+    ones = sum(field.values())
+    vectors = [sum(map(field.__getitem__, t)) for t in touched]
+    # a unit puts at most index < 2**(width - 2) cosets in a block, so adding
+    # 2**(width - 1) - 1 to its field sets the field's top bit exactly when
+    # the unit touches the block: the supports have a 1 in each such field
+    top = width - 1
+    bump = ones * ((1 << top) - 1)
+    supports = [(v + bump) >> top & ones for v in vectors]
+    pending = dict.fromkeys(blocks, 0)  # per block, the units touching it
+    bit = 1
+    for t in touched:
+        for b in t:
+            pending[b] |= bit
+        bit <<= 1
+    pending = list(pending.values())
     order: list[int] = []
-    while len(order) < len(units):
-        taken = min((p for p in pending if p), key=int.bit_count)
+    while pending:  # blocks that some unit not yet swept touches, ascending
+        taken = min(pending, key=int.bit_count)
         order += _members_of(taken)
-        pending = [p & ~taken for p in pending]
-    shift = {b: width * i for i, b in enumerate(ids)}
-    vectors = tuple(sum(1 << shift[b] for b in touched[k]) for k in order)
+        pending = [q for p in pending if (q := p & ~taken)]
     closes = []
-    still_open = blocks
+    still_open = ones
     for k in reversed(order):  # a block closes at the last unit touching it
         closing = supports[k] & still_open
         still_open ^= closing
-        closes.append(sum(fmask << shift[b] for b in _members_of(closing)))
-    ones = sum(1 << s for s in shift.values())
-    return _Component(blocks, tuple(units[k] for k in order), vectors,
-                      tuple(closes[::-1]), ones, width)
+        closes.append(closing * fmask)  # fill each closing field
+    return _Component(sum(map(one, blocks)), tuple(map(units.__getitem__, order)),
+                      tuple(map(vectors.__getitem__, order)), tuple(closes[::-1]), ones, width)
 
 
 class _PairContext:
@@ -256,41 +270,45 @@ class _PairContext:
     (the blocks) and the units of H split into components.
     ``components[0]`` is block 0 (A itself) with the units inside A; the
     others are the classes of blocks 1.. under "some unit touches both",
-    in order of their least block."""
+    found by a union-find over the blocks whose root is the least block of
+    each class, in order of their least block."""
 
     def __init__(self, pair: PairSpec):
         hunits = _subgroup_units(pair.G, pair.H)
         aspace = left_cosets(pair.G, pair.A)
-        acos = aspace.coset_of
-        touched = [[acos[g] for g in u.cosets] for u in hunits]
-        supports = []
-        comps = [1]  # masks of the components found so far
+        block = aspace.coset_of.__getitem__
+        touched = [tuple(map(block, u.cosets)) for u in hunits]
+        parent = list(range(aspace.size))  # parent[b] <= b; roots are least blocks
         for blocks in touched:
-            sup = 0
+            r = blocks[0]
+            while parent[r] != r:
+                r = parent[r]
             for b in blocks:
-                sup |= 1 << b
-            supports.append(sup)
-            joined = sup
-            for m in comps:
-                if m & sup:
-                    joined |= m
-            comps = [m for m in comps if not m & sup] + [joined]
-        comps.sort(key=lambda m: m & -m)
+                while parent[b] != b:
+                    b = parent[b]
+                if b < r:
+                    parent[r] = r = b
+                elif b > r:
+                    parent[b] = r
+        comp_of = []  # per block; a parent is a smaller block, so already placed
+        comps: list[list[int]] = []
+        for b, p in enumerate(parent):
+            if p == b:
+                comp_of.append(len(comps))
+                comps.append([b])
+            else:
+                comp_of.append(comp_of[p])
+                comps[comp_of[p]].append(b)
         # x outside A puts HxH and Hx^-1H outside A, so block 0 stays alone
-        assert comps[0] == 1
-        where = [0] * aspace.size
-        for c, m in enumerate(comps):
-            for b in _members_of(m):
-                where[b] = c
-        members: list[list[int]] = [[] for _ in comps]
-        for k, sup in enumerate(supports):
-            members[where[(sup & -sup).bit_length() - 1]].append(k)
-        index = pair.code_index
-        self.components = tuple(
-            _component(m, [hunits[k] for k in ks], [touched[k] for k in ks],
-                       [supports[k] for k in ks], index)
-            for m, ks in zip(comps, members)
-        )
+        assert comps[0] == [0]
+        units: list[list[_Unit]] = [[] for _ in comps]
+        touched_of: list[list[tuple[int, ...]]] = [[] for _ in comps]
+        for u, blocks in zip(hunits, touched):
+            c = comp_of[blocks[0]]
+            units[c].append(u)
+            touched_of[c].append(blocks)
+        self.components = tuple(map(_component, comps, units, touched_of,
+                                    repeat(pair.code_index)))
 
 
 def _validate_range(pair: PairSpec, r: int, s: int) -> None:

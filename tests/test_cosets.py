@@ -178,6 +178,10 @@ def test_decompose_straddling_set_rejected(s3):
     x = three_cycle(s3)
     with pytest.raises(NotDoubleCosetUnion):
         rs.decompose_into_double_cosets([x], H)
+    # S = [4] holds the larger element of the coset {2, 4}, whose minimum is outside S
+    assert rs.left_cosets(s3, H).masks[1] == 1 << 2 | 1 << 4
+    with pytest.raises(NotDoubleCosetUnion, match="double coset of 4 leaves the given set"):
+        rs.decompose_into_double_cosets([4], H)
 
 
 # -- coset counting --------------------------------------------------------------------

@@ -457,6 +457,25 @@ def test_normalizer_contains_and_normalizes(small_corpus):
             assert rs.is_normal(H, N)
 
 
+def test_normalizer_work_is_pinned(monkeypatch):
+    # H^(gh) = (H^g)^h, so a cold normalizer conjugates H by one element
+    # of each left H-coset: |G:H| conjugations, and the same N_G(H)
+    conjugations = []
+    real = group_core._conjugate_mask
+
+    def counting(*args):
+        conjugations.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(group_core, "_conjugate_mask", counting)
+    G = rs.group_from_arg("preset:product:symmetric:4,cyclic:2")
+    for H in rs.all_subgroups(G):
+        conjugations.clear()
+        N = rs.normalizer(G, H)
+        assert len(conjugations) == G.order // H.order
+        assert frozenset(N.members) == oracles.normalizer_set(G, frozenset(H.members))
+
+
 # -- set products --------------------------------------------------------------
 
 

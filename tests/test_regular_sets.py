@@ -377,6 +377,17 @@ def test_units_list_each_class_coset_minima(small_corpus):
     assert paired
 
 
+ORDER_48_PRESETS = ("preset:product:symmetric:4,cyclic:2", "preset:product:sl23,cyclic:2")
+
+
+def test_unit_and_component_oracles_hold_on_the_order_48_presets():
+    # the two oracle tests above, on the groups that set the median of a
+    # single check: 1,074 pairs H <= A
+    groups = [rs.group_from_arg(spec) for spec in ORDER_48_PRESETS]
+    test_components_match_the_union_find_oracle(groups)
+    test_units_list_each_class_coset_minima(groups)
+
+
 def test_survey_builds_each_subgroups_units_once(monkeypatch):
     # the double-coset units of H are cached with the group: a survey
     # builds them once per (group, H), however many A lie over H; deciding
