@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .errors import NotDoubleCosetUnion, NotLeftCosetUnion
+from .errors import NotLeftCosetUnion
 from .group_core import GroupTable, Subgroup, _mask_of, _members_of
 
 
@@ -37,22 +37,25 @@ class CosetSpace:
 
 
 class DoubleCosetDecomp:
-    """A set split into (H,H)-double cosets.
+    """The whole group split into (H,H)-double cosets, class 0 being H.
 
-    ``masks[i]`` is the bitmask of the class of ``reps[i]``, ``cosets[i]``
-    the least element of each left H-coset in that class, ascending, and
-    ``inverse_pairing[i] = (i, j)`` locates the class of ``reps[i]^-1``;
-    ``j`` is None when that class lies outside the decomposed set.
+    Classes are numbered by their least elements, ascending: ``reps[i]``
+    is the least element of class ``i``, ``masks[i]`` its bitmask,
+    ``cosets[i]`` the least element of each left H-coset in it, ascending,
+    and ``inverse[i]`` the class of ``reps[i]^-1``, an involution on the
+    class ids.  ``class_of[c]`` is the class of left coset ``c`` of
+    :func:`left_cosets`.
     """
 
     def __init__(self, subgroup: Subgroup, reps: tuple[int, ...],
                  masks: tuple[int, ...], cosets: tuple[tuple[int, ...], ...],
-                 inverse_pairing: tuple[tuple[int, Optional[int]], ...]):
+                 inverse: tuple[int, ...], class_of: tuple[int, ...]):
         self.subgroup = subgroup
         self.reps = reps
         self.masks = masks
         self.cosets = cosets
-        self.inverse_pairing = inverse_pairing
+        self.inverse = inverse
+        self.class_of = class_of
 
     def __len__(self) -> int:
         return len(self.reps)
@@ -104,20 +107,11 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
     return space
 
 
-def _double_coset(space: CosetSpace, x: int) -> tuple[set[int], int]:
-    """``HxH`` for the subgroup H of ``space``: the left cosets hxH (h in H)
-    that make it up, and the OR of their masks."""
-    mult, coset_of, masks = space.group.mult, space.coset_of, space.masks
-    cosets = {coset_of[mult[h][x]] for h in space.subgroup.members}
-    mask = 0
-    for c in cosets:
-        mask |= masks[c]
-    return cosets, mask
-
-
 def double_coset_mask(H: Subgroup, x: int) -> int:
-    """The bitmask of the double coset ``HxH``."""
-    return _double_coset(left_cosets(H.parent, H), x)[1]
+    """The bitmask of the double coset ``HxH``, read from the split of
+    :func:`decompose_into_double_cosets`."""
+    split = decompose_into_double_cosets(H)
+    return split.masks[split.class_of[left_cosets(H.parent, H).coset_of[x]]]
 
 
 def double_coset(H: Subgroup, x: int) -> frozenset[int]:
@@ -126,21 +120,19 @@ def double_coset(H: Subgroup, x: int) -> frozenset[int]:
     return frozenset(_members_of(double_coset_mask(H, x)))
 
 
-def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDecomp:
-    """Partition ``S`` into (H,H)-double cosets, each the OR of the masks
-    of its left H-cosets, and list each class's coset minima.
-
-    Raises :class:`NotDoubleCosetUnion` when some class straddles the
-    boundary of ``S``, and ValueError for an id out of range.
-    Representatives are minimal and ascending.
-    """
+def decompose_into_double_cosets(H: Subgroup) -> DoubleCosetDecomp:
+    """Split the group of ``H`` into (H,H)-double cosets, each the OR of
+    the masks of its left H-cosets, and pair each class with its inverse
+    class.  Built once per subgroup and cached on the group."""
     G = H.parent
-    smask = mask_of(G, S)
+    key = ("double_cosets", H.mask)
+    split = G._cache.get(key)
+    if split is not None:
+        return split
     space = left_cosets(G, H)
     at = space.coset_of.__getitem__
     rows = tuple(map(G.mult.__getitem__, H.members[1:]))  # members[0] is the identity
-    # per left H-coset: its class, or -1 when the least coset of its class misses S
-    class_of: list[Optional[int]] = [None] * space.size
+    class_of = [-1] * space.size
     reps: list[int] = []
     masks: list[int] = []
     minima: list[list[int]] = []
@@ -148,36 +140,21 @@ def decompose_into_double_cosets(S: Iterable[int], H: Subgroup) -> DoubleCosetDe
     # coset xH, which marks the rest of HxH: the cosets hxH
     for c, m, x in zip(range(space.size), space.masks, space.reps):
         k = class_of[c]
-        if k is None:
-            if m & smask:
-                k = len(reps)
-                reps.append(x)
-                masks.append(m)
-                minima.append([x])
-            else:
-                k = -1
-            class_of[c] = k
+        if k < 0:
+            k = class_of[c] = len(reps)
+            reps.append(x)
+            masks.append(m)
+            minima.append([x])
             for row in rows:
                 class_of[at(row[x])] = k
-        elif k >= 0:
+        else:
             masks[k] |= m
             minima[k].append(x)
-    if sum(masks) != smask:  # some class meets S without lying inside it
-        _straddle(space, smask, class_of, masks)
-    pairing = tuple((i, j if j >= 0 else None) for i, j in enumerate(
-        map(class_of.__getitem__, map(at, map(G.inv.__getitem__, reps)))))
-    return DoubleCosetDecomp(H, tuple(reps), tuple(masks), tuple(map(tuple, minima)),
-                             pairing)
-
-
-def _straddle(space: CosetSpace, smask: int, class_of: list[int], masks: list[int]) -> None:
-    """Raise for the least x in S whose double coset leaves S, given the
-    class of each left coset (-1 for a class whose least coset misses S)
-    and the masks of the other classes."""
-    x = min(((m & smask) & -(m & smask)).bit_length() - 1
-            for m, k in zip(space.masks, class_of)
-            if m & smask and (k < 0 or masks[k] & ~smask))
-    raise NotDoubleCosetUnion(f"double coset of {x} leaves the given set")
+    inverse = tuple(map(class_of.__getitem__, map(at, map(G.inv.__getitem__, reps))))
+    split = G._cache[key] = DoubleCosetDecomp(H, tuple(reps), tuple(masks),
+                                              tuple(map(tuple, minima)), inverse,
+                                              tuple(class_of))
+    return split
 
 
 def left_coset_count(U: Iterable[int], H: Subgroup) -> int:

@@ -10,13 +10,12 @@ from pathlib import Path
 from typing import Optional
 
 from .config import DEFAULT_LIMITS, Limits
-from .cosets import double_coset_mask
+from .cosets import double_coset_mask, mask_of
 from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
     Subgroup,
     _byte_rows,
-    _members_of,
     all_subgroups,
     automorphism_generators,
     from_generators,
@@ -260,17 +259,15 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
         pair = PairSpec(G, H, A)
     except ValueError:
         return False
-    uset = frozenset(int(u) for u in data["U"])
-    xset = frozenset(int(x) for x in data["X"])
+    umask = mask_of(G, data["U"])
     reps = data["double_coset_reps"]
     rebuilt = 0
     for rep in reps:
         rebuilt |= double_coset_mask(H, rep)
-    if frozenset(_members_of(rebuilt)) != uset:
+    if rebuilt != umask:
         return False
     mult = G.mult
-    xh = {mult[x][h] for x in xset for h in H.members}
-    if xh != uset:
+    if mask_of(G, (mult[x][h] for x in data["X"] for h in H.members)) != umask:
         return False
     try:
         certify(pair, reps, rebuilt, r, s)  # rebuilt is the mask of U

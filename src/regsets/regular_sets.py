@@ -24,7 +24,7 @@ from .config import DEFAULT_LIMITS, Limits
 from .coset_graph import ConnectionSet, validate_connection_set
 from .cosets import (
     decompose_into_double_cosets,
-    double_coset,
+    double_coset_mask,
     left_coset_count,
     left_cosets,
 )
@@ -171,7 +171,8 @@ class NormalizerReduction:
 class _Unit(NamedTuple):
     """An atomic inverse-closed union of double cosets (a self-inverse class
     or a class paired with its inverse class).  Class ids number the
-    classes by their minimal elements, ascending, so ``reps[k]`` is the
+    classes of G minus H by their minimal elements, ascending (the ids of
+    :func:`decompose_into_double_cosets` less one), so ``reps[k]`` is the
     representative of class ``class_ids[k]``."""
 
     class_ids: tuple[int, ...]
@@ -181,23 +182,22 @@ class _Unit(NamedTuple):
 
 
 def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
-    """The half of a pair's analysis that depends on H alone: G minus H
-    split into (H,H)-double cosets and those into units, in order of their
+    """The half of a pair's analysis that depends on H alone: the
+    (H,H)-double cosets of G minus H paired into units, in order of their
     least class.  Built once per group, so every A over the same H reads
     one copy."""
     key = ("subgroup_units", H.mask)
     units = G._cache.get(key)
     if units is not None:
         return units
-    decomp = decompose_into_double_cosets(frozenset(range(G.order)).difference(H.members), H)
-    reps, masks, cosets = decomp.reps, decomp.masks, decomp.cosets
+    split = decompose_into_double_cosets(H)
+    reps, masks, cosets = split.reps, split.masks, split.cosets
     units = []
-    for (i, j) in decomp.inverse_pairing:
-        assert j is not None  # complement of H is inverse closed
+    for i, j in enumerate(split.inverse[1:], 1):  # class 0 is H
         if i == j:
-            units.append(_Unit((i,), (reps[i],), masks[i], cosets[i]))
+            units.append(_Unit((i - 1,), (reps[i],), masks[i], cosets[i]))
         elif i < j:
-            units.append(_Unit((i, j), (reps[i], reps[j]), masks[i] | masks[j],
+            units.append(_Unit((i - 1, j - 1), (reps[i], reps[j]), masks[i] | masks[j],
                                cosets[i] + cosets[j]))
     units = G._cache[key] = tuple(units)
     return units
@@ -866,8 +866,7 @@ def arc_transitive_perfect_code(pair: PairSpec, x: int) -> bool:
     G, H, A = pair.G, pair.H, pair.A
     if (H.mask >> x) & 1:
         raise PreconditionViolated("x must lie outside H")
-    d = double_coset(H, x)
-    if d != frozenset(G.inv[m] for m in d):
+    if double_coset_mask(H, x) != double_coset_mask(H, G.inv[x]):
         raise PreconditionViolated("HxH is not inverse closed")
     axa = set_product(G, A.members, set_product(G, (x,), A.members))
     cover = A.mask

@@ -259,16 +259,13 @@ def test_criterion_7_arc_transitive(corpus):
         for H in subs:
             if H.order == G.order:
                 continue
-            decomp = rs.decompose_into_double_cosets(
-                [g for g in range(G.order) if g not in H], H
-            )
+            split = rs.decompose_into_double_cosets(H)
             uppers = [s for s in subs if H.is_subset_of(s)]
             norm = rs.normalizer(G, H)
-            for (i, j), rep, mask in zip(
-                decomp.inverse_pairing, decomp.reps, decomp.masks
-            ):
-                if i != j:
+            for i in range(1, len(split)):  # class 0 is H
+                if split.inverse[i] != i:
                     continue
+                rep, mask = split.reps[i], split.masks[i]
                 conn = rs.validate_connection_set(H, mask)
                 graph = rs.build(G, H, conn)
                 xs = sorted(conn.members) if G.order <= 12 else [rep]

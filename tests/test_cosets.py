@@ -1,7 +1,11 @@
+import json
+
 import pytest
 
 import regsets as rs
-from regsets.errors import NotDoubleCosetUnion, NotLeftCosetUnion
+from regsets import cosets, regular_sets
+from regsets.cli import main
+from regsets.errors import NotLeftCosetUnion
 
 import oracles
 
@@ -123,65 +127,77 @@ def test_double_coset_size_formula(small_corpus):
 
 
 def test_decompose_single_subgroup_class(s3):
+    # class 0 is H itself
     H = transposition_subgroup(s3)
-    d = rs.decompose_into_double_cosets(H.members, H)
-    assert len(d) == 1 and d.inverse_pairing == ((0, 0),)
+    d = rs.decompose_into_double_cosets(H)
+    assert d.reps[0] == 0 and d.masks[0] == H.mask and d.inverse[0] == 0
+    assert d.cosets[0] == (0,) and d.class_of[0] == 0
+    whole = rs.decompose_into_double_cosets(s3.full_subgroup())
+    assert len(whole) == 1 and whole.inverse == (0,) and whole.class_of == (0,)
 
 
 def test_decompose_whole_group(small_corpus):
     for G in small_corpus[:8]:
         for H in rs.all_subgroups(G):
-            d = rs.decompose_into_double_cosets(range(G.order), H)
+            d = rs.decompose_into_double_cosets(H)
             classes = [oracles.double_coset_set(G, H.members, rep) for rep in d.reps]
             # each mask is its class by definition, and the classes partition G
             assert list(d.masks) == [rs.mask_of(G, c) for c in classes]
             assert sorted(x for c in classes for x in c) == list(range(G.order))
             assert all(rep == min(c) for rep, c in zip(d.reps, classes))
-            # the pairing locates the inverse set; it is an involution
-            assert all(j is not None for _, j in d.inverse_pairing)
-            pairing = dict(d.inverse_pairing)
-            for (i, j), c in zip(d.inverse_pairing, classes):
-                assert classes[j] == frozenset(G.inv[x] for x in c)
-                assert pairing[j] == i
+            assert list(d.reps) == sorted(d.reps) and classes[0] == frozenset(H.members)
+            # inverse locates the inverse set; it is an involution
+            for i, c in enumerate(classes):
+                assert classes[d.inverse[i]] == frozenset(G.inv[x] for x in c)
+                assert d.inverse[d.inverse[i]] == i
+            # class_of places each left coset in the class holding it
+            space = rs.left_cosets(G, H)
+            for c in oracles.left_coset_sets(G, H.members):
+                assert c <= classes[d.class_of[space.coset_of[min(c)]]]
 
 
 def test_decompose_lists_each_class_coset_minima(small_corpus):
-    # cosets[i] is the least element of each left H-coset inside class i,
-    # ascending, for the whole group and for G minus H
+    # cosets[i] is the least element of each left H-coset inside class i, ascending
     for G in small_corpus:
         for H in rs.all_subgroups(G):
             cosets = oracles.left_coset_sets(G, set(H.members))
-            for S in (range(G.order), [g for g in range(G.order) if g not in H]):
-                d = rs.decompose_into_double_cosets(S, H)
-                assert len(d.cosets) == len(d)
-                for mask, minima in zip(d.masks, d.cosets):
-                    assert minima == tuple(sorted(
-                        min(c) for c in cosets if all(mask >> g & 1 for g in c)))
+            d = rs.decompose_into_double_cosets(H)
+            assert len(d.cosets) == len(d)
+            for mask, minima in zip(d.masks, d.cosets):
+                assert minima == tuple(sorted(
+                    min(c) for c in cosets if all(mask >> g & 1 for g in c)))
 
 
-def test_decompose_partner_outside_is_flagged():
-    g = rs.cyclic(3)
-    H = rs.trivial_subgroup(g)
-    d = rs.decompose_into_double_cosets([1], H)
-    assert d.inverse_pairing == ((0, None),)
+def test_one_split_serves_every_caller(monkeypatch, tmp_path):
+    # the units, every double-coset lookup, and issuing and verifying a
+    # certificate each read the one cached split of G per (group, H)
+    built = []
+    real_split = cosets.DoubleCosetDecomp
 
+    def counting_split(*args):  # constructed once per cold decomposition
+        built.append(real_split(*args))  # kept alive, so ids stay distinct
+        return built[-1]
 
-def test_decompose_rejects_ids_out_of_range(s3):
-    H = transposition_subgroup(s3)
-    for bad in (-1, s3.order):
-        with pytest.raises(ValueError, match=f"element {bad} out of range"):
-            rs.decompose_into_double_cosets([*range(s3.order), bad], H)
+    monkeypatch.setattr(cosets, "DoubleCosetDecomp", counting_split)
 
+    def distinct():
+        return len({(id(d.subgroup.parent), d.subgroup.mask) for d in built})
 
-def test_decompose_straddling_set_rejected(s3):
-    H = transposition_subgroup(s3)
-    x = three_cycle(s3)
-    with pytest.raises(NotDoubleCosetUnion):
-        rs.decompose_into_double_cosets([x], H)
-    # S = [4] holds the larger element of the coset {2, 4}, whose minimum is outside S
-    assert rs.left_cosets(s3, H).masks[1] == 1 << 2 | 1 << 4
-    with pytest.raises(NotDoubleCosetUnion, match="double coset of 4 leaves the given set"):
-        rs.decompose_into_double_cosets([4], H)
+    G = rs.symmetric(4)
+    subs = rs.all_subgroups(G)
+    for H in subs:
+        regular_sets._subgroup_units(G, H)
+        for x in range(G.order):
+            assert cosets.double_coset_mask(H, x) >> x & 1
+    assert len(built) == len(subs) == distinct()
+    path = tmp_path / "cert.json"
+    assert main(["check", "preset:symmetric:4", "--H", "0,1", "--A", "gen:1,5",
+                 "--r", "1", "--s", "2", "--emit", str(path)]) == 0
+    assert distinct() == len(built) > len(subs)
+    emitted = len(built)
+    assert len(json.loads(path.read_text())["double_coset_reps"]) > 1
+    assert rs.verify_certificate_file(path)
+    assert len(built) == emitted + 1 == distinct()
 
 
 # -- coset counting --------------------------------------------------------------------

@@ -16,6 +16,7 @@ UNREFERENCED = {
     "coset_graph.build": "bench/layertrace.TARGETS traces it",
     "coset_graph.profile_subset": "bench/layertrace.TARGETS traces it",
     "cosets.conj_index": "bench/layertrace.TARGETS traces it",
+    "cosets.double_coset": "bench/layertrace.TARGETS traces it",
     "regular_sets.verify_witness": "bench/layertrace.TARGETS traces it",
     "regular_sets.necessary_divisibility": "bench/layertrace.TARGETS traces it",
     "regular_sets.arc_transitive_perfect_code":
@@ -95,6 +96,29 @@ def test_every_private_field_is_read():
     assert fields
     read = _attributes_read()
     assert {f for f in fields if f.split(".")[1] not in read} == set()
+
+
+def _unused_imports() -> set[str]:
+    """``module.name`` of each name that a module of regsets imports and
+    never loads; __init__ imports to re-export and is left out."""
+    unused = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = set()
+        for sub in ast.walk(tree):
+            if isinstance(sub, ast.Import) or (
+                    isinstance(sub, ast.ImportFrom) and sub.module != "__future__"):
+                bound |= {(alias.asname or alias.name).split(".")[0] for alias in sub.names}
+        loaded = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        unused |= {f"{path.stem}.{name}" for name in bound - loaded}
+    return unused
+
+
+def test_every_imported_name_is_used():
+    # an import left behind by a deletion is dead weight
+    assert _unused_imports() == set()
 
 
 def _modules_imported() -> set[str]:

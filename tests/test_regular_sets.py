@@ -4,6 +4,7 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import regsets as rs
 from regsets import group_core, regular_sets
@@ -398,9 +399,9 @@ def test_survey_builds_each_subgroups_units_once(monkeypatch):
     real_decompose = regular_sets.decompose_into_double_cosets
     real_context = regular_sets._PairContext
 
-    def counting_decompose(S, H):  # called once per build of H's units
+    def counting_decompose(H):  # called once per build of H's units
         built.append((id(H.parent), H.mask))
-        return real_decompose(S, H)
+        return real_decompose(H)
 
     def counting_context(pair):
         contexts.append(pair)
@@ -1110,3 +1111,39 @@ def test_arc_transitive_requires_x_outside_h(s3):
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     with pytest.raises(PreconditionViolated):
         rs.arc_transitive_perfect_code(rs.PairSpec(s3, H, H), H.members[1])
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_decisions_survive_relabelling(corpus, data):
+    # the split's class ids, the union-find roots and the sweep order follow
+    # the element labels; relabelling by a permutation fixing 0 must leave
+    # every answer unchanged, and each certificate must map back onto one
+    # of the original pair
+    G = data.draw(st.sampled_from(corpus))
+    n = G.order
+    perm = [0, *data.draw(st.permutations(range(1, n)))]
+    back = [0] * n
+    for a, p in enumerate(perm):
+        back[p] = a
+    relabelled = rs.from_table(
+        [[perm[G.mult[back[i]][back[j]]] for j in range(n)] for i in range(n)]
+    )
+    subs = rs.all_subgroups(G)
+    for A in subs:
+        moved_a = rs.Subgroup(relabelled, [perm[a] for a in A.members])
+        for H in subs:
+            if not H.is_subset_of(A):
+                continue
+            pair = rs.PairSpec(G, H, A)
+            moved = rs.PairSpec(relabelled, rs.Subgroup(relabelled, [perm[h] for h in H.members]),
+                                moved_a)
+            assert rs.achievable_profiles(moved) == rs.achievable_profiles(pair)
+            k = pair.code_index
+            for r in range(k):
+                for s in range(k + 1):
+                    cert = rs.decide_regular_set(moved, r, s)
+                    assert (cert is None) == (rs.decide_regular_set(pair, r, s) is None)
+                    if cert is not None:
+                        rs.certify(pair, [back[x] for x in cert.double_coset_reps],
+                                   sum(1 << back[g] for g in cert.connection.members), r, s)
