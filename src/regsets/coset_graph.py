@@ -5,7 +5,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .cosets import CosetSpace, left_cosets
+from .cosets import CosetSpace, decompose_into_double_cosets, left_cosets
 from .errors import IntersectsSubgroup, NotDoubleCosetUnion, NotInverseClosed
 from .group_core import GroupTable, Subgroup, _members_of
 
@@ -46,12 +46,14 @@ def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
     H-coset whole (UH = U).  For an inverse-closed U, UH = U gives
     HU = (U^-1 H)^-1 = U as well, so U is a union of (H,H)-double cosets.
 
-    The check walks the left H-cosets that U meets: it takes the coset of
-    the highest element not yet covered, requires the whole coset in U, and
-    ors in the coset's inverse mask.  When the walk uses up U, U is a union
-    of those cosets and the or is U^-1, so U is valid exactly when the or
-    equals U.  A set that fails is handed to :func:`_first_violation`,
-    which names the first invariant it breaks, in the order above.
+    The check walks the (H,H)-double cosets that U meets, read from the
+    split of :func:`~regsets.cosets.decompose_into_double_cosets`: it takes
+    the class of the highest element not yet covered, requires that class
+    and its inverse class whole in U, and removes the class.  When the walk
+    uses up U, U is a union of classes that holds the inverse of each, so
+    U is valid exactly when the walk uses it up.  A set that fails is
+    handed to :func:`_first_violation`, which names the first invariant it
+    breaks, in the order above.
     """
     G = H.parent
     if U < 0:
@@ -60,18 +62,17 @@ def validate_connection_set(H: Subgroup, U: int) -> ConnectionSet:
         raise ValueError(f"element {U.bit_length() - 1} out of range")
     if U & H.mask:
         raise IntersectsSubgroup("connection set meets the base subgroup")
-    space = left_cosets(G, H)
-    coset_of, masks, inverse_masks = space.coset_of, space.masks, space.inverse_masks
-    inverse = 0
+    split = decompose_into_double_cosets(H)
+    coset_of = left_cosets(G, H).coset_of
+    class_of, masks, inverse = split.class_of, split.masks, split.inverse
     rest = U
     while rest:
-        c = coset_of[rest.bit_length() - 1]
-        coset = masks[c]
-        if rest & coset != coset:
+        k = class_of[coset_of[rest.bit_length() - 1]]
+        cls, inv = masks[k], masks[inverse[k]]
+        if U & cls != cls or U & inv != inv:
             break
-        inverse |= inverse_masks[c]
-        rest ^= coset
-    if rest or inverse != U:
+        rest ^= cls
+    if rest:
         raise _first_violation(H, U)
     return ConnectionSet(H, U)
 

@@ -12,21 +12,16 @@ class CosetSpace:
     """The left cosets of a subgroup, with minimum-element representatives.
 
     ``reps[0]`` is always the identity (the subgroup itself is coset 0),
-    ``coset_of`` is total over the parent group, ``masks[i]`` is the
-    bitmask of coset ``i`` (bit g set for each member g), and
-    ``inverse_masks[i]`` the bitmask of its inverse set, the right coset
-    ``H reps[i]^-1``.
+    ``coset_of`` is total over the parent group, and ``masks[i]`` is the
+    bitmask of coset ``i`` (bit g set for each member g).
     """
 
-    def __init__(self, group: GroupTable, subgroup: Subgroup,
-                 reps: tuple[int, ...], coset_of: tuple[int, ...],
-                 masks: tuple[int, ...], inverse_masks: tuple[int, ...]):
-        self.group = group
+    def __init__(self, subgroup: Subgroup, reps: tuple[int, ...],
+                 coset_of: tuple[int, ...], masks: tuple[int, ...]):
         self.subgroup = subgroup
         self.reps = reps
         self.coset_of = coset_of
         self.masks = masks
-        self.inverse_masks = inverse_masks
 
     @property
     def size(self) -> int:
@@ -83,9 +78,7 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
     coset_of = [-1] * G.order
     reps = []
     masks = []
-    inverse_masks = []
     mult = G.mult
-    inv = G.inv
     hm = H.members
     for g in range(G.order):  # ascending scan makes reps minimal
         if coset_of[g] >= 0:
@@ -93,23 +86,24 @@ def left_cosets(G: GroupTable, H: Subgroup) -> CosetSpace:
         idx = len(reps)
         reps.append(g)
         row = mult[g]
-        mask = inverse = 0
+        mask = 0
         for h in hm:
             gh = row[h]
             coset_of[gh] = idx
             mask |= 1 << gh
-            inverse |= 1 << inv[gh]
         masks.append(mask)
-        inverse_masks.append(inverse)
-    space = CosetSpace(G, H, tuple(reps), tuple(coset_of), tuple(masks),
-                       tuple(inverse_masks))
+    space = CosetSpace(H, tuple(reps), tuple(coset_of), tuple(masks))
     G._cache[("left_cosets", H.mask)] = space
     return space
 
 
 def double_coset_mask(H: Subgroup, x: int) -> int:
     """The bitmask of the double coset ``HxH``, read from the split of
-    :func:`decompose_into_double_cosets`."""
+    :func:`decompose_into_double_cosets`; an ``x`` outside 0..|G|-1
+    raises IndexError."""
+    n = H.parent.order
+    if not 0 <= x < n:
+        raise IndexError(f"element {x} out of range 0..{n - 1}")
     split = decompose_into_double_cosets(H)
     return split.masks[split.class_of[left_cosets(H.parent, H).coset_of[x]]]
 

@@ -300,8 +300,6 @@ class GroupTable:
     ``generators`` keeps the generating set that Light's test picked.
     """
 
-    identity = 0
-
     def __init__(
         self,
         mult: Sequence[Sequence[int]],
@@ -365,18 +363,15 @@ class Subgroup:
                 raise ValueError(f"element {m} out of range 0..{n - 1}")
         if not mems or mems[0] != 0:
             raise ValueError("subgroup must contain the identity 0")
+        # a finite set closed under products holds a^-1 = a^(m-1), for a of
+        # order m, so it is a subgroup, and Lagrange gives |K| dividing |G|
         memset = frozenset(mems)
         mult = parent.mult
-        inv = parent.inv
         for a in mems:
-            if inv[a] not in memset:
-                raise ValueError(f"subgroup not closed under inverse at {a}")
             row = mult[a]
             for b in mems:
                 if row[b] not in memset:
                     raise ValueError(f"subgroup not closed under product at ({a},{b})")
-        if n % len(mems) != 0:
-            raise ValueError("subgroup order does not divide the group order")
         self.members = tuple(mems)
         self.mask = _mask_of(mems)
         self.order = len(mems)

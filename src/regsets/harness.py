@@ -260,9 +260,8 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     except ValueError:
         return False
     umask = mask_of(G, data["U"])
-    reps = data["double_coset_reps"]
     rebuilt = 0
-    for rep in reps:
+    for rep in data["double_coset_reps"]:
         rebuilt |= double_coset_mask(H, rep)
     if rebuilt != umask:
         return False
@@ -270,7 +269,7 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     if mask_of(G, (mult[x][h] for x in data["X"] for h in H.members)) != umask:
         return False
     try:
-        certify(pair, reps, rebuilt, r, s)  # rebuilt is the mask of U
+        certify(pair, rebuilt, r, s)  # rebuilt is the mask of U
     except (RegsetError, ValueError):
         return False
     return True

@@ -104,15 +104,23 @@ class RegSetCertificate(NamedTuple):
     ``connection`` is the connection set U, ``witness`` the set X with
     ``XH = HX^-1`` (here X = U, which always works since U is inverse-closed
     and H-stable), and ``double_coset_reps`` the minimal representatives of
-    the double cosets whose union is U.
+    the double cosets whose union is U, read from U.
     """
 
     pair: PairSpec
     r: int
     s: int
-    double_coset_reps: tuple[int, ...]
     connection: ConnectionSet
     checks: tuple[CheckResult, ...]
+
+    @property
+    def double_coset_reps(self) -> tuple[int, ...]:
+        """The least element of each class of U, ascending: the classes of
+        :func:`decompose_into_double_cosets` that U meets, which it holds
+        whole."""
+        split = decompose_into_double_cosets(self.pair.H)
+        U = self.connection.mask
+        return tuple(x for x, m in zip(split.reps, split.masks) if m & U)
 
     @property
     def witness(self) -> frozenset[int]:
@@ -170,12 +178,10 @@ class NormalizerReduction:
 
 class _Unit(NamedTuple):
     """An atomic inverse-closed union of double cosets (a self-inverse class
-    or a class paired with its inverse class).  Class ids number the
-    classes of G minus H by their minimal elements, ascending (the ids of
-    :func:`decompose_into_double_cosets` less one), so ``reps[k]`` is the
-    representative of class ``class_ids[k]``."""
+    or a class paired with its inverse class): ``reps`` holds the least
+    element of each class, one or two of them, in the order of the classes
+    of :func:`decompose_into_double_cosets`."""
 
-    class_ids: tuple[int, ...]
     reps: tuple[int, ...]
     mask: int  # the union of the classes, bit g for each member g
     cosets: tuple[int, ...]  # each class's left H-coset minima, class by class
@@ -195,10 +201,9 @@ def _subgroup_units(G: GroupTable, H: Subgroup) -> tuple[_Unit, ...]:
     units = []
     for i, j in enumerate(split.inverse[1:], 1):  # class 0 is H
         if i == j:
-            units.append(_Unit((i - 1,), (reps[i],), masks[i], cosets[i]))
+            units.append(_Unit((reps[i],), masks[i], cosets[i]))
         elif i < j:
-            units.append(_Unit((i - 1, j - 1), (reps[i], reps[j]), masks[i] | masks[j],
-                               cosets[i] + cosets[j]))
+            units.append(_Unit((reps[i], reps[j]), masks[i] | masks[j], cosets[i] + cosets[j]))
     units = G._cache[key] = tuple(units)
     return units
 
@@ -368,10 +373,12 @@ _CHECK_NAMES = ("inverse_symmetry", "disjoint_from_subgroup", "inside_count",
 _ALL_PASS = tuple(CheckResult(name, True) for name in _CHECK_NAMES)
 
 
-def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertificate:
+def certify(pair: PairSpec, U: int, r: int, s: int) -> RegSetCertificate:
     """Check a candidate connection set U, given as its bitmask, with
     witness X = U, and return its certificate; this is the only source of
-    certificates, and ``verify`` re-runs it on stored ones.
+    certificates, and ``verify`` re-runs it on stored ones.  U is the
+    whole input: the certificate reads its double-coset representatives
+    from U.
 
     An r or s out of range raises ValueError, checked first: when A = G no
     block outside A tests s.  :func:`validate_connection_set` proves
@@ -399,7 +406,7 @@ def certify(pair: PairSpec, class_reps, U: int, r: int, s: int) -> RegSetCertifi
                            (True, True, inside_ok, outside_ok, inside_ok and outside_ok)))
         failed = [c.name for c in checks if not c.passed]
         raise ConstructionFailed(f"candidate failed validation: {failed}", checks)
-    return RegSetCertificate(pair, r, s, tuple(sorted(class_reps)), conn, _ALL_PASS)
+    return RegSetCertificate(pair, r, s, conn, _ALL_PASS)
 
 
 # -- exact decision -----------------------------------------------------------
@@ -469,14 +476,6 @@ def _witness(comp: _Component, parent: dict, state: int) -> list[_Unit]:
     return units
 
 
-def _union(units: list[_Unit]) -> tuple[list[int], int]:
-    """The double-coset representatives and the mask of a set of units."""
-    mask = 0
-    for u in units:
-        mask |= u.mask
-    return [rep for u in units for rep in u.reps], mask
-
-
 def decide_regular_set(pair: PairSpec, r: int, s: int,
                        limits: Optional[Limits] = None) -> Optional[RegSetCertificate]:
     """Exact decision of the profile (r, s), with a certificate when it is
@@ -504,8 +503,7 @@ def decide_regular_set(pair: PairSpec, r: int, s: int,
         if target * comp.ones not in parent:
             return None
         chosen += _witness(comp, parent, target * comp.ones)
-    reps, mask = _union(chosen)
-    return certify(pair, reps, mask, r, s)
+    return certify(pair, sum(u.mask for u in chosen), r, s)  # units are disjoint
 
 
 def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
@@ -547,9 +545,9 @@ def achievable_profiles(pair: PairSpec, limits: Optional[Limits] = None
     R = tuple(r for r in range(index) if r in inside)
     S = tuple(s for s in range(index + 1) if all(s in S_k for S_k in outside))
     for r in R:
-        certify(pair, *_union(inside[r]), r, 0)
+        certify(pair, sum(u.mask for u in inside[r]), r, 0)
     for s in S[1:]:
-        certify(pair, *_union([u for S_k in outside for u in S_k[s]]), 0, s)
+        certify(pair, sum(u.mask for S_k in outside for u in S_k[s]), 0, s)
     return R, S
 
 
@@ -571,7 +569,7 @@ def _chain_components(pair: PairSpec) -> list[tuple[int, int, _Component]]:
     if not is_normal(pair.A, pair.G.full_subgroup()):
         raise PreconditionViolated("A is not normal in G")
     return [((c.blocks & -c.blocks).bit_length() - 1,
-             len(c.units[0].cosets) // len(c.units[0].class_ids) if c.units else 1, c)
+             len(c.units[0].cosets) // len(c.units[0].reps) if c.units else 1, c)
             for c in pair._context.components]
 
 
@@ -588,7 +586,7 @@ def _outside_witnesses(reps: tuple[int, ...], comps: list, s: int
             if div_witness is None:
                 div_witness = reps[least]
         elif (s // size) % 2 == 1 and comp.blocks == 1 << least and \
-                all(len(u.class_ids) == 2 for u in comp.units):
+                all(len(u.reps) == 2 for u in comp.units):
             if self_witness is None:
                 self_witness = reps[least]
     return div_witness, self_witness
@@ -670,11 +668,11 @@ def construct_normal_chain(pair: PairSpec, r: int, s: int) -> RegSetCertificate:
     acos = left_cosets(pair.G, pair.A).coset_of
     chosen: list[_Unit] = []
     for least, size, comp in _chain_components(pair):
-        ordered = sorted(([c for c, x in zip(u.class_ids, u.reps) if acos[x] == least], u)
+        ordered = sorted(([x for x in u.reps if acos[x] == least], u)
                          for u in comp.units)  # no two units share a class
-        chosen += _select([(len(ids), u) for ids, u in ordered],
+        chosen += _select([(len(reps), u) for reps, u in ordered],
                           (r if least == 0 else s) // size)
-    return certify(pair, *_union(chosen), r, s)
+    return certify(pair, sum(u.mask for u in chosen), r, s)
 
 
 # -- Cayley-case criteria (H trivial) ---------------------------------------

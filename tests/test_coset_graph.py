@@ -120,18 +120,6 @@ def test_mask_validation_matches_elementwise(small_corpus):
     assert ("NotDoubleCosetUnion", True, False) in outcomes
 
 
-def test_inverse_masks_are_inverse_cosets(small_corpus):
-    # inverse_masks[i] is the mask of the inverses of the members of coset i
-    for G in small_corpus:
-        for H in rs.all_subgroups(G):
-            space = rs.left_cosets(G, H)
-            assert len(space.inverse_masks) == space.size
-            cosets = oracles.left_coset_sets(G, H.members)  # ascending minima
-            for i in range(space.size):
-                inverses = {G.inv[g] for g in cosets[i]}
-                assert space.inverse_masks[i] == sum(1 << g for g in inverses)
-
-
 # -- graph construction ---------------------------------------------------------
 
 

@@ -104,6 +104,15 @@ def test_double_coset_s3(s3):
     assert d == oracles.double_coset_set(s3, set(H.members), three_cycle(s3))
 
 
+def test_double_coset_rejects_ids_outside_the_group(s3):
+    # a negative id is not read from the end of the coset table
+    H = rs.trivial_subgroup(s3)
+    for x in (-1, s3.order):
+        for double in (cosets.double_coset_mask, rs.double_coset):
+            with pytest.raises(IndexError, match=f"element {x} out of range 0..5"):
+                double(H, x)
+
+
 def test_double_coset_well_defined(small_corpus):
     for G in small_corpus[:8]:
         for H in rs.all_subgroups(G):

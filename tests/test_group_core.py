@@ -667,6 +667,29 @@ def test_sylow_order_is_p_part(corpus):
                 assert all(G.element_order(x) % p == 0 for x in P.members[1:])
 
 
+def test_subgroup_accepts_exactly_the_subgroups():
+    # product closure is the one closure check: it implies inverse closure
+    # and, by Lagrange, that |K| divides |G|; every other subset (1,104 in
+    # all) is a ValueError
+    groups = [rs.symmetric(3), rs.dihedral(4), rs.quaternion8(), rs.cyclic(8),
+              rs.klein4(), rs.direct_product(rs.cyclic(2), rs.cyclic(4))]
+    checked = accepted = 0
+    for G in groups:
+        for bits in range(1 << G.order):
+            subset = [g for g in range(G.order) if bits >> g & 1]
+            try:
+                K = rs.Subgroup(G, subset)
+            except ValueError:
+                assert not oracles.is_subgroup_set(G, subset), (G.label, subset)
+            else:
+                assert oracles.is_subgroup_set(G, subset), (G.label, subset)
+                assert K.members == tuple(subset)
+                accepted += 1
+            checked += 1
+    assert checked == 1104
+    assert accepted == sum(len(rs.all_subgroups(G)) for G in groups)
+
+
 # -- subgroup enumeration ----------------------------------------------------------
 
 

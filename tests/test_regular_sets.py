@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import regsets as rs
-from regsets import group_core, regular_sets
+from regsets import cosets, group_core, regular_sets
 from regsets.config import Limits
 from regsets.errors import (
     ConstructionFailed,
@@ -101,7 +101,7 @@ def chain_checks(pair, U, r, s):
 
 def certify_checks(pair, U, r, s):
     try:
-        return rs.certify(pair, (), rs.mask_of(pair.G, U), r, s).checks
+        return rs.certify(pair, rs.mask_of(pair.G, U), r, s).checks
     except ConstructionFailed as exc:
         return exc.checks
 
@@ -150,20 +150,20 @@ def test_certify_agrees_with_witness_and_graph_oracle(small_corpus):
 def test_certify_rejects_invalid_connection_sets(s3):
     pair = s3_a3_pair(s3)
     with pytest.raises(RegsetError):
-        rs.certify(pair, (), rs.mask_of(s3, {0}), 0, 0)  # meets H
+        rs.certify(pair, rs.mask_of(s3, {0}), 0, 0)  # meets H
     t = s3.perms.index((1, 2, 0))
     with pytest.raises(RegsetError):
-        rs.certify(pair, (), rs.mask_of(s3, {t}), 0, 0)  # not inverse closed
+        rs.certify(pair, rs.mask_of(s3, {t}), 0, 0)  # not inverse closed
     with pytest.raises(ValueError, match="negative"):
-        rs.certify(pair, (), -1, 0, 0)
+        rs.certify(pair, -1, 0, 0)
     with pytest.raises(ValueError, match="out of range"):
-        rs.certify(pair, (), 1 << s3.order, 0, 0)  # past the group order
+        rs.certify(pair, 1 << s3.order, 0, 0)  # past the group order
     # {t, t^-1} is inverse closed and misses H = <(0 1)>, but holds only t
     # of the H-coset {t, t(0 1)}
     H = rs.generate_subgroup(s3, [s3.perms.index((1, 0, 2))])
     split = rs.mask_of(s3, {t, s3.inv[t]})
     with pytest.raises(NotDoubleCosetUnion):
-        rs.certify(rs.PairSpec(s3, H, s3.full_subgroup()), (), split, 0, 1)
+        rs.certify(rs.PairSpec(s3, H, s3.full_subgroup()), split, 0, 1)
 
 
 def _record_certificates(monkeypatch):
@@ -234,7 +234,7 @@ def test_halves_certify_every_profile(small_corpus, monkeypatch):
     # achievable_profiles certifies each r-half as (r, 0) and each s-half as
     # (0, s); the union of any r-half and any s-half must then pass all five
     # checks as (r, s), and count as (r, s) in the coset graph built from
-    # the definitions
+    # the definitions; its representatives are those of the two halves
     issued = _record_certificates(monkeypatch)
     backed = 0
     for G in small_corpus + [rs.symmetric(4)]:
@@ -253,14 +253,62 @@ def test_halves_certify_every_profile(small_corpus, monkeypatch):
                     for s in S:
                         reps = rhalf[r].double_coset_reps + shalf[s].double_coset_reps
                         U = rhalf[r].connection.mask | shalf[s].connection.mask
-                        cert = rs.certify(pair, reps, U, r, s)
+                        cert = rs.certify(pair, U, r, s)
                         assert cert.checks == regular_sets._ALL_PASS
+                        assert cert.double_coset_reps == tuple(sorted(reps))
                         prof = oracles.graph_profile(G, set(H.members),
                                                      set(cert.connection.members),
                                                      set(A.members))
                         assert prof in ((r, s), (r, None))
                         backed += 1
     assert backed == 5160 + 3906  # every profile: corpus groups of order <= 12, then S4
+
+
+def test_certificates_are_consistent_by_construction(small_corpus, monkeypatch, tmp_path):
+    # every certificate of the exact decision, of the normal-chain
+    # construction and of each joined r- and s-half names the least element
+    # of each class of U, in ascending order; OR-ing those classes gives U
+    # exactly, and the certificate written to a file verifies
+    issued = _record_certificates(monkeypatch)
+    path = tmp_path / "cert.json"
+    written = set()
+    built = 0
+    for G in small_corpus:
+        full = G.full_subgroup()
+        subs = rs.all_subgroups(G)
+        for A in subs:
+            for H in subs:
+                if not H.is_subset_of(A):
+                    continue
+                pair = rs.PairSpec(G, H, A)
+                issued.clear()
+                R, S = rs.achievable_profiles(pair)
+                rhalves = [c for c in issued if c.s == 0]
+                shalves = [c for c in issued if c.r == 0]
+                certs = [rs.decide_regular_set(pair, r, s) for r in R for s in S]
+                certs += [rs.certify(pair, a.connection.mask | b.connection.mask, a.r, b.s)
+                          for a in rhalves for b in shalves]
+                if rs.is_normal(H, A) and rs.is_normal(A, full):
+                    idx = pair.code_index
+                    certs += [rs.construct_normal_chain(pair, r, s)
+                              for r in range(idx) for s in range(idx + 1)
+                              if rs.check_normal_chain(pair, r, s).verdict]
+                hset = set(H.members)
+                for cert in certs:
+                    reps = cert.double_coset_reps
+                    assert list(reps) == sorted(set(reps))
+                    assert all(x == min(oracles.double_coset_set(G, hset, x)) for x in reps)
+                    rebuilt = 0
+                    for x in reps:
+                        rebuilt |= cosets.double_coset_mask(H, x)
+                    assert rebuilt == cert.connection.mask
+                    key = (G.label, H.mask, A.mask, cert.r, cert.s, rebuilt)
+                    if key not in written:
+                        written.add(key)
+                        rs.write_certificate(cert, path)
+                        assert rs.verify_certificate_file(path), key
+                    built += 1
+    assert built > len(written) > 5160
 
 
 # -- exact decision --------------------------------------------------------------
@@ -344,7 +392,8 @@ def test_pair_analysis_is_freed_with_the_pair():
 def test_components_match_the_union_find_oracle(corpus):
     # the components from block masks against the list-based union-find and
     # greedy order: same components in the same order, same unit order
-    # inside each (the tie-break included), same packed fields
+    # inside each (the tie-break included), same packed fields; the oracle
+    # numbers the classes of G minus H, so class i of the split is its i - 1
     reordered = multi = 0
     for G in corpus:
         subs = rs.all_subgroups(G)
@@ -352,7 +401,9 @@ def test_components_match_the_union_find_oracle(corpus):
             for H in subs:
                 if not H.is_subset_of(A):
                     continue
-                got = [(tuple(u.class_ids for u in c.units), c.vectors, c.closes, c.ones, c.width)
+                ids = {x: i - 1 for i, x in enumerate(rs.decompose_into_double_cosets(H).reps)}
+                got = [(tuple(tuple(map(ids.__getitem__, u.reps)) for u in c.units),
+                        c.vectors, c.closes, c.ones, c.width)
                        for c in rs.PairSpec(G, H, A)._context.components]
                 want = oracles.pair_components(G, frozenset(H.members), frozenset(A.members))
                 assert got == want, (G.label, H.members, A.members)
@@ -431,17 +482,17 @@ def test_certify_range_checks_s_when_a_is_the_whole_group():
     pair = rs.PairSpec(G, rs.trivial_subgroup(G), G.full_subgroup())
     U = rs.decide_regular_set(pair, 0, 0).connection.mask
     for s in range(5):
-        assert rs.certify(pair, (), U, 0, s).s == s
+        assert rs.certify(pair, U, 0, s).s == s
     for r, s in ((0, 5), (0, -1), (4, 0), (-1, 0)):
         with pytest.raises(ValueError, match="out of range"):
-            rs.certify(pair, (), U, r, s)
+            rs.certify(pair, U, r, s)
 
 
 def test_certify_on_a_cold_pair_builds_no_decision_context(s3):
     # verify re-runs certify on a fresh pair: it reads the group's coset
     # spaces and caches nothing on the pair
     pair = s3_a3_pair(s3)
-    rs.certify(pair, (), 0, 0, 0)
+    rs.certify(pair, 0, 0, 0)
     assert set(vars(pair)) == {"G", "H", "A"}
 
 
@@ -1115,6 +1166,36 @@ def test_arc_transitive_requires_x_outside_h(s3):
 
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
+def test_decisions_survive_conjugation(corpus, data):
+    # the split's class ids, the union-find roots and the sweep order follow
+    # the labels of H and A; the pair (H^g, A^g) of the same group must get
+    # the same answers, and each of its certificates, conjugated back by
+    # g^-1, must certify on the original pair
+    G = data.draw(st.sampled_from(corpus))
+    g = data.draw(st.integers(0, G.order - 1))
+    gi = G.inv[g]
+    subs = rs.all_subgroups(G)
+    for A in subs:
+        moved_a = rs.Subgroup(G, [G.conjugate(a, g) for a in A.members])
+        for H in subs:
+            if not H.is_subset_of(A):
+                continue
+            pair = rs.PairSpec(G, H, A)
+            moved = rs.PairSpec(G, rs.Subgroup(G, [G.conjugate(h, g) for h in H.members]),
+                                moved_a)
+            assert rs.achievable_profiles(moved) == rs.achievable_profiles(pair)
+            k = pair.code_index
+            for r in range(k):
+                for s in range(k + 1):
+                    cert = rs.decide_regular_set(moved, r, s)
+                    assert (cert is None) == (rs.decide_regular_set(pair, r, s) is None)
+                    if cert is not None:
+                        back = sum(1 << G.conjugate(u, gi) for u in cert.connection.members)
+                        assert rs.certify(pair, back, r, s).checks == regular_sets._ALL_PASS
+
+
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
 def test_decisions_survive_relabelling(corpus, data):
     # the split's class ids, the union-find roots and the sweep order follow
     # the element labels; relabelling by a permutation fixing 0 must leave
@@ -1145,5 +1226,5 @@ def test_decisions_survive_relabelling(corpus, data):
                     cert = rs.decide_regular_set(moved, r, s)
                     assert (cert is None) == (rs.decide_regular_set(pair, r, s) is None)
                     if cert is not None:
-                        rs.certify(pair, [back[x] for x in cert.double_coset_reps],
-                                   sum(1 << back[g] for g in cert.connection.members), r, s)
+                        rs.certify(pair, sum(1 << back[g] for g in cert.connection.members),
+                                   r, s)
