@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from itertools import chain, repeat
 from math import isqrt
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_LIMITS, Limits
@@ -128,19 +128,19 @@ def _solvable(G: "GroupTable") -> bool:
 
 
 def _byte_rows(rows: Sequence[Sequence[int]]) -> Optional[tuple[bytes, ...]]:
-    """``rows`` as bytes, or None if there are more than 256 of them or an
-    entry does not fit in a byte.  This is the one test that puts a table
-    on the byte kernel, which for the rows of a table means an order of at
-    most 256: there composing two rows is one C-level ``bytes.translate``
-    (see :func:`_translation`) instead of an ``itemgetter`` over n entries.
-    Larger tables keep rows of ints, the only rows that hold their
-    entries."""
-    if len(rows) <= 256:
-        try:
-            return tuple(map(bytes, rows))
-        except ValueError:  # an entry below 0 or above 255
-            pass
-    return None
+    """``rows`` as a tuple of bytes, or None if there are more than 256 of
+    them or an entry is not an int in 0..255; a tuple of bytes comes back
+    as itself.  This is the one test that puts a table on the byte kernel,
+    an order of at most 256: there composing two rows is one C-level
+    ``bytes.translate`` (see :func:`_translation`) instead of an
+    ``itemgetter`` over n entries.  Larger tables keep rows of ints."""
+    types = set(map(type, rows))
+    if len(rows) > 256 or any(issubclass(t, int) for t in types):
+        return None  # bytes(k) of an int k is k zero bytes, not a row
+    try:
+        return tuple(rows) if types == {bytes} else tuple(map(bytes, rows))
+    except (TypeError, ValueError):  # an entry that is not an int, or not in 0..255
+        return None
 
 
 def _translation(row: bytes) -> bytes:
@@ -275,11 +275,11 @@ class GroupTable:
     reports the first failure in this order: every row has n entries in
     0..n-1, the rows and then the columns are permutations, index 0 acts as
     the identity, every element has a two-sided inverse, and associativity
-    holds, by Light's test on a generating set in O(n^2 log n).  Rows may
-    be given as ``bytes``, whose entries are exact ints by type; entries of
-    other rows that are not exact ints go through ``int`` once, and rows of
-    exact ints are kept as they are.  ``mult`` is always a tuple of tuples
-    of exact ints.
+    holds, by Light's test on a generating set in O(n^2 log n).  ``mult``
+    is the one copy of the table: rows of exact ints, ``bytes`` up to order
+    256 and tuples above, as :func:`_byte_rows` picks here alone.  Byte
+    rows, and a tuple of them, are kept as given; entries that are not
+    exact ints go through ``int`` once.
 
     Each check is made once, on whole rows.  Up to order 256 the rows are
     checked as bytes (:func:`_byte_rows`), so each check is one C call per
@@ -306,21 +306,21 @@ class GroupTable:
         label: str = "G",
         spec: Optional[dict] = None,
     ):
-        given = tuple(mult)
-        mult = tuple(map(tuple, given))  # keeps rows that are tuples already
-        if set(map(type, given)) != {bytes}:  # the entries of bytes are exact ints
+        rows = tuple(mult)
+        mult = _byte_rows(rows)
+        if mult is None:  # order above 256, or entries that are not ints in 0..255
+            mult = tuple(map(tuple, rows))  # keeps rows that are tuples already
             if not set(map(type, chain.from_iterable(mult))) <= {int}:
                 mult = tuple(tuple(map(int, row)) for row in mult)
-            given = mult
-        rows = _byte_rows(given) or mult  # the rows that every check reads
+                mult = _byte_rows(mult) or mult
         self.order = len(mult)
         self.mult = mult
         self.label = label
         self.spec = spec
         self._cache: dict = {}
-        self.inv = _checked_inverses(rows)
+        self.inv = _checked_inverses(mult)
         try:
-            self.generators = _light_generators(rows)
+            self.generators = _light_generators(mult)
         except NotAssociative as exc:
             # a column that is not a permutation is reported as such
             raise _first_violation(mult) or exc from None
@@ -824,7 +824,7 @@ def automorphism_generators(G: GroupTable) -> tuple[tuple[int, ...], ...]:
     k = len(gens)
     columns = tuple(zip(*mult))
     roots = [0] * n  # roots[x]: the number of y with y^2 = x
-    for square in map(tuple.__getitem__, mult, range(n)):
+    for square in map(getitem, mult, range(n)):
         roots[square] += 1
     invariant = [
         (G.element_order(x), sum(map(int.__eq__, mult[x], columns[x])), roots[x])

@@ -15,7 +15,6 @@ from .errors import OrderExceedsCap, ParseError, RegsetError
 from .group_core import (
     GroupTable,
     Subgroup,
-    _byte_rows,
     all_subgroups,
     automorphism_generators,
     from_generators,
@@ -116,8 +115,7 @@ def group_from_spec_dict(spec: dict, limits: Optional[Limits] = None) -> GroupTa
             chain.from_iterable(matrix)
         ):
             raise ParseError("table spec needs a 'matrix' list of integer rows")
-        # rows that fit in bytes are ints by type, so GroupTable scans no entry
-        g = from_table(_byte_rows(matrix) or matrix, label=label, limits=limits)
+        g = from_table(matrix, label=label, limits=limits)
         g.spec = {"kind": "table", "matrix": [list(r) for r in g.mult]}
         return g
     raise ParseError(f"unknown group spec kind {kind!r}")
@@ -202,8 +200,9 @@ _PASSING_CHECKS = [{"name": name, "pass": True} for name in _CHECK_NAMES]
 
 def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     """Re-check a stored certificate: the group order, the double-coset
-    reconstruction of U, XH = U, and then :func:`certify`, the same checks
-    that issued it.  Parse failures raise :class:`ParseError`, as do an
+    reconstruction of U, XH = U, then :func:`certify`, the same checks
+    that issued it, and that ``double_coset_reps`` are the representatives
+    that it reads from U.  Parse failures raise :class:`ParseError`, as do an
     ``A``, ``U``, ``X`` or ``double_coset_reps`` that is not a list, a
     negative element id, an id in ``H``, ``A``, ``X`` or
     ``double_coset_reps`` that is not an int, a bool, str or float id in
@@ -269,10 +268,10 @@ def verify_certificate_file(path, limits: Optional[Limits] = None) -> bool:
     if mask_of(G, (mult[x][h] for x in data["X"] for h in H.members)) != umask:
         return False
     try:
-        certify(pair, rebuilt, r, s)  # rebuilt is the mask of U
+        cert = certify(pair, rebuilt, r, s)  # rebuilt is the mask of U
     except (RegsetError, ValueError):
         return False
-    return True
+    return data["double_coset_reps"] == list(cert.double_coset_reps)
 
 
 # -- survey -------------------------------------------------------------------

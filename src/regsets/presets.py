@@ -194,7 +194,7 @@ def direct_product(G1: GroupTable, G2: GroupTable) -> GroupTable:
         # row (a, b) is row (0, b), (x, y) -> (x, b*y), followed by row (a, 0),
         # (x, y) -> (a*x, y); spans[c] = (c*|G2| + y)_y is block c of row (0, 0)
         tables = list(map(_translation, spans))
-        rights = [b"".join(map(rb.translate, tables)) for rb in _byte_rows(G2.mult)]
+        rights = [b"".join(map(rb.translate, tables)) for rb in G2.mult]
         lefts = [b"".join([spans[c] for c in ra]) for ra in G1.mult]
         mult = [q.translate(t) for t in map(_translation, lefts) for q in rights]
     spec = None

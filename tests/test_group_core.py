@@ -113,7 +113,7 @@ def test_from_table_not_latin():
 def test_from_table_relabels_identity():
     # C2 written with its identity at index 1
     g = rs.from_table([[1, 0], [0, 1]])
-    assert g.mult == ((0, 1), (1, 0))
+    assert tuple(map(tuple, g.mult)) == ((0, 1), (1, 0))
 
 
 def test_from_table_no_identity():
@@ -211,7 +211,7 @@ def _table_outcome(build, table):
         result = build(table)
     except (ValueError, RegsetError) as exc:
         return type(exc), str(exc)
-    return result if isinstance(result, tuple) else (result.mult, result.inv)
+    return result if isinstance(result, tuple) else (tuple(map(tuple, result.mult)), result.inv)
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,7 +259,7 @@ def test_tables_on_both_sides_of_the_byte_bound_match_the_reference(n):
     # cyclic(256) is validated on byte rows, cyclic(257) on rows of ints
     G = rs.cyclic(n)
     assert (group_core._byte_rows(G.mult) is None) == (n > 256)
-    assert (G.mult, G.inv) == oracles.group_table_reference(G.mult)
+    assert (tuple(map(tuple, G.mult)), G.inv) == oracles.group_table_reference(G.mult)
     assert G.generators == _greedy_generators(G)
 
 
@@ -300,12 +300,23 @@ class _Int(int):
 ], ids=["bool", "int-subclass", "float", "str"])
 def test_table_entries_come_out_as_exact_ints(entries):
     G = rs.GroupTable(entries)
-    assert G.mult == ((0, 1), (1, 0))
+    assert tuple(map(tuple, G.mult)) == ((0, 1), (1, 0))
     assert {type(x) for row in G.mult for x in row} == {int}
 
 
+@pytest.mark.parametrize("rows", [[0], [1], [2, 2], [True]])
+def test_rows_that_are_ints_are_rejected(rows):
+    # bytes(k) of an int k is k zero bytes: [1] must not read as a trivial group
+    with pytest.raises(TypeError):
+        rs.GroupTable(rows)
+
+
 def test_table_keeps_rows_of_exact_ints():
-    rows = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+    # tuple rows above the byte bound, and byte rows at or below it
+    rows = rs.cyclic(257).mult
+    G = rs.GroupTable(list(rows))
+    assert all(a is b for a, b in zip(G.mult, rows))
+    rows = [bytes(row) for row in ((0, 1, 2), (1, 2, 0), (2, 0, 1))]
     G = rs.GroupTable(rows)
     assert all(a is b for a, b in zip(G.mult, rows))
 
@@ -351,7 +362,7 @@ def permutation_generators(draw):
 def test_from_generators_table_is_the_composition_table(case):
     degree, gens = case
     g = rs.from_generators(degree, gens)
-    assert (g.perms, g.mult) == oracles.perm_table_all_pairs(degree, gens)
+    assert (g.perms, tuple(map(tuple, g.mult))) == oracles.perm_table_all_pairs(degree, gens)
 
 
 # -- masks and generate_subgroup ----------------------------------------------

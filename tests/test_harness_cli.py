@@ -277,6 +277,46 @@ def test_certificate_tamper(tmp_path, field):
     assert rs.verify_certificate_file(path) is False
 
 
+def _reordered_reps(H, reps):
+    """Representative lists that rebuild the same U but are not the least
+    element of each class, once each, ascending: reversed, the first one
+    repeated, and the first one of a class of several elements replaced by
+    the greatest element of its class."""
+    out = {}
+    if len(reps) >= 2:
+        out["reversed"] = reps[::-1]
+    if reps:
+        out["repeated"] = reps[:1] + reps
+    for i, x in enumerate(reps):
+        top = max(rs.double_coset(H, x))
+        if top != x:
+            out["non-least"] = reps[:i] + [top] + reps[i + 1:]
+            break
+    return out
+
+
+def test_non_canonical_double_coset_reps_do_not_verify(small_corpus, tmp_path):
+    # each of these used to verify as valid (exit 0): only the union of the
+    # classes was checked
+    path = tmp_path / "cert.json"
+    seen = set()
+    for G in small_corpus:
+        subgroups = rs.all_subgroups(G)
+        for H in subgroups:
+            for A in (A for A in subgroups if H.is_subset_of(A) and A != H):
+                pair = rs.PairSpec(G, H, A)
+                R, S = rs.achievable_profiles(pair)
+                cert = rs.decide_regular_set(pair, R[-1], S[-1])
+                rs.write_certificate(cert, path)
+                assert rs.verify_certificate_file(path) is True
+                data = json.loads(path.read_text())
+                for kind, reps in _reordered_reps(H, data["double_coset_reps"]).items():
+                    path.write_text(json.dumps(dict(data, double_coset_reps=reps)))
+                    assert rs.verify_certificate_file(path) is False, (G.label, kind)
+                    seen.add(kind)
+    assert seen == {"reversed", "repeated", "non-least"}
+
+
 # On the cyclic(4) certificate of make_cert (H trivial, A = {0, 2},
 # U = X = double_coset_reps = [1, 3]), indexing would read -k as 4 - k, so
 # each of these would otherwise name a valid certificate or crash.

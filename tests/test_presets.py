@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import pytest
@@ -203,7 +204,35 @@ def test_permutation_presets_match_the_all_pairs_tables(monkeypatch):
     labels = {g.label for _, _, g in built}
     assert {"symmetric(5)", "alternating(5)", "semidihedral16", "modular16"} <= labels
     for degree, gens, g in built:
-        assert (g.perms, g.mult) == oracles.perm_table_all_pairs(degree, gens), g.label
+        assert ((g.perms, tuple(map(tuple, g.mult)))
+                == oracles.perm_table_all_pairs(degree, gens)), g.label
+
+
+def _rows_hold_exact_ints(G, kind):
+    return (all(type(row) is kind for row in G.mult)
+            and {type(x) for row in G.mult for x in row} == {int})
+
+
+def test_rows_are_bytes_up_to_order_256_and_tuples_above(monkeypatch):
+    built = []
+    from_generators = presets.from_generators
+
+    def recording(degree, gens, **kwargs):
+        built.append(from_generators(degree, gens, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(presets, "from_generators", recording)
+    groups = [rs.preset(name, n) for name, n in _every_preset()]
+    groups.append(presets.direct_product(rs.dihedral(64), rs.cyclic(2)))
+    assert built and max(G.order for G in groups) == 256
+    for G in groups + built:
+        assert _rows_hold_exact_ints(G, bytes), G.label
+        # a table spec, and a tuple of byte rows, which is kept as it is
+        spec = json.dumps({"kind": "table", "matrix": [list(row) for row in G.mult]})
+        assert _rows_hold_exact_ints(rs.parse_group_spec(spec), bytes), G.label
+        assert rs.GroupTable(G.mult).mult is G.mult
+    for G in (rs.cyclic(257), rs.from_generators(257, [[*range(1, 257), 0]])):
+        assert _rows_hold_exact_ints(G, tuple), G.label
 
 
 def test_preset_cap_applies_before_any_table_is_built(monkeypatch):

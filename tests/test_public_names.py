@@ -63,6 +63,47 @@ def test_every_unreferenced_public_name_is_listed():
     assert _unreferenced_definitions() == set(UNREFERENCED)
 
 
+# Private names that a module of regsets imports from another one, as
+# "importer <- module.name", each with the reason it crosses the boundary.
+PRIVATE_IMPORTS = {
+    "coset_graph <- group_core._members_of": "lists a connection set or neighbour mask",
+    "cosets <- group_core._mask_of": "mask_of range-checks outside ids, then builds the mask",
+    "cosets <- group_core._members_of": "double_coset lists the bits of its mask",
+    "harness <- regular_sets._CHECK_NAMES": "a stored certificate names the five checks",
+    "presets <- group_core._bfs_table": "sl23 tabulates its matrices as from_generators does",
+    "presets <- group_core._byte_rows": "direct_product lays out its byte kernel",
+    "presets <- group_core._translation": "direct_product composes byte rows",
+    "regular_sets <- group_core._conjugate_mask": "necessary_conjugate_intersection reads H^g",
+    "regular_sets <- group_core._members_of": "orders a component's units by block masks",
+}
+
+
+def _private_imports() -> set[str]:
+    """``importer <- module.name`` for each private name that a module of
+    regsets imports from another module of regsets."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for sub in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(sub, ast.ImportFrom) and sub.level:
+                found |= {f"{path.stem} <- {sub.module}.{alias.name}"
+                          for alias in sub.names if alias.name.startswith("_")}
+    return found
+
+
+def test_every_private_import_is_listed():
+    assert _private_imports() == set(PRIVATE_IMPORTS)
+
+
+def test_only_group_core_and_the_product_kernel_use_byte_rows():
+    # GroupTable picks the format of every table's rows; harness passes a
+    # table spec's rows to from_table as they are
+    users = {f"{path.stem}.{node.name}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and "_byte_rows" in _names_used(node)}
+    assert users == {"group_core.GroupTable", "group_core._bfs_table", "presets.direct_product"}
+
+
 # Fields of regsets classes that no module of regsets reads.
 UNREAD_FIELDS = {
     "QuotientGroup.projection": "read by the tests and their oracles",
